@@ -35,16 +35,6 @@ class EnumerationGuardError(RuntimeError):
     """The assignment space is too large to enumerate."""
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1), the number of ordered k-tuples without repeats."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class EnumerationTask:
     """A pure statistic of ``num_vars`` i.i.d. finite-support variables."""

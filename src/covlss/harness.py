@@ -68,14 +68,14 @@ class ExperimentConfig:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
         if self.n < 2:
             raise ConfigError(f"n must be at least 2, got {self.n}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:  # also refuses nan
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if self.reps < 1:
             raise ConfigError(f"reps must be a positive integer, got {self.reps}")
-        if not 1 <= self.max_power <= 4:
-            raise ConfigError(f"max_power must be in 1..4, got {self.max_power}")
+        if not 2 <= self.max_power <= 4:  # the whitened statistic needs T_2
+            raise ConfigError(f"max_power must be in 2..4, got {self.max_power}")
         if self.fmt not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
         if self.grid_size < 2:
@@ -224,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     results = run_replications(model, cfg, workers)
     digest = cfg.digest()
-    ts = np.array([whiten(r.t[0], r.t[1], ms).ts for r in results])
+    ts = np.array([whiten(r.t[0], r.t[1], ms) for r in results])
     qq = qq_report(ts, "chi2_df2", cfg.grid_size, config_digest=digest)
 
     qq_centered = None
@@ -232,7 +232,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.centered:
         centered_ms = ms.centered_view()
         ts0 = np.array(
-            [whiten(r.t_centered[0], r.t_centered[1], centered_ms).ts for r in results]
+            [whiten(r.t_centered[0], r.t_centered[1], centered_ms) for r in results]
         )
         qq_centered = qq_report(ts0, "chi2_df2", cfg.grid_size, config_digest=digest)
         notes.append(
@@ -275,7 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if qq_centered is not None:
             summary["qq_centered"] = _qq_arrays(qq_centered)
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     files.append(str(summary_path))
 
     return ExperimentResult(
@@ -372,7 +372,7 @@ def run_verification_suite(
             "cases": [r.as_dict() for r in reports],
         }
         path = out_dir / "verify.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
         files.append(str(path))
 
     return VerificationSummary(

@@ -40,6 +40,9 @@ _DEGENERACY_RTOL = 1e-12
 
 def check_covariance(ms: MomentSet, context: str = "") -> None:
     """Raise :class:`DegenerateCovarianceError` unless Psi is solidly PD."""
+    if not all(map(math.isfinite, (ms.psi11, ms.psi12, ms.psi22, ms.det_psi))):
+        context = "; ".join(filter(None, ("floating-point overflow in Psi", context)))
+        raise DegenerateCovarianceError(ms.psi11, ms.psi12, ms.psi22, context)
     degenerate = (
         ms.psi11 <= _DEGENERACY_RTOL * ms.psi11_scale
         or ms.psi22 <= _DEGENERACY_RTOL * ms.psi22_scale
@@ -48,13 +51,6 @@ def check_covariance(ms: MomentSet, context: str = "") -> None:
     )
     if degenerate:
         raise DegenerateCovarianceError(ms.psi11, ms.psi12, ms.psi22, context)
-
-
-@dataclass(frozen=True)
-class TSValue:
-    ts: float
-    t1_raw: float
-    t2_raw: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +92,7 @@ _REFERENCES = {
 }
 
 
-def whiten(t1: float, t2: float, ms: MomentSet) -> TSValue:
+def whiten(t1: float, t2: float, ms: MomentSet) -> float:
     """ts = d' Psi^{-1} d with d = (t1 - E T1, t2 - E T2).
 
     Uses the closed-form 2x2 inverse; refuses a non-positive-definite
@@ -107,7 +103,7 @@ def whiten(t1: float, t2: float, ms: MomentSet) -> TSValue:
     d1 = t1 - ms.e_t1
     d2 = t2 - ms.e_t2
     ts = (ms.psi22 * d1 * d1 - 2.0 * ms.psi12 * d1 * d2 + ms.psi11 * d2 * d2) / det
-    return TSValue(ts=max(ts, 0.0), t1_raw=t1, t2_raw=t2)
+    return max(ts, 0.0)
 
 
 def ks_distance(samples: np.ndarray, reference_cdf) -> float:

@@ -143,17 +143,6 @@ def _gamma_profile(shape: float, scale: float) -> MomentProfile:
     return MomentProfile(mu3=mu[3], mu4=mu[4], nu4=mu[4] - 3.0, mu6=mu[6], mu8=mu[8])
 
 
-def moments_of(dist: InnovationDist) -> MomentProfile:
-    return dist.profile
-
-
-def enumerate_support(dist: InnovationDist) -> list[tuple[float, float]]:
-    """(value, probability) pairs of a finite-support distribution."""
-    if not dist.enumerable:
-        raise NotEnumerableError(f"{dist.selector} has continuous support")
-    return [(float(v), float(p)) for v, p in zip(dist.support, dist.probabilities)]
-
-
 def sample_block(dist: InnovationDist, stream_seed: int, count: int) -> np.ndarray:
     """``count`` i.i.d. standardized draws, deterministic per (dist, seed, count)."""
     if count < 0:

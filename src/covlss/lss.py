@@ -1,10 +1,14 @@
-"""Sample covariance trace statistics T_k = tr(B^k), B = (1/n) S^{1/2} X X' S^{1/2}.
+"""Sample covariance trace statistics T_k = tr(B^k), B = (1/n) Y Y', Y = S^{1/2} X.
 
-T_k is computed on whichever side of the Gram correspondence is cheaper:
-the p x p matrix B and the n x n matrix A/n = X' S X / n share nonzero
-eigenvalues, so tr(B^k) = tr(A^k) / n^k.  The mean-centered statistics
-T_1^0, T_2^0 of B - ybar ybar' need only A and its row sums (rank-one
-update), never a p x p detour.
+One kernel computes every statistic from Y.  B and its companion
+Y'Y / n share their nonzero eigenvalues, so tr(B^k) = tr(G^k) / n^k for
+either Gram matrix G = Y Y' (p x p) or G = Y'Y (n x n).  The kernel takes
+the smaller one: Y Y' when p <= n, Y'Y otherwise.  That choice is the only
+place the two sides differ, and it depends only on (p, n), so results are
+reproducible for any worker layout.  The mean-centered statistics of
+B - ybar ybar' are the same on both sides:
+
+  T_1^0 = T_1 - ybar'ybar,  T_2^0 = T_2 - 2 ||Y'ybar||^2 / n + (ybar'ybar)^2.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import numpy as np
 from .innovations import InnovationDist, sample_block
 from .population import PopulationModel
 from .seeding import REPLICATION_STREAM, derive_seed
-from .symmat import SymMatrix, trace_power
 
 _PSD_SLACK = 1e-9
 
@@ -59,66 +62,23 @@ def _draw_x(cfg: SampleConfig) -> np.ndarray:
     return sample_block(cfg.dist, seed, p * cfg.n).reshape(p, cfg.n)
 
 
-def _sigma_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
-    if model.is_diagonal:
-        return model.eigenvalues[:, None] * x
-    return model.sigma.array @ x
-
-
 def _half_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
     if model.is_diagonal:
         return np.sqrt(model.eigenvalues)[:, None] * x
     return model.sigma_half.array @ x
 
 
-def generate_gram(cfg: SampleConfig) -> SymMatrix:
-    """The n x n Gram matrix A = X' Sigma X for this replication's X."""
-    x = _draw_x(cfg)
-    return _gram(cfg.model, x)
-
-
-def _gram(model: PopulationModel, x: np.ndarray) -> SymMatrix:
-    a = x.T @ _sigma_times(model, x)
-    a = 0.5 * (a + a.T)
-    return SymMatrix(a)
-
-
-def lss_traces(gram: SymMatrix, n: int, m: int) -> tuple[float, ...]:
-    """T_k = tr(A^k) / n^k for k = 1..m (m <= 4)."""
-    if m > 4:
-        raise ValueError("trace powers beyond 4 are not supported")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return tuple(trace_power(gram, k) / float(n) ** k for k in range(1, m + 1))
-
-
-def _centered_from_gram(a: np.ndarray, n: int) -> tuple[float, float]:
-    # T1^0 = T1 - ybar'ybar with ybar'ybar = 1'A1 / n^2;
-    # T2^0 = T2 - 2 ybar'B ybar + (ybar'ybar)^2 with ybar'B ybar = ||A1||^2 / n^3.
-    rowsum = a.sum(axis=1)
-    total = float(rowsum.sum())
-    yy = total / n**2
-    t1 = float(np.trace(a)) / n
-    t2 = float(np.sum(a * a)) / n**2
-    t2c = t2 - 2.0 * float(rowsum @ rowsum) / n**3 + yy * yy
-    return t1 - yy, t2c
-
-
-def centered_lss(cfg: SampleConfig, x: np.ndarray) -> tuple[float, float]:
-    """(T1^0, T2^0) of B - ybar ybar', computed in the n x n Gram form."""
-    if cfg.n < 2:
-        raise ValueError("centered statistics need n >= 2")
-    gram = _gram(cfg.model, x)
-    return _centered_from_gram(gram.array, cfg.n)
-
-
-def _traces_p_side(
+def _trace_stats(
     y: np.ndarray, n: int, max_power: int, centered: bool
-) -> tuple[tuple[float, ...], tuple[float, float] | None]:
-    g = y @ y.T
-    t1 = float(np.trace(g)) / n
-    t2 = float(np.sum(g * g)) / n**2
-    t = [t1, t2]
+) -> tuple[list[float], tuple[float, float] | None]:
+    """T_1, T_2 (and T_3, T_4 up to max_power) of B = Y Y' / n, plus the
+    centered pair when asked.
+
+    T_3 and T_4 share one product G^2: tr G^3 = sum(G^2 ∘ G) and
+    tr G^4 = ||G^2||_F^2.
+    """
+    g = y @ y.T if y.shape[0] <= n else y.T @ y
+    t = [float(np.trace(g)) / n, float(np.sum(g * g)) / n**2]
     if max_power >= 3:
         g2 = g @ g
         t.append(float(np.sum(g2 * g)) / n**3)
@@ -129,44 +89,34 @@ def _traces_p_side(
         ybar = y.mean(axis=1)
         yy = float(ybar @ ybar)
         z = y.T @ ybar
-        tc = (t1 - yy, t2 - 2.0 * float(z @ z) / n + yy * yy)
-    return tuple(t[:max_power]), tc
+        tc = (t[0] - yy, t[1] - 2.0 * float(z @ z) / n + yy * yy)
+    return t, tc
 
 
 def run_replication(cfg: SampleConfig) -> ReplicationResult:
-    """Sample X and compute (T_1..T_m) plus the centered pair when asked.
-
-    Uses the p x p side when p <= n and the n x n Gram side otherwise;
-    both sides agree to floating-point accuracy and the choice depends
-    only on (p, n), so results are reproducible for any worker layout.
-    """
-    x = _draw_x(cfg)
-    model, n = cfg.model, cfg.n
-    if model.p <= n:
-        y = _half_times(model, x)
-        t, tc = _traces_p_side(y, n, cfg.max_power, cfg.centered)
-    else:
-        gram = _gram(model, x)
-        t = lss_traces(gram, n, cfg.max_power)
-        tc = _centered_from_gram(gram.array, n) if cfg.centered else None
-    _check_invariants(t, tc, model.p, cfg.replication_index)
-    return ReplicationResult(t=t, t_centered=tc, replication_index=cfg.replication_index)
+    """Sample X and compute (T_1..T_m) plus the centered pair when asked."""
+    y = _half_times(cfg.model, _draw_x(cfg))
+    t, tc = _trace_stats(y, cfg.n, cfg.max_power, cfg.centered)
+    _check_invariants(t, tc, cfg.model.p, cfg.replication_index)
+    return ReplicationResult(
+        t=tuple(t[: cfg.max_power]), t_centered=tc, replication_index=cfg.replication_index
+    )
 
 
 def _check_invariants(
-    t: tuple[float, ...], tc: tuple[float, float] | None, p: int, rep: int
+    t: list[float], tc: tuple[float, float] | None, p: int, rep: int
 ) -> None:
-    t1 = t[0]
-    t2 = t[1] if len(t) > 1 else None
-    bad = t1 < -_PSD_SLACK
-    if t2 is not None:
-        bad = bad or t2 < -_PSD_SLACK
-        # eigenvalues of B are nonnegative: (sum l)^2 / p <= sum l^2 <= (sum l)^2
-        bad = bad or t2 > t1 * t1 * (1.0 + _PSD_SLACK) + _PSD_SLACK
-        bad = bad or t2 < t1 * t1 / p * (1.0 - _PSD_SLACK) - _PSD_SLACK
+    t1, t2 = t[0], t[1]
+    # NaN fails every comparison below, so finiteness is checked first
+    bad = not np.all(np.isfinite(t + list(tc or ())))
+    bad = bad or t1 < -_PSD_SLACK or t2 < -_PSD_SLACK
+    # eigenvalues of B are nonnegative: (sum l)^2 / p <= sum l^2 <= (sum l)^2
+    bad = bad or t2 > t1 * t1 * (1.0 + _PSD_SLACK) + _PSD_SLACK
+    bad = bad or t2 < t1 * t1 / p * (1.0 - _PSD_SLACK) - _PSD_SLACK
     if tc is not None:
         bad = bad or tc[0] > t1 * (1.0 + _PSD_SLACK) + _PSD_SLACK
     if bad:
         raise ReplicationInvariantError(
-            f"replication {rep}: trace statistics violate PSD ordering: t={t}, centered={tc}"
+            f"replication {rep}: trace statistics are not finite or violate PSD "
+            f"ordering: t={tuple(t)}, centered={tc}"
         )

@@ -89,7 +89,7 @@ def expected_values(traces: TraceSet, n: int, nu4: float) -> tuple[float, float]
     if n < 1:
         raise ValueError("n must be a positive integer")
     e_t1 = traces.tr1
-    e_t2 = (nu4 * traces.trH11 + traces.tr1**2 + (n + 1) * traces.tr2) / n
+    e_t2 = (nu4 * traces.trH11 + traces.tr1 * traces.tr1 + (n + 1) * traces.tr2) / n
     return e_t1, e_t2
 
 
@@ -105,10 +105,10 @@ def psi_matrix(traces: TraceSet, n: int, nu4: float) -> tuple[float, float, floa
         + 4.0 * n * traces.tr3
     ) / n**2
     psi22 = (
-        8.0 * traces.tr2 * traces.tr1**2
-        + 4.0 * nu4 * traces.tr1**2 * traces.trH11
+        8.0 * traces.tr2 * (traces.tr1 * traces.tr1)
+        + 4.0 * nu4 * (traces.tr1 * traces.tr1) * traces.trH11
         + 16.0 * n * traces.tr1 * traces.tr3
-        + 4.0 * n * traces.tr2**2
+        + 4.0 * n * (traces.tr2 * traces.tr2)
         + 8.0 * nu4 * n * traces.trH12 * traces.tr1
         + 4.0 * nu4 * n**2 * traces.trH22
         + 8.0 * n**2 * traces.tr4
@@ -127,7 +127,7 @@ def centered_expected_values(traces: TraceSet, n: int, nu4: float) -> tuple[floa
         raise ValueError("centered statistics need n >= 2")
     e_t1, e_t2 = expected_values(traces, n, nu4)
     e_t1_centered = traces.tr1 * (1.0 - 1.0 / n)
-    e_t2_centered = e_t2 - (traces.tr1**2 + 2.0 * n * traces.tr2) / n**2
+    e_t2_centered = e_t2 - (traces.tr1 * traces.tr1 + 2.0 * n * traces.tr2) / n**2
     return e_t1_centered, e_t2_centered
 
 
@@ -136,10 +136,10 @@ def moment_set(traces: TraceSet, n: int, nu4: float, centered: bool = False) -> 
     psi11, psi12, psi22 = psi_matrix(traces, n, nu4)
     scale11 = (abs(nu4) * traces.trH11 + 2.0 * traces.tr2) / n
     scale22 = (
-        8.0 * traces.tr2 * traces.tr1**2
-        + 4.0 * abs(nu4) * traces.tr1**2 * traces.trH11
+        8.0 * traces.tr2 * (traces.tr1 * traces.tr1)
+        + 4.0 * abs(nu4) * (traces.tr1 * traces.tr1) * traces.trH11
         + 16.0 * n * abs(traces.tr1 * traces.tr3)
-        + 4.0 * n * traces.tr2**2
+        + 4.0 * n * (traces.tr2 * traces.tr2)
         + 8.0 * abs(nu4) * n * abs(traces.trH12 * traces.tr1)
         + 4.0 * abs(nu4) * n**2 * traces.trH22
         + 8.0 * n**2 * traces.tr4

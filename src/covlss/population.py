@@ -101,8 +101,8 @@ def assemble_model(eigs, u: np.ndarray | None = None) -> PopulationModel:
     """Sigma = U L U' (or L when u is None) with its exact square root.
 
     The trace bundle of the assembled Sigma is cross-checked against the
-    eigenvalue power sums; disagreement beyond 1e-8 relative raises
-    :class:`ConsistencyError`.
+    eigenvalue power sums; a non-finite trace or a disagreement beyond
+    1e-8 relative raises :class:`ConsistencyError`.
     """
     lam = np.asarray(eigs, dtype=float).copy()
     if lam.ndim != 1 or lam.size < 1:
@@ -125,7 +125,10 @@ def assemble_model(eigs, u: np.ndarray | None = None) -> PopulationModel:
         half = (u * np.sqrt(lam)) @ u.T
         half = 0.5 * (half + half.T)
 
-    traces = trace_set(SymMatrix(sigma))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        traces = trace_set(SymMatrix(sigma))
+    if not all(map(np.isfinite, traces.as_dict().values())):
+        raise ConsistencyError(f"trace functionals of Sigma overflow: {traces.as_dict()}")
     for k, got in enumerate((traces.tr1, traces.tr2, traces.tr3, traces.tr4), start=1):
         want = float(np.sum(lam**k))
         if abs(got - want) > TRACE_CHECK_RTOL * max(1.0, abs(want)):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from covlss.enumeration import (
     EnumerationTask,
     exact_expectation,
     exact_variance,
-    falling_factorial,
     verify_finite_n_moments,
     verify_fourth_moment,
     verify_quadratic_covariance,
@@ -26,18 +23,6 @@ def rotation(theta):
 def random_sym(rng, dim):
     a = rng.uniform(-1.0, 1.0, size=(dim, dim))
     return SymMatrix(0.5 * (a + a.T))
-
-
-class TestFallingFactorial:
-    def test_basic_values(self):
-        assert falling_factorial(5, 1) == 5
-        assert falling_factorial(5, 5) == math.factorial(5)
-        assert falling_factorial(7, 3) == 7 * 6 * 5
-        assert falling_factorial(4, 0) == 1
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            falling_factorial(3, 4)
 
 
 class TestExactExpectation:

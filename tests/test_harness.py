@@ -26,6 +26,9 @@ def tiny_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
+_BLAS_SIZED = dict(centered=True, max_power=4, reps=16, grid_size=9)
+
+
 class TestConfig:
     def test_validates_fields(self):
         with pytest.raises(ConfigError, match="p must"):
@@ -34,6 +37,11 @@ class TestConfig:
             ExperimentConfig(p=2, n=1).validate()
         with pytest.raises(ConfigError, match="beta"):
             ExperimentConfig(p=2, n=10, beta=2.0).validate()
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="alpha"):
+                ExperimentConfig(p=2, n=10, alpha=alpha).validate()
+        with pytest.raises(ConfigError, match="max_power"):
+            ExperimentConfig(p=2, n=10, max_power=1).validate()
         with pytest.raises(ConfigError, match="format"):
             ExperimentConfig(p=2, n=10, fmt="xml").validate()
         with pytest.raises(ValueError):
@@ -71,15 +79,26 @@ class TestRunExperiment:
         b = (tmp_path / "b" / "qq.csv").read_bytes()
         assert a == b
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_independence(self, tmp_path, workers):
-        run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "w1"), workers=1))
+    @pytest.mark.parametrize(
+        "workers,size",
+        [
+            pytest.param(2, {}, id="2"),
+            pytest.param(3, {}, id="3"),
+            # sizes where BLAS threads engage: the Gram side (p > n), then the p side
+            pytest.param(2, dict(p=400, n=300, **_BLAS_SIZED), id="2-p400-n300"),
+            pytest.param(2, dict(p=300, n=400, **_BLAS_SIZED), id="2-p300-n400"),
+        ],
+    )
+    def test_worker_count_independence(self, tmp_path, workers, size):
+        run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "w1"), workers=1, **size))
         run_experiment(
-            tiny_cfg(tmp_path, output_dir=str(tmp_path / "wN"), workers=workers)
+            tiny_cfg(tmp_path, output_dir=str(tmp_path / "wN"), workers=workers, **size)
         )
-        assert (tmp_path / "w1" / "qq.csv").read_bytes() == (
-            tmp_path / "wN" / "qq.csv"
-        ).read_bytes()
+        names = ["qq.csv", "qq_centered.csv"] if size else ["qq.csv"]
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (
+                tmp_path / "wN" / name
+            ).read_bytes()
 
     def test_summary_contents(self, tmp_path):
         cfg = tiny_cfg(tmp_path, centered=True)
@@ -186,6 +205,22 @@ class TestCli:
         ])
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
+
+    def test_max_power_one_exit_one(self, tmp_path, capsys):
+        rc = main(["simulate", "--p", "6", "--n", "1000", "--max-power", "1",
+                   "--reps", "5", "--output-dir", str(tmp_path / "m")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["20", "40"])
+    def test_overflowing_spectrum_exit_one(self, tmp_path, capsys, alpha):
+        # spikes of 1000^alpha: Psi (alpha 20) or tr Sigma^4 (alpha 40) overflows
+        out = tmp_path / "o"
+        rc = main(["simulate", "--p", "6", "--n", "1000", "--beta", "0.5",
+                   "--alpha", alpha, "--reps", "5", "--output-dir", str(out)])
+        assert rc == 1
+        assert "overflow" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

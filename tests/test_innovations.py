@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlss.enumeration import EnumerationTask
 from covlss.innovations import (
     MomentProfile,
     NotEnumerableError,
-    enumerate_support,
-    moments_of,
     parse_dist,
     rademacher,
     sample_block,
@@ -21,11 +20,11 @@ from covlss.innovations import (
 
 class TestProfiles:
     def test_standard_normal(self):
-        p = moments_of(standard_normal())
+        p = standard_normal().profile
         assert (p.mu3, p.mu4, p.nu4, p.mu6, p.mu8) == (0.0, 3.0, 0.0, 15.0, 105.0)
 
     def test_rademacher(self):
-        p = moments_of(rademacher())
+        p = rademacher().profile
         assert (p.mu3, p.mu4, p.nu4, p.mu6, p.mu8) == (0.0, 1.0, -2.0, 1.0, 1.0)
 
     def test_gamma_4_half_cumulant_oracle(self):
@@ -38,7 +37,7 @@ class TestProfiles:
         k8 = 5040.0 * k**-3.0
         mu6 = k6 + 15 * k4 + 10 * k3**2 + 15
         mu8 = k8 + 28 * k6 + 56 * k5 * k3 + 35 * k4**2 + 210 * k4 + 280 * k3**2 + 105
-        p = moments_of(standardized_gamma(4, 0.5))
+        p = standardized_gamma(4, 0.5).profile
         assert p.mu3 == pytest.approx(1.0, abs=1e-12)
         assert p.nu4 == pytest.approx(1.5, abs=1e-12)
         assert p.mu6 == pytest.approx(mu6, rel=1e-12)
@@ -46,8 +45,8 @@ class TestProfiles:
 
     def test_gamma_profile_scale_invariant(self):
         # standardization removes the scale parameter entirely
-        a = moments_of(standardized_gamma(3, 0.5))
-        b = moments_of(standardized_gamma(3, 7.0))
+        a = standardized_gamma(3, 0.5).profile
+        b = standardized_gamma(3, 7.0).profile
         assert a.mu3 == pytest.approx(b.mu3, rel=1e-12)
         assert a.mu8 == pytest.approx(b.mu8, rel=1e-12)
 
@@ -69,19 +68,21 @@ class TestProfiles:
 
 class TestEnumerateSupport:
     def test_rademacher_support(self):
-        assert enumerate_support(rademacher()) == [(-1.0, 0.5), (1.0, 0.5)]
+        d = rademacher()
+        assert list(zip(d.support, d.probabilities)) == [(-1.0, 0.5), (1.0, 0.5)]
 
     def test_normal_not_enumerable(self):
+        assert not standard_normal().enumerable
         with pytest.raises(NotEnumerableError):
-            enumerate_support(standard_normal())
+            EnumerationTask(1, standard_normal(), lambda x: float(x[0]))
 
     @pytest.mark.parametrize("dist", [rademacher(), two_point(0.2), two_point(0.61)])
     def test_support_moments_match_profile(self, dist):
-        pairs = enumerate_support(dist)
+        pairs = list(zip(dist.support, dist.probabilities))
         assert math.fsum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-14)
         assert math.fsum(p * v for v, p in pairs) == pytest.approx(0.0, abs=1e-12)
         assert math.fsum(p * v**2 for v, p in pairs) == pytest.approx(1.0, abs=1e-12)
-        prof = moments_of(dist)
+        prof = dist.profile
         for m, want in ((3, prof.mu3), (4, prof.mu4), (6, prof.mu6), (8, prof.mu8)):
             got = math.fsum(p * v**m for v, p in pairs)
             assert got == pytest.approx(want, abs=1e-12)
@@ -148,7 +149,7 @@ class TestParseDist:
 @given(prob=st.floats(0.01, 0.99))
 def test_two_point_standardization_property(prob):
     d = two_point(prob)
-    pairs = enumerate_support(d)
+    pairs = list(zip(d.support, d.probabilities))
     assert math.fsum(p * v for v, p in pairs) == pytest.approx(0.0, abs=1e-12)
     assert math.fsum(p * v**2 for v, p in pairs) == pytest.approx(1.0, abs=1e-12)
     # standardized two-point laws satisfy mu4 = 1 + mu3^2 identically

@@ -3,15 +3,14 @@ import pytest
 
 from covlss.innovations import rademacher, sample_block, standard_normal
 from covlss.lss import (
+    ReplicationInvariantError,
     SampleConfig,
-    centered_lss,
-    generate_gram,
-    lss_traces,
+    _check_invariants,
+    _trace_stats,
     run_replication,
 )
 from covlss.population import assemble_model, haar_orthogonal
 from covlss.seeding import REPLICATION_STREAM, derive_seed
-from covlss.symmat import SymMatrix, diagonal, identity
 
 
 def make_cfg(eigs, dist, n, rep=0, seed=1234, u=None, **kw):
@@ -26,24 +25,37 @@ def replication_x(cfg):
     return sample_block(cfg.dist, seed, cfg.model.p * cfg.n).reshape(cfg.model.p, cfg.n)
 
 
+def direct_pxp(cfg):
+    """T_1..T_4 of B and (T_1^0, T_2^0) of B - ybar ybar', built the p x p way."""
+    y = cfg.model.sigma_half.array @ replication_x(cfg)
+    b = (y @ y.T) / cfg.n
+    ybar = y.mean(axis=1)
+    b0 = b - np.outer(ybar, ybar)
+    t = [float(np.trace(np.linalg.matrix_power(b, k))) for k in range(1, 5)]
+    return t, (float(np.trace(b0)), float(np.trace(b0 @ b0)))
+
+
 class TestGenerateGram:
+    """The Gram matrix the kernel forms, seen through its traces."""
+
     def test_rademacher_single_column_identity(self):
-        # x'x = p for any +-1 column, so the 1x1 Gram is always (2)
+        # x'x = p for any +-1 column, so the 1x1 Gram (p > n side) is always (2)
         for rep in range(5):
-            cfg = make_cfg([1.0, 1.0], rademacher(), n=1, rep=rep)
-            a = generate_gram(cfg)
-            assert a.array.shape == (1, 1)
-            assert a.array[0, 0] == pytest.approx(2.0, abs=1e-12)
+            cfg = make_cfg([1.0, 1.0], rademacher(), n=1, rep=rep, max_power=4)
+            assert run_replication(cfg).t == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-12)
 
     def test_scalar_population_rank_one(self):
-        cfg = make_cfg([4.0], standard_normal(), n=3, rep=1)
-        a = generate_gram(cfg).array
+        # p = 1: B = 4 |x|^2 / n is a scalar, so T_k = T_1^k
+        cfg = make_cfg([4.0], standard_normal(), n=3, rep=1, max_power=4)
         x = replication_x(cfg)
-        assert np.allclose(a, 4.0 * np.outer(x[0], x[0]), rtol=1e-12)
-        assert np.linalg.matrix_rank(a) == 1
+        t = run_replication(cfg).t
+        assert t[0] == pytest.approx(4.0 * float(x[0] @ x[0]) / 3, rel=1e-12)
+        for k in range(2, 5):
+            assert t[k - 1] == pytest.approx(t[0] ** k, rel=1e-12)
 
     def test_matches_naive_triple_loop(self):
-        cfg = make_cfg([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=haar_orthogonal(3, 7))
+        cfg = make_cfg([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3,
+                       u=haar_orthogonal(3, 7), max_power=4)
         x = replication_x(cfg)
         sig = cfg.model.sigma.array
         naive = np.zeros((2, 2))
@@ -52,81 +64,69 @@ class TestGenerateGram:
                 naive[i, j] = sum(
                     x[a, i] * sig[a, b] * x[b, j] for a in range(3) for b in range(3)
                 )
-        assert np.allclose(generate_gram(cfg).array, naive, rtol=1e-12)
+        want = [np.trace(np.linalg.matrix_power(naive, k)) / 2**k for k in range(1, 5)]
+        assert run_replication(cfg).t == pytest.approx(want, rel=1e-12)
 
     def test_gram_is_psd(self):
-        cfg = make_cfg([3.0, 1.0], standard_normal(), n=4, rep=2)
-        eigs = np.linalg.eigvalsh(generate_gram(cfg).array)
-        assert np.all(eigs >= -1e-10)
+        # power sums of nonnegative eigenvalues: T_k >= 0 and T_2^2 <= T_1 T_3
+        for n in (1, 2, 4):
+            for rep in range(5):
+                cfg = make_cfg([3.0, 1.0], standard_normal(), n=n, rep=rep, max_power=4)
+                t1, t2, t3, t4 = run_replication(cfg).t
+                assert min(t1, t2, t3, t4) >= 0.0
+                assert t2 * t2 <= t1 * t3 * (1 + 1e-12)
 
 
 class TestLssTraces:
     def test_scaled_identity(self):
-        a = SymMatrix(2.0 * np.eye(2))
-        assert lss_traces(a, 2, 2) == pytest.approx((2.0, 2.0))
+        # Y = sqrt(2) I_2 and n = 2: G = 2 I_2, so T_k = tr(G^k) / 2^k = 2
+        t, tc = _trace_stats(np.sqrt(2.0) * np.eye(2), 2, 2, False)
+        assert t == pytest.approx([2.0, 2.0])
+        assert tc is None
 
     def test_rank_one(self):
-        assert lss_traces(diagonal([2.0, 0.0]), 2, 2) == pytest.approx((1.0, 1.0))
-
-    def test_m_beyond_four_unsupported(self):
-        with pytest.raises(ValueError):
-            lss_traces(identity(3), 3, 5)
+        y = np.array([[np.sqrt(2.0), 0.0], [0.0, 0.0]])
+        assert _trace_stats(y, 2, 2, False)[0] == pytest.approx([1.0, 1.0])
 
     def test_sides_agree(self):
         rng = np.random.default_rng(31)
         for trial in range(50):
             p, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-            eigs = rng.uniform(0.2, 4.0, p)
+            eigs = list(rng.uniform(0.2, 4.0, p))
             u = haar_orthogonal(p, trial) if p > 1 else None
-            cfg = make_cfg(list(eigs), standard_normal(), n=n, rep=trial, max_power=4)
-            if u is not None:
-                cfg = make_cfg(list(eigs), standard_normal(), n=n, rep=trial, u=u, max_power=4)
-            x = replication_x(cfg)
-            # p-side oracle: B = (1/n) S^(1/2) X X' S^(1/2), powers via matmul
-            y = cfg.model.sigma_half.array @ x
-            b = (y @ y.T) / n
-            bk = np.eye(p)
-            n_side = lss_traces(generate_gram(cfg), n, 4)
-            for k in range(4):
-                bk = bk @ b
-                assert n_side[k] == pytest.approx(float(np.trace(bk)), rel=1e-10, abs=1e-12)
+            cfg = make_cfg(eigs, standard_normal(), n=n, rep=trial, u=u, max_power=4)
+            want, _ = direct_pxp(cfg)
+            assert run_replication(cfg).t == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 class TestCenteredLss:
     def test_identical_columns_vanish(self):
-        model = assemble_model([1.0, 2.0])
-        cfg = SampleConfig(model=model, dist=standard_normal(), n=3,
-                           replication_index=0, master_seed=0)
-        x = np.tile(np.array([[1.3], [-0.4]]), (1, 3))
-        t1c, t2c = centered_lss(cfg, x)
-        assert t1c == pytest.approx(0.0, abs=1e-12)
-        assert t2c == pytest.approx(0.0, abs=1e-12)
+        # both sides: p < n and p > n
+        for p, n in ((2, 3), (3, 2)):
+            y = np.tile(np.linspace(-0.4, 1.3, p)[:, None], (1, n))
+            _, (t1c, t2c) = _trace_stats(y, n, 2, True)
+            assert t1c == pytest.approx(0.0, abs=1e-12)
+            assert t2c == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetric_pair_already_centered(self):
         model = assemble_model([1.0, 2.0])
-        cfg = SampleConfig(model=model, dist=standard_normal(), n=2,
-                           replication_index=0, master_seed=0)
         col = np.array([[0.7], [1.1]])
-        x = np.hstack([col, -col])
-        t1c, t2c = centered_lss(cfg, x)
-        a = x.T @ model.sigma.array @ x
-        t1, t2 = lss_traces(SymMatrix(0.5 * (a + a.T)), 2, 2)
+        y = model.sigma_half.array @ np.hstack([col, -col])
+        (t1, t2), (t1c, t2c) = _trace_stats(y, 2, 2, True)
         assert t1c == pytest.approx(t1, rel=1e-12)
         assert t2c == pytest.approx(t2, rel=1e-12)
 
     def test_matches_direct_pxp_construction(self):
         rng = np.random.default_rng(8)
         model = assemble_model([2.0, 1.0, 0.5], haar_orthogonal(3, 5))
-        cfg = SampleConfig(model=model, dist=standard_normal(), n=4,
-                           replication_index=0, master_seed=0)
-        x = rng.standard_normal((3, 4))
-        y = model.sigma_half.array @ x
-        b = (y @ y.T) / 4
-        ybar = y.mean(axis=1)
-        b0 = b - np.outer(ybar, ybar)
-        t1c, t2c = centered_lss(cfg, x)
-        assert t1c == pytest.approx(float(np.trace(b0)), rel=1e-10)
-        assert t2c == pytest.approx(float(np.sum(b0 * b0)), rel=1e-10)
+        for n in (2, 4):
+            y = model.sigma_half.array @ rng.standard_normal((3, n))
+            b = (y @ y.T) / n
+            ybar = y.mean(axis=1)
+            b0 = b - np.outer(ybar, ybar)
+            _, (t1c, t2c) = _trace_stats(y, n, 2, True)
+            assert t1c == pytest.approx(float(np.trace(b0)), rel=1e-10)
+            assert t2c == pytest.approx(float(np.sum(b0 * b0)), rel=1e-10)
 
     def test_needs_two_columns(self):
         model = assemble_model([1.0])
@@ -137,17 +137,32 @@ class TestCenteredLss:
 
 class TestRunReplication:
     def test_agrees_with_gram_route(self):
+        # the n x n route X' Sigma X, built here, on both sides of p = n
         for p, n in ((3, 5), (5, 3)):
             eigs = list(np.linspace(0.5, 2.0, p))
-            cfg = make_cfg(eigs, standard_normal(), n=n, rep=4, max_power=4, centered=n >= 2)
+            cfg = make_cfg(eigs, standard_normal(), n=n, rep=4, max_power=4, centered=True)
             res = run_replication(cfg)
-            want = lss_traces(generate_gram(cfg), n, 4)
-            for a, b in zip(res.t, want):
-                assert a == pytest.approx(b, rel=1e-10)
             x = replication_x(cfg)
-            wc = centered_lss(cfg, x)
-            assert res.t_centered[0] == pytest.approx(wc[0], rel=1e-9, abs=1e-12)
-            assert res.t_centered[1] == pytest.approx(wc[1], rel=1e-9, abs=1e-12)
+            a = x.T @ cfg.model.sigma.array @ x
+            want = [np.trace(np.linalg.matrix_power(a, k)) / n**k for k in range(1, 5)]
+            assert res.t == pytest.approx(want, rel=1e-10)
+            rowsum = a.sum(axis=1)
+            yy = rowsum.sum() / n**2
+            want_c = (want[0] - yy, want[1] - 2.0 * (rowsum @ rowsum) / n**3 + yy * yy)
+            assert res.t_centered == pytest.approx(want_c, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("p,n", [(4, 7), (5, 5), (7, 4)])
+    def test_matches_direct_pxp_oracle(self, p, n, rotated):
+        eigs = list(np.linspace(3.0, 0.3, p))
+        u = haar_orthogonal(p, 17) if rotated else None
+        for rep in range(3):
+            cfg = make_cfg(eigs, standard_normal(), n=n, rep=rep, u=u,
+                           max_power=4, centered=True)
+            res = run_replication(cfg)
+            want, want_c = direct_pxp(cfg)
+            assert res.t == pytest.approx(want, rel=1e-10)
+            assert res.t_centered == pytest.approx(want_c, rel=1e-10)
 
     def test_deterministic_per_index(self):
         cfg = make_cfg([1.0, 2.0], standard_normal(), n=6, rep=9)
@@ -169,6 +184,13 @@ class TestRunReplication:
             assert t2 <= t1 * t1 * (1 + 1e-9)
             assert t2 >= t1 * t1 / 3 * (1 - 1e-9)
             assert res.t_centered[0] <= t1 + 1e-12
+
+    @pytest.mark.parametrize(
+        "t,tc", [([np.nan, 1.0], None), ([1.0, np.inf], None), ([2.0, 3.0], (1.0, np.nan))]
+    )
+    def test_non_finite_statistics_rejected(self, t, tc):
+        with pytest.raises(ReplicationInvariantError, match="not finite"):
+            _check_invariants(t, tc, 2, 0)
 
     def test_max_power_one(self):
         cfg = make_cfg([1.0, 1.0], standard_normal(), n=3, rep=0, max_power=1)
