@@ -1,10 +1,15 @@
 """Exhaustive-expectation engine over finite-support innovations.
 
 For a statistic s(x_1, ..., x_m) of i.i.d. finite-support variables the
-expectation is the weighted sum over all |support|^m assignments, summed
-with compensated (exact) accumulation.  Scale is deliberately tiny: the
-point is bit-level verification of the quadratic-form moment identities
-and of the exact finite-n moment formulas, not throughput.
+expectation is the weighted sum over all |support|^m assignments.  The
+assignments are built in ``itertools.product`` order as blocks of at most
+``BLOCK_ROWS`` rows, and the statistic maps a whole block to one value
+per row in one numpy pass, so memory is bounded by the block and not by
+the assignment count.  Every block's weighted terms feed one
+``math.fsum``, so the sum is exactly rounded over all terms however the
+blocks fall.  Scale is still small: the point is bit-level verification
+of the quadratic-form moment identities and of the exact finite-n moment
+formulas.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .symmat import (
 
 STATE_GUARD = 10**8
 MAX_IDENTITY_DIM = 4
+BLOCK_ROWS = 4096
 
 
 class EnumerationGuardError(RuntimeError):
@@ -37,11 +43,16 @@ class EnumerationGuardError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EnumerationTask:
-    """A pure statistic of ``num_vars`` i.i.d. finite-support variables."""
+    """A pure statistic of ``num_vars`` i.i.d. finite-support variables.
+
+    ``statistic`` is evaluated on blocks: it maps a ``(rows, num_vars)``
+    array, one assignment per row, to a ``(rows,)`` array holding the
+    statistic of each row.
+    """
 
     num_vars: int
     dist: InnovationDist
-    statistic: Callable[[np.ndarray], float]
+    statistic: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if not self.dist.enumerable:
@@ -53,24 +64,45 @@ class EnumerationTask:
             )
 
 
-def _assignments(task: EnumerationTask):
+def _weighted_blocks(task: EnumerationTask) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(weights, statistic values) per block of assignments, in product order."""
     support = np.asarray(task.dist.support, dtype=float)
     probs = np.asarray(task.dist.probabilities, dtype=float)
-    for idx in itertools.product(range(len(support)), repeat=task.num_vars):
-        x = support[list(idx)]
-        weight = float(np.prod(probs[list(idx)]))
-        yield weight, x
+    k, m = len(support), task.num_vars
+    place = k ** np.arange(m - 1, -1, -1)  # the first variable varies slowest
+    total = k**m
+    for start in range(0, total, BLOCK_ROWS):
+        idx = np.arange(start, min(start + BLOCK_ROWS, total))[:, None] // place % k
+        x = support[idx]
+        values = np.asarray(task.statistic(x), dtype=float)
+        if values.shape != (len(x),):
+            raise ValueError(
+                f"statistic must map a {x.shape} block to shape ({len(x)},), "
+                f"got shape {values.shape}"
+            )
+        yield probs[idx].prod(axis=1), values
 
 
 def exact_expectation(task: EnumerationTask) -> float:
     """E s(x) as an exactly-accumulated weighted sum over all assignments."""
-    return math.fsum(w * task.statistic(x) for w, x in _assignments(task))
+    return math.fsum(
+        itertools.chain.from_iterable((w * s).tolist() for w, s in _weighted_blocks(task))
+    )
 
 
 def exact_variance(task: EnumerationTask) -> float:
     """Var s(x), two-pass so the centered second moment does not cancel."""
     mean = exact_expectation(task)
-    return math.fsum(w * (task.statistic(x) - mean) ** 2 for w, x in _assignments(task))
+    return math.fsum(
+        itertools.chain.from_iterable(
+            (w * (s - mean) ** 2).tolist() for w, s in _weighted_blocks(task)
+        )
+    )
+
+
+def _quadratic_forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x_r' A x_r for every row x_r of a block."""
+    return ((x @ a) * x).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -122,8 +154,8 @@ def verify_quadratic_covariance(
     tr_a, tr_b = trace_power(a, 1), trace_power(b, 1)
     aa, ba = a.array, b.array
 
-    def statistic(x: np.ndarray) -> float:
-        return (x @ aa @ x - tr_a) * (x @ ba @ x - tr_b)
+    def statistic(x: np.ndarray) -> np.ndarray:
+        return (_quadratic_forms(x, aa) - tr_a) * (_quadratic_forms(x, ba) - tr_b)
 
     lhs = exact_expectation(EnumerationTask(dim, dist, statistic))
     # tr(AB') == tr(AB) for symmetric operands
@@ -136,8 +168,8 @@ def verify_fourth_moment(a: SymMatrix, dist: InnovationDist) -> IdentityReport:
     dim = _check_identity_dims(a)
     aa = a.array
 
-    def statistic(x: np.ndarray) -> float:
-        return float(np.sum((aa @ x) ** 4))
+    def statistic(x: np.ndarray) -> np.ndarray:
+        return ((x @ aa.T) ** 4).sum(axis=1)
 
     lhs = exact_expectation(EnumerationTask(dim, dist, statistic))
     a2 = aa @ aa
@@ -159,9 +191,9 @@ def verify_triple_product(
     dim = _check_identity_dims(t, w)
     ta, wa = t.array, w.array
 
-    def statistic(x: np.ndarray) -> float:
-        qt = x @ ta @ x
-        return qt * qt * (x @ wa @ x)
+    def statistic(x: np.ndarray) -> np.ndarray:
+        qt = _quadratic_forms(x, ta)
+        return qt * qt * _quadratic_forms(x, wa)
 
     lhs = exact_expectation(EnumerationTask(dim, dist, statistic))
 
@@ -242,21 +274,27 @@ def verify_finite_n_moments(
         raise EnumerationGuardError("finite-n enumeration is capped at p, n <= 4")
     half = model.sigma_half.array
 
-    def traces(x: np.ndarray) -> tuple[float, float, float, float]:
-        y = half @ x.reshape(p, n)
-        b = (y @ y.T) / n
-        t1 = float(np.trace(b))
-        t2 = float(np.sum(b * b))
-        ybar = y.mean(axis=1)
-        b0 = b - np.outer(ybar, ybar)
-        return t1, t2, float(np.trace(b0)), float(np.sum(b0 * b0))
+    def sample_covariance(x: np.ndarray, centered: bool) -> np.ndarray:
+        # B = YY'/n per row, with Y = Sigma^{1/2} X; centered: B - ybar ybar'
+        y = half @ x.reshape(-1, p, n)
+        b = (y @ y.transpose(0, 2, 1)) / n
+        if centered:
+            ybar = y.mean(axis=2)
+            b = b - ybar[:, :, None] * ybar[:, None, :]
+        return b
+
+    def t1(centered: bool) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: np.trace(sample_covariance(x, centered), axis1=1, axis2=2)
+
+    def t2(centered: bool) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: (sample_covariance(x, centered) ** 2).sum(axis=(1, 2))
 
     num_vars = p * n
-    e_t1 = exact_expectation(EnumerationTask(num_vars, dist, lambda x: traces(x)[0]))
-    var_t1 = exact_variance(EnumerationTask(num_vars, dist, lambda x: traces(x)[0]))
-    e_t2 = exact_expectation(EnumerationTask(num_vars, dist, lambda x: traces(x)[1]))
-    e_t1c = exact_expectation(EnumerationTask(num_vars, dist, lambda x: traces(x)[2]))
-    e_t2c = exact_expectation(EnumerationTask(num_vars, dist, lambda x: traces(x)[3]))
+    e_t1 = exact_expectation(EnumerationTask(num_vars, dist, t1(False)))
+    var_t1 = exact_variance(EnumerationTask(num_vars, dist, t1(False)))
+    e_t2 = exact_expectation(EnumerationTask(num_vars, dist, t2(False)))
+    e_t1c = exact_expectation(EnumerationTask(num_vars, dist, t1(True)))
+    e_t2c = exact_expectation(EnumerationTask(num_vars, dist, t2(True)))
 
     nu4 = dist.profile.nu4
     f_e_t1, f_e_t2 = expected_values(model.traces, n, nu4)

@@ -82,7 +82,10 @@ class ExperimentConfig:
             raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers}")
-        parse_dist(self.dist)  # raises ValueError on a bad selector
+        try:
+            parse_dist(self.dist)
+        except ValueError as exc:  # a bad selector or non-finite moments
+            raise ConfigError(str(exc)) from exc
 
     def digest(self) -> str:
         """Digest of every field that affects the statistical output."""

@@ -134,12 +134,20 @@ def _gamma_profile(shape: float, scale: float) -> MomentProfile:
     for r in range(1, 9):
         raw.append(raw[-1] * scale * (shape + r - 1))
     mean = raw[1]
-    central = [
-        math.fsum(math.comb(r, j) * raw[j] * (-mean) ** (r - j) for j in range(r + 1))
-        for r in range(9)
-    ]
-    sd = math.sqrt(central[2])
-    mu = [central[r] / sd**r for r in range(9)]
+    try:
+        central = [
+            math.fsum(math.comb(r, j) * raw[j] * (-mean) ** (r - j) for j in range(r + 1))
+            for r in range(9)
+        ]
+        sd = math.sqrt(central[2])
+        mu = [central[r] / sd**r for r in range(9)]
+    except ArithmeticError:  # a power of the mean or of sd over- or underflows
+        mu = [math.nan]
+    if not all(map(math.isfinite, mu)):
+        raise ValueError(
+            f"standardized moments of gamma({shape:g}, {scale:g}) are not finite "
+            "in double precision"
+        )
     return MomentProfile(mu3=mu[3], mu4=mu[4], nu4=mu[4] - 3.0, mu6=mu[6], mu8=mu[8])
 
 

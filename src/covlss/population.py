@@ -73,10 +73,18 @@ class PopulationModel:
 
 
 def build_spectrum(spec: SpectrumSpec) -> np.ndarray:
-    """Descending eigenvalue list: spikes (2+r)*n^alpha, then bulk 2r."""
+    """Descending eigenvalue list: spikes (2+r)*n^alpha, then bulk 2r.
+
+    Raises :class:`ConsistencyError` when n^alpha overflows a double.
+    """
     k = spec.spike_count
     lam = np.empty(spec.p)
-    growth = float(spec.n) ** spec.alpha
+    try:
+        growth = float(spec.n) ** spec.alpha
+    except OverflowError:
+        raise ConsistencyError(
+            f"spike growth n^alpha = {spec.n}^{spec.alpha:g} overflows double precision"
+        ) from None
     lam[:k] = (2.0 + spec.r_values[:k]) * growth
     lam[k:] = 2.0 * spec.r_values[k:]
     return np.sort(lam)[::-1].copy()

@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from covlss.enumeration import (
+    BLOCK_ROWS,
     EnumerationGuardError,
     EnumerationTask,
     exact_expectation,
@@ -11,8 +15,15 @@ from covlss.enumeration import (
     verify_quadratic_covariance,
     verify_triple_product,
 )
-from covlss.innovations import NotEnumerableError, rademacher, standard_normal, two_point
-from covlss.population import assemble_model
+from covlss.innovations import (
+    InnovationDist,
+    MomentProfile,
+    NotEnumerableError,
+    rademacher,
+    standard_normal,
+    two_point,
+)
+from covlss.population import assemble_model, haar_orthogonal
 from covlss.symmat import SymMatrix, identity
 
 
@@ -25,24 +36,61 @@ def random_sym(rng, dim):
     return SymMatrix(0.5 * (a + a.T))
 
 
+def loop_expectation(dist, num_vars, statistic, mean=None):
+    """Reference: one assignment at a time in itertools.product order.
+
+    With ``mean`` given, the centered second moment (the second pass of a
+    two-pass variance) instead of the expectation.
+    """
+    terms = []
+    for idx in itertools.product(range(len(dist.support)), repeat=num_vars):
+        x = dist.support[list(idx)]
+        weight = float(np.prod(dist.probabilities[list(idx)]))
+        value = statistic(x)
+        terms.append(weight * (value if mean is None else (value - mean) ** 2))
+    return math.fsum(terms)
+
+
+def finite_n_traces(half, p, n, x):
+    """(T_1, T_2, T_1^0, T_2^0) of one assignment, built the direct p x p way."""
+    y = half @ x.reshape(p, n)
+    b = (y @ y.T) / n
+    ybar = y.mean(axis=1)
+    b0 = b - np.outer(ybar, ybar)
+    return np.trace(b), np.sum(b * b), np.trace(b0), np.sum(b0 * b0)
+
+
+VERIFICATION_LAWS = [rademacher(), two_point(0.2), two_point(0.35)]
+
+# Standardized three-point law on (-1, 0, 2) with P = (1/3, 1/2, 1/6):
+# mu3 = 1, mu4 = 3, mu6 = 11, mu8 = 43.
+THREE_POINT = InnovationDist(
+    kind="threepoint",
+    params=(),
+    profile=MomentProfile(mu3=1.0, mu4=3.0, nu4=0.0, mu6=11.0, mu8=43.0),
+    support=np.array([-1.0, 0.0, 2.0]),
+    probabilities=np.array([1.0 / 3.0, 0.5, 1.0 / 6.0]),
+)
+
+
 class TestExactExpectation:
     def test_unit_variance(self):
-        task = EnumerationTask(1, rademacher(), lambda x: float(x[0] ** 2))
+        task = EnumerationTask(1, rademacher(), lambda x: x[:, 0] ** 2)
         assert exact_expectation(task) == 1.0
 
     def test_fourth_moment_two_point(self):
-        task = EnumerationTask(1, two_point(0.2), lambda x: float(x[0] ** 4))
+        task = EnumerationTask(1, two_point(0.2), lambda x: x[:, 0] ** 4)
         assert exact_expectation(task) == pytest.approx(3.25, abs=1e-14)
 
     def test_sum_of_independent(self):
-        task = EnumerationTask(2, rademacher(), lambda x: float((x[0] + x[1]) ** 2))
+        task = EnumerationTask(2, rademacher(), lambda x: (x[:, 0] + x[:, 1]) ** 2)
         assert exact_expectation(task) == 2.0
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
         c = rng.uniform(-2, 2, 3)
-        s1 = lambda x: float(c[0] * x[0] + c[1] * x[1] ** 2)
-        s2 = lambda x: float(c[2] * x[0] * x[1])
+        s1 = lambda x: c[0] * x[:, 0] + c[1] * x[:, 1] ** 2
+        s2 = lambda x: c[2] * x[:, 0] * x[:, 1]
         both = lambda x: s1(x) + s2(x)
         d = two_point(0.35)
         lhs = exact_expectation(EnumerationTask(2, d, both))
@@ -52,8 +100,25 @@ class TestExactExpectation:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_variance_two_pass(self):
-        task = EnumerationTask(1, two_point(0.2), lambda x: float(x[0]))
+        task = EnumerationTask(1, two_point(0.2), lambda x: x[:, 0])
         assert exact_variance(task) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "statistic",
+        [
+            lambda x: x[0] ** 2,  # the first row only: shape (num_vars,)
+            lambda x: x**2,  # a column, not a vector: shape (rows, 1)
+            lambda x: float(np.sum(x**2)),  # one scalar for the whole block
+        ],
+        ids=["first-row", "column", "scalar"],
+    )
+    def test_one_value_per_row_required(self, statistic):
+        # each of these would broadcast against the weights without the check
+        task = EnumerationTask(1, two_point(0.2), statistic)
+        with pytest.raises(ValueError, match="shape"):
+            exact_expectation(task)
+        with pytest.raises(ValueError, match="shape"):
+            exact_variance(task)
 
     def test_guard_trips(self):
         with pytest.raises(EnumerationGuardError):
@@ -62,6 +127,83 @@ class TestExactExpectation:
     def test_continuous_rejected(self):
         with pytest.raises(NotEnumerableError):
             EnumerationTask(1, standard_normal(), lambda x: 0.0)
+
+
+class TestBlocks:
+    def test_exact_across_many_blocks(self):
+        # 2^18 Rademacher assignments span several blocks; every weight,
+        # value and product is exact in binary, so the sums are too
+        m = 18
+        assert 2**m > 4 * BLOCK_ROWS
+        total = lambda x: x.sum(axis=1)
+        square = lambda x: x.sum(axis=1) ** 2
+        assert exact_expectation(EnumerationTask(m, rademacher(), square)) == m
+        assert exact_variance(EnumerationTask(m, rademacher(), total)) == m
+        # E S^4 = 3m^2 - 2m for a Rademacher sum, so Var S^2 = 2m^2 - 2m
+        assert exact_variance(EnumerationTask(m, rademacher(), square)) == 2 * m * m - 2 * m
+
+    def test_partial_last_block_matches_loop(self):
+        # 3^9 = 19683 assignments end in a partial block; an odd statistic
+        # with unequal weights catches any mispairing of rows and weights
+        m = 9
+        assert 3**m % BLOCK_ROWS != 0 and 3**m > BLOCK_ROWS
+        c = np.arange(1.0, m + 1.0)
+        task = EnumerationTask(m, THREE_POINT, lambda x: (x @ c) ** 3)
+        # E (c'x)^3 = mu3 * sum c_i^3 for independent centred variables
+        assert exact_expectation(task) == pytest.approx(np.sum(c**3), rel=1e-12)
+        assert exact_expectation(task) == pytest.approx(
+            loop_expectation(THREE_POINT, m, lambda x: (x @ c) ** 3), rel=1e-12
+        )
+
+
+class TestLoopOracle:
+    """The batched engine against the one-assignment-at-a-time loop."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dist", VERIFICATION_LAWS, ids=lambda d: d.selector)
+    def test_identity_statistics(self, dist, dim):
+        rng = np.random.default_rng(100 + dim)
+        a, b = random_sym(rng, dim), random_sym(rng, dim)
+        aa, ba = a.array, b.array
+        tr_a, tr_b = np.trace(aa), np.trace(ba)
+
+        quad = verify_quadratic_covariance(a, b, dist).lhs
+        want = loop_expectation(
+            dist, dim, lambda x: (x @ aa @ x - tr_a) * (x @ ba @ x - tr_b)
+        )
+        assert quad == pytest.approx(want, rel=1e-12)
+
+        fourth = verify_fourth_moment(a, dist).lhs
+        want = loop_expectation(dist, dim, lambda x: np.sum((aa @ x) ** 4))
+        assert fourth == pytest.approx(want, rel=1e-12)
+
+        triple = verify_triple_product(a, b, dist).lhs
+        want = loop_expectation(dist, dim, lambda x: (x @ aa @ x) ** 2 * (x @ ba @ x))
+        assert triple == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("dist", VERIFICATION_LAWS, ids=lambda d: d.selector)
+    def test_finite_n_traces(self, dist, p, n):
+        eigs = [2.0, 1.0, 0.5][:p]
+        model = assemble_model(eigs, haar_orthogonal(p, 3) if p > 1 else None)
+        half = model.sigma_half.array
+        rep = verify_finite_n_moments(model, n, dist)
+
+        def trace(i):
+            return lambda x: finite_n_traces(half, p, n, x)[i]
+
+        e_t1 = loop_expectation(dist, p * n, trace(0))
+        assert rep.e_t1[0] == pytest.approx(e_t1, rel=1e-12)
+        assert rep.var_t1[0] == pytest.approx(
+            loop_expectation(dist, p * n, trace(0), mean=e_t1), rel=1e-12
+        )
+        assert rep.e_t2[0] == pytest.approx(loop_expectation(dist, p * n, trace(1)), rel=1e-12)
+        assert rep.e_t1_centered[0] == pytest.approx(
+            loop_expectation(dist, p * n, trace(2)), rel=1e-12
+        )
+        assert rep.e_t2_centered[0] == pytest.approx(
+            loop_expectation(dist, p * n, trace(3)), rel=1e-12
+        )
 
 
 class TestQuadraticCovariance:
@@ -167,6 +309,12 @@ class TestFiniteNMoments:
         alternative = 3.0 * (1 + 1 / n)
         assert abs(enumerated - divisor_n) <= 1e-12
         assert abs(enumerated - alternative) > 1.9
+
+    def test_four_by_four_rotated_two_point(self):
+        # 2^16 assignments: the largest grid the finite-n guard admits
+        model = assemble_model([3.0, 2.0, 1.5, 0.5], haar_orthogonal(4, 7))
+        rep = verify_finite_n_moments(model, 4, two_point(0.2))
+        assert rep.exact_abs_err <= 1e-9
 
     def test_guard_on_large_dims(self):
         model = assemble_model([1.0] * 4)

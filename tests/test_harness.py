@@ -212,14 +212,25 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["20", "40"])
+    @pytest.mark.parametrize("alpha", ["20", "40", "1e308"])
     def test_overflowing_spectrum_exit_one(self, tmp_path, capsys, alpha):
-        # spikes of 1000^alpha: Psi (alpha 20) or tr Sigma^4 (alpha 40) overflows
+        # spikes of 1000^alpha: Psi (alpha 20), tr Sigma^4 (alpha 40) or
+        # n^alpha itself (alpha 1e308) overflows
         out = tmp_path / "o"
         rc = main(["simulate", "--p", "6", "--n", "1000", "--beta", "0.5",
                    "--alpha", alpha, "--reps", "5", "--output-dir", str(out)])
         assert rc == 1
         assert "overflow" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("dist", ["gamma:1e-300:1", "bogus"])
+    def test_bad_distribution_exit_one(self, tmp_path, capsys, dist):
+        # a gamma shape whose standardized moments overflow, and an unknown law
+        out = tmp_path / "g"
+        rc = main(["simulate", "--p", "2", "--n", "3", "--dist", dist,
+                   "--reps", "5", "--output-dir", str(out)])
+        assert rc == 1
+        assert f"error: bad distribution selector '{dist}'" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):

@@ -138,7 +138,8 @@ class TestParseDist:
 
     @pytest.mark.parametrize(
         "selector",
-        ["", "norm", "gamma:4", "gamma:4:0.5:1", "twopoint", "twopoint:1.5", "gamma:-1:2"],
+        ["", "norm", "gamma:4", "gamma:4:0.5:1", "twopoint", "twopoint:1.5", "gamma:-1:2",
+         "gamma:1e-300:1", "gamma:1:1e300"],
     )
     def test_rejects_malformed(self, selector):
         with pytest.raises(ValueError):
