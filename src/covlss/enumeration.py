@@ -268,15 +268,15 @@ def verify_finite_n_moments(
     model: PopulationModel, n: int, dist: InnovationDist
 ) -> FiniteMomentReport:
     """Compare enumerated E T_1, Var T_1, E T_2 (exact) and the centered
-    means against the closed-form module, building B the direct p x p way."""
+    means against the closed-form module, building B from Y = F X directly."""
     p = model.p
     if p > 4 or n > 4:
         raise EnumerationGuardError("finite-n enumeration is capped at p, n <= 4")
-    half = model.sigma_half.array
+    factor = np.diag(np.sqrt(model.eigenvalues)) if model.factor is None else model.factor
 
     def sample_covariance(x: np.ndarray, centered: bool) -> np.ndarray:
-        # B = YY'/n per row, with Y = Sigma^{1/2} X; centered: B - ybar ybar'
-        y = half @ x.reshape(-1, p, n)
+        # B = YY'/n per row, with Y = F X and F'F = Sigma; centered: B - ybar ybar'
+        y = factor @ x.reshape(-1, p, n)
         b = (y @ y.transpose(0, 2, 1)) / n
         if centered:
             ybar = y.mean(axis=2)

@@ -8,6 +8,7 @@ default is a single in-process loop.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -138,7 +139,20 @@ def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
     return build_model(spec, derive_seed(cfg.master_seed, ROTATION_STREAM))
 
 
+def _retain_freed_arrays() -> None:
+    """Fix glibc's malloc thresholds, so that the p x n arrays a replication
+    frees stay in the heap for the next one instead of being faulted in
+    again (about 1,100 minor faults per replication at p = 1000, n = 300)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at its 64-bit maximum
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _replicate_block(args) -> list[ReplicationResult]:
+    _retain_freed_arrays()
     model, dist_selector, n, master_seed, max_power, centered, start, stop = args
     dist = parse_dist(dist_selector)
     out = []

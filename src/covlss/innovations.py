@@ -8,8 +8,9 @@ over them can be enumerated exactly.
 
 Conventions:
   * the gamma family is parameterized by (shape k, scale theta), so
-    ``gamma:4:0.5`` has variance k*theta^2 = 1 before standardization;
-    the sampler standardizes as x = (g - k*theta) / (theta*sqrt(k)),
+    ``gamma:4:0.5`` has variance k*theta^2 = 1 before standardization.
+    theta cancels in x = (g - k*theta) / (theta*sqrt(k)), so the law depends
+    on k alone; its moments follow from the cumulants (r-1)! k^(1-r/2),
   * ``twopoint:prob`` puts mass ``prob`` on the positive support point:
     values (-sqrt(prob/(1-prob)), +sqrt((1-prob)/prob)).  Its skewness is
     nonzero, which exercises the mu3^2 terms of the moment identities.
@@ -21,6 +22,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# Above 2 / eps = 2^53 the spacing eps*sqrt(k) of the standardized draw
+# (g - k) / sqrt(k) exceeds its skewness 2 / sqrt(k), so no departure from
+# the normal law survives rounding.
+GAMMA_MAX_SHAPE = 2.0 / np.finfo(float).eps
 
 
 class NotEnumerableError(ValueError):
@@ -73,9 +80,8 @@ class InnovationDist:
         if self.kind == "normal":
             return rng.standard_normal(count)
         if self.kind == "gamma":
-            shape, scale = self.params
-            g = rng.gamma(shape, scale, count)
-            return (g - shape * scale) / (scale * math.sqrt(shape))
+            shape = self.params[0]
+            return (rng.standard_gamma(shape, count) - shape) / math.sqrt(shape)
         if self.kind == "rademacher":
             return rng.integers(0, 2, count) * 2.0 - 1.0
         if self.kind == "twopoint":
@@ -91,9 +97,12 @@ def standard_normal() -> InnovationDist:
 
 
 def standardized_gamma(shape: float, scale: float) -> InnovationDist:
-    if shape <= 0 or scale <= 0:
-        raise ValueError("gamma shape and scale must be positive")
-    profile = _gamma_profile(shape, scale)
+    if not (shape > 0 and 0 < scale < math.inf):
+        raise ValueError("gamma shape and scale must be positive and the scale finite")
+    if not shape <= GAMMA_MAX_SHAPE:
+        raise ValueError(f"gamma shape {shape:g} exceeds GAMMA_MAX_SHAPE = 2^53: the "
+                         "standardized draw is quantized more coarsely than its skewness")
+    profile = _gamma_profile(shape)
     return InnovationDist(kind="gamma", params=(float(shape), float(scale)), profile=profile)
 
 
@@ -128,27 +137,24 @@ def _support_profile(support: np.ndarray, probs: np.ndarray) -> MomentProfile:
     return MomentProfile(mu3=moment(3), mu4=mu4, nu4=mu4 - 3.0, mu6=moment(6), mu8=moment(8))
 
 
-def _gamma_profile(shape: float, scale: float) -> MomentProfile:
-    # Raw moments of Gamma(k, theta): m_r = theta^r * k(k+1)...(k+r-1).
-    raw = [1.0]
-    for r in range(1, 9):
-        raw.append(raw[-1] * scale * (shape + r - 1))
-    mean = raw[1]
+def _gamma_profile(shape: float) -> MomentProfile:
+    # Standardized cumulants kappa_r = (r-1)! k^(1-r/2); kappa_1 = 0, kappa_2 = 1.
     try:
-        central = [
-            math.fsum(math.comb(r, j) * raw[j] * (-mean) ** (r - j) for j in range(r + 1))
-            for r in range(9)
-        ]
-        sd = math.sqrt(central[2])
-        mu = [central[r] / sd**r for r in range(9)]
-    except ArithmeticError:  # a power of the mean or of sd over- or underflows
-        mu = [math.nan]
-    if not all(map(math.isfinite, mu)):
-        raise ValueError(
-            f"standardized moments of gamma({shape:g}, {scale:g}) are not finite "
-            "in double precision"
+        k3, k4, k5, k6, k8 = (
+            math.factorial(r - 1) * shape ** (1.0 - r / 2.0) for r in (3, 4, 5, 6, 8)
         )
-    return MomentProfile(mu3=mu[3], mu4=mu[4], nu4=mu[4] - 3.0, mu6=mu[6], mu8=mu[8])
+        # moments from the set partitions of r into blocks of size >= 2
+        mu4 = k4 + 3.0
+        mu6 = k6 + 15.0 * k4 + 10.0 * k3 * k3 + 15.0
+        mu8 = (k8 + 28.0 * k6 + 56.0 * k5 * k3 + 35.0 * k4 * k4 + 210.0 * k4
+               + 280.0 * k3 * k3 + 105.0)
+    except ArithmeticError:  # a power of a tiny shape overflows
+        k3 = mu4 = mu6 = mu8 = math.nan
+    if not all(map(math.isfinite, (mu4, mu6, mu8))):
+        raise ValueError(
+            f"standardized moments of gamma shape {shape:g} are not finite in double precision"
+        )
+    return MomentProfile(mu3=k3, mu4=mu4, nu4=mu4 - 3.0, mu6=mu6, mu8=mu8)
 
 
 def sample_block(dist: InnovationDist, stream_seed: int, count: int) -> np.ndarray:

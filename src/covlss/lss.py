@@ -1,12 +1,14 @@
-"""Sample covariance trace statistics T_k = tr(B^k), B = (1/n) Y Y', Y = S^{1/2} X.
+"""Sample covariance trace statistics T_k = tr(B^k), B = (1/n) Y Y', Y = F X.
 
-One kernel computes every statistic from Y.  B and its companion
-Y'Y / n share their nonzero eigenvalues, so tr(B^k) = tr(G^k) / n^k for
-either Gram matrix G = Y Y' (p x p) or G = Y'Y (n x n).  The kernel takes
-the smaller one: Y Y' when p <= n, Y'Y otherwise.  That choice is the only
-place the two sides differ, and it depends only on (p, n), so results are
-reproducible for any worker layout.  The mean-centered statistics of
-B - ybar ybar' are the same on both sides:
+Any factor with F'F = Sigma gives the same Y'Y = X'Sigma X, so the model's
+F serves as Sigma^{1/2}.  One kernel computes every statistic from Y.
+B and its companion Y'Y / n share their nonzero eigenvalues, so
+tr(B^k) = tr(G^k) / n^k for either Gram matrix G = Y Y' (p x p) or
+G = Y'Y (n x n).  The kernel takes the smaller one: Y Y' when p <= n,
+Y'Y otherwise.  That choice is the only place the two sides differ, and
+it depends only on (p, n), so results are reproducible for any worker
+layout.  The mean-centered statistics of B - ybar ybar' are the same on
+both sides:
 
   T_1^0 = T_1 - ybar'ybar,  T_2^0 = T_2 - 2 ||Y'ybar||^2 / n + (ybar'ybar)^2.
 """
@@ -63,9 +65,9 @@ def _draw_x(cfg: SampleConfig) -> np.ndarray:
 
 
 def _half_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
-    if model.is_diagonal:
+    if model.factor is None:
         return np.sqrt(model.eigenvalues)[:, None] * x
-    return model.sigma_half.array @ x
+    return model.factor @ x
 
 
 def _trace_stats(

@@ -3,9 +3,10 @@
 A spectrum is split into a spiked group of size floor(beta*p) with
 eigenvalues (2 + r_i) * n^alpha and a bulk group with eigenvalues
 2*r_i in (0, 2), for r_i in (0, 1).  The covariance is Sigma = U L U'
-for a random orthogonal U (or L itself in the diagonal-only regime);
-its square root shares the same eigenbasis, so Sigma^{1/2} is exact by
-construction.
+for a random orthogonal U (or L itself in the diagonal-only regime), but
+no dense Sigma is formed: the statistics see Sigma only through
+X'Sigma X = (FX)'(FX), so a model keeps one factor F = L^{1/2} U'.  Its
+traces come from the spectrum and the diagonals (U∘U) l^k of Sigma^k.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import SymMatrix, TraceSet, trace_set
+from .symmat import TraceSet
 
 TRACE_CHECK_RTOL = 1e-8
 
@@ -59,17 +60,15 @@ class SpectrumSpec:
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """Assembled covariance, its square root, eigenvalues and trace bundle."""
+    """Eigenvalues, trace bundle and factor F = L^{1/2} U' (None if diagonal)."""
 
-    sigma: SymMatrix
-    sigma_half: SymMatrix
     eigenvalues: np.ndarray
     traces: TraceSet
-    is_diagonal: bool
+    factor: np.ndarray | None
 
     @property
     def p(self) -> int:
-        return self.sigma.dim
+        return self.eigenvalues.size
 
 
 def build_spectrum(spec: SpectrumSpec) -> np.ndarray:
@@ -106,11 +105,11 @@ def haar_orthogonal(p: int, seed: int) -> np.ndarray:
 
 
 def assemble_model(eigs, u: np.ndarray | None = None) -> PopulationModel:
-    """Sigma = U L U' (or L when u is None) with its exact square root.
+    """The model of Sigma = U L U' (or L when u is None).
 
-    The trace bundle of the assembled Sigma is cross-checked against the
-    eigenvalue power sums; a non-finite trace or a disagreement beyond
-    1e-8 relative raises :class:`ConsistencyError`.
+    The trace sums of the diagonals of Sigma and Sigma^2 are cross-checked
+    against the eigenvalue power sums; a non-finite trace or a
+    disagreement beyond 1e-8 relative raises :class:`ConsistencyError`.
     """
     lam = np.asarray(eigs, dtype=float).copy()
     if lam.ndim != 1 or lam.size < 1:
@@ -118,40 +117,41 @@ def assemble_model(eigs, u: np.ndarray | None = None) -> PopulationModel:
     if np.any(lam <= 0.0):
         raise ValueError("all eigenvalues must be strictly positive")
 
-    if u is None:
-        sigma = np.diag(lam)
-        half = np.diag(np.sqrt(lam))
-    else:
+    factor = None
+    if u is not None:
         u = np.asarray(u, dtype=float)
         if u.shape != (lam.size, lam.size):
             raise ValueError(f"u must be {lam.size} x {lam.size}, got {u.shape}")
         gram_defect = float(np.linalg.norm(u @ u.T - np.eye(lam.size)))
         if gram_defect > 1e-8 * max(1.0, float(lam.size)):
             raise ValueError(f"u is not orthogonal: ||UU' - I||_F = {gram_defect:.3e}")
-        sigma = (u * lam) @ u.T
-        sigma = 0.5 * (sigma + sigma.T)
-        half = (u * np.sqrt(lam)) @ u.T
-        half = 0.5 * (half + half.T)
+        factor = (u * np.sqrt(lam)).T.copy()  # C order, like the x it multiplies
+        factor.flags.writeable = False
 
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        traces = trace_set(SymMatrix(sigma))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        lam2 = lam * lam
+        # d1 and d2 are the diagonals of Sigma and Sigma^2
+        d1, d2 = (lam, lam2) if u is None else ((u * u) @ lam, (u * u) @ lam2)
+        traces = TraceSet(
+            tr1=float(np.sum(lam)),
+            tr2=float(np.sum(lam2)),
+            tr3=float(np.sum(lam2 * lam)),
+            tr4=float(np.sum(lam2 * lam2)),
+            trH11=float(d1 @ d1),
+            trH12=float(d1 @ d2),
+            trH22=float(d2 @ d2),
+        )
     if not all(map(np.isfinite, traces.as_dict().values())):
         raise ConsistencyError(f"trace functionals of Sigma overflow: {traces.as_dict()}")
-    for k, got in enumerate((traces.tr1, traces.tr2, traces.tr3, traces.tr4), start=1):
-        want = float(np.sum(lam**k))
+    for k, d, want in ((1, d1, traces.tr1), (2, d2, traces.tr2)):
+        got = float(np.sum(d))
         if abs(got - want) > TRACE_CHECK_RTOL * max(1.0, abs(want)):
             raise ConsistencyError(
-                f"tr Sigma^{k} = {got!r} disagrees with eigenvalue sum {want!r}"
+                f"sum of diag Sigma^{k} = {got!r} disagrees with eigenvalue sum {want!r}"
             )
 
     lam.flags.writeable = False
-    return PopulationModel(
-        sigma=SymMatrix(sigma),
-        sigma_half=SymMatrix(half),
-        eigenvalues=lam,
-        traces=traces,
-        is_diagonal=u is None,
-    )
+    return PopulationModel(eigenvalues=lam, traces=traces, factor=factor)
 
 
 def build_model(spec: SpectrumSpec, rotation_seed: int) -> PopulationModel:

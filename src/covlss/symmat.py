@@ -2,9 +2,11 @@
 
 Seven functionals of a symmetric matrix S drive every closed-form moment
 in this package: tr S, tr S^2, tr S^3, tr S^4, and the Hadamard traces
-tr(S∘S), tr(S∘S^2), tr(S^2∘S^2).  All are computed from at most one
-matrix multiply (S^2); the cubic and quartic traces use
-tr S^3 = sum_ij (S^2)_ij S_ij and tr S^4 = ||S^2||_F^2.
+tr(S∘S), tr(S∘S^2), tr(S^2∘S^2).  :class:`TraceSet` holds them; the
+population model fills it from its spectrum.  The dense helpers here
+serve the identity checks: traces of a power, of a product and of a
+Hadamard product, using tr S^3 = sum_ij (S^2)_ij S_ij and
+tr S^4 = ||S^2||_F^2.
 """
 
 from __future__ import annotations
@@ -54,14 +56,6 @@ class SymMatrix:
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.array)
-
-
-def identity(p: int) -> SymMatrix:
-    return SymMatrix(np.eye(p))
-
-
-def diagonal(values) -> SymMatrix:
-    return SymMatrix(np.diag(np.asarray(values, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -154,21 +148,4 @@ def triple_product_terms(t: SymMatrix, w: SymMatrix) -> TripleProductTerms:
         tr_t_dw_t=float(np.sum((ta * ta) @ dw)),
         tr_w_dt_t=float(np.sum((wa * ta) @ dt)),
         tr_ttw_diag=float(np.sum(dt * dt * dw)),
-    )
-
-
-def trace_set(m: SymMatrix) -> TraceSet:
-    """All seven functionals in one pass (a single matrix multiply)."""
-    a = m.array
-    a2 = a @ a
-    d = np.diagonal(a)
-    d2 = np.diagonal(a2)
-    return TraceSet(
-        tr1=float(np.trace(a)),
-        tr2=float(np.sum(a * a)),
-        tr3=float(np.sum(a2 * a)),
-        tr4=float(np.sum(a2 * a2)),
-        trH11=float(np.sum(d * d)),
-        trH12=float(np.sum(d * d2)),
-        trH22=float(np.sum(d2 * d2)),
     )

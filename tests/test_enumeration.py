@@ -24,7 +24,11 @@ from covlss.innovations import (
     two_point,
 )
 from covlss.population import assemble_model, haar_orthogonal
-from covlss.symmat import SymMatrix, identity
+from covlss.symmat import SymMatrix
+
+
+def identity(p):
+    return SymMatrix(np.eye(p))
 
 
 def rotation(theta):
@@ -184,9 +188,12 @@ class TestLoopOracle:
     @pytest.mark.parametrize("p,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
     @pytest.mark.parametrize("dist", VERIFICATION_LAWS, ids=lambda d: d.selector)
     def test_finite_n_traces(self, dist, p, n):
-        eigs = [2.0, 1.0, 0.5][:p]
-        model = assemble_model(eigs, haar_orthogonal(p, 3) if p > 1 else None)
-        half = model.sigma_half.array
+        # the loop builds Y = Sigma^{1/2} X with the symmetric root, the
+        # engine Y = F X with the model's factor: both give the same X' Sigma X
+        eigs = np.array([2.0, 1.0, 0.5][:p])
+        u = haar_orthogonal(p, 3) if p > 1 else None
+        model = assemble_model(eigs, u)
+        half = np.diag(np.sqrt(eigs)) if u is None else (u * np.sqrt(eigs)) @ u.T
         rep = verify_finite_n_moments(model, n, dist)
 
         def trace(i):

@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import platform
+import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covlss.cli import main, read_config_file
 from covlss.harness import (
@@ -12,6 +21,7 @@ from covlss.harness import (
     build_experiment_model,
     resolve_workers,
     run_experiment,
+    run_replications,
     run_verification_suite,
 )
 from covlss.inference import DegenerateCovarianceError
@@ -147,7 +157,19 @@ class TestRunExperiment:
         m1 = build_experiment_model(tiny_cfg(tmp_path))
         m2 = build_experiment_model(tiny_cfg(tmp_path))
         assert np.array_equal(m1.eigenvalues, m2.eigenvalues)
-        assert np.array_equal(m1.sigma.array, m2.sigma.array)
+        assert np.array_equal(m1.factor, m2.factor)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+    def test_replications_reuse_freed_arrays(self, tmp_path):
+        # a replication frees its p x n arrays (4 MB each here); the next one
+        # must reuse that memory, not fault its 977 pages in again
+        cfg = tiny_cfg(tmp_path, p=500, n=1000, alpha=0.0, beta=0.0, dist="normal", reps=20)
+        model = build_experiment_model(cfg)
+        run_replications(model, cfg, 1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_replications(model, cfg, 1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / cfg.reps < 100
 
 
 class TestVerificationSuite:
@@ -293,3 +315,68 @@ class TestCli:
         assert cfg.dist == "gamma:4:0.5"
         assert cfg.reps == 10000
         assert cfg.master_seed == 0  # documented default
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _all_finite(value):
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    n=st.integers(2, 8),
+    alpha=st.one_of(st.floats(0.0, 3.0), st.sampled_from([20.0, 40.0, 400.0, 1e308])),
+    beta=st.floats(0.0, 1.0),
+    dist=st.sampled_from([
+        "normal", "rademacher", "twopoint:0.2", "gamma:4:0.5", "gamma:0.01:1",
+        "gamma:1e8:1", "gamma:1:1e300", "gamma:1e-300:1", "gamma:1e300:1",
+    ]),
+    reps=st.integers(1, 6),
+    seed=st.integers(0, 2**63 - 1),
+    centered=st.booleans(),
+    max_power=st.integers(2, 4),
+    diagonal_only=st.booleans(),
+    grid_size=st.integers(2, 5),
+)
+def test_valid_configs_end_in_reports_or_a_diagnostic(
+    p, n, alpha, beta, dist, reps, seed, centered, max_power, diagonal_only, grid_size
+):
+    # a config that passes validate writes finite reports or exits 1 with
+    # "error:", never a traceback and never a partial summary.json
+    cfg = ExperimentConfig(p=p, n=n, alpha=alpha, beta=beta, dist=dist, reps=reps,
+                           master_seed=seed, centered=centered, max_power=max_power,
+                           diagonal_only=diagonal_only, grid_size=grid_size)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    argv = ["simulate", "--p", str(p), "--n", str(n), "--alpha", repr(alpha),
+            "--beta", repr(beta), "--dist", dist, "--reps", str(reps),
+            "--master-seed", str(seed), "--max-power", str(max_power),
+            "--grid-size", str(grid_size), "--workers", "1"]
+    argv += ["--centered"] * centered + ["--diagonal-only"] * diagonal_only
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--output-dir", str(out)])
+        summary_path = out / "summary.json"
+        if rc == 1:
+            assert err.getvalue().startswith("error:"), err.getvalue()
+            assert not summary_path.exists()
+            return
+        assert rc == 0
+        summary = json.loads(summary_path.read_text(), parse_constant=_reject_constant)
+        assert _all_finite(summary)
+        for name in ["qq.csv"] + ["qq_centered.csv"] * centered:
+            rows = (out / name).read_text().splitlines()[1:]
+            assert len(rows) == grid_size
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

@@ -14,7 +14,7 @@ from covlss.inference import (
     whiten,
 )
 from covlss.moments import MomentSet, moment_set
-from covlss.symmat import diagonal, trace_set
+from covlss.population import assemble_model
 
 
 def ms_with(psi11, psi12, psi22, e1=0.0, e2=0.0):
@@ -54,7 +54,7 @@ class TestChi2:
 
 class TestWhiten:
     def test_centered_point_is_zero(self):
-        ms = moment_set(trace_set(diagonal([1.0, 2.0])), 7, 0.5)
+        ms = moment_set(assemble_model([1.0, 2.0]).traces, 7, 0.5)
         assert whiten(ms.e_t1, ms.e_t2, ms) == 0.0
 
     def test_identity_covariance(self):
@@ -72,20 +72,20 @@ class TestWhiten:
         assert "psi11=0.0" in str(e.value)
 
     def test_rademacher_flat_spectrum_degenerates(self):
-        ms = moment_set(trace_set(diagonal([1.0, 1.0, 1.0])), 5, -2.0)
+        ms = moment_set(assemble_model([1.0, 1.0, 1.0]).traces, 5, -2.0)
         with pytest.raises(DegenerateCovarianceError):
             whiten(3.0, 4.0, ms)
 
     def test_scale_equivariance(self):
         # transforming the model by c scales (t1, t2) by (c, c^2) and the
         # moment set accordingly; ts is unchanged
-        ts = trace_set(diagonal([2.0, 0.7, 1.1]))
+        ts = assemble_model([2.0, 0.7, 1.1]).traces
         n, nu4 = 9, 1.5
         ms = moment_set(ts, n, nu4)
         t1, t2 = ms.e_t1 + 0.8, ms.e_t2 - 1.7
         base = whiten(t1, t2, ms)
         for c in (0.5, 2.0, 10.0):
-            scaled_ms = moment_set(trace_set(diagonal([2.0 * c, 0.7 * c, 1.1 * c])), n, nu4)
+            scaled_ms = moment_set(assemble_model([2.0 * c, 0.7 * c, 1.1 * c]).traces, n, nu4)
             got = whiten(c * t1, c**2 * t2, scaled_ms)
             assert got == pytest.approx(base, rel=1e-9)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from covlss.enumeration import EnumerationTask
 from covlss.innovations import (
+    GAMMA_MAX_SHAPE,
     MomentProfile,
     NotEnumerableError,
     parse_dist,
@@ -49,6 +51,40 @@ class TestProfiles:
         b = standardized_gamma(3, 7.0).profile
         assert a.mu3 == pytest.approx(b.mu3, rel=1e-12)
         assert a.mu8 == pytest.approx(b.mu8, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [float(k) for k in np.logspace(-2, 8, 21)] + [0.5, 4.0],
+                             ids="{:.3g}".format)
+    def test_gamma_profile_closed_form(self, shape):
+        # exact oracle: central moments of Gamma(k, 1) from its raw moments
+        # k(k+1)...(k+r-1) in rational arithmetic, standardized by k^(r/2)
+        k = Fraction(shape)
+        raw = [Fraction(1)]
+        for r in range(1, 9):
+            raw.append(raw[-1] * (k + r - 1))
+        central = [
+            sum(math.comb(r, j) * raw[j] * (-k) ** (r - j) for j in range(r + 1))
+            for r in range(9)
+        ]
+        assert central[3] == 2 * k
+        p = standardized_gamma(shape, 1.0).profile
+        assert p.mu3 == pytest.approx(2.0 / math.sqrt(shape), rel=1e-12)
+        assert p.mu4 == pytest.approx(float(central[4] / k**2), rel=1e-12)
+        assert p.mu6 == pytest.approx(float(central[6] / k**3), rel=1e-12)
+        assert p.mu8 == pytest.approx(float(central[8] / k**4), rel=1e-12)
+        assert p.nu4 == pytest.approx(6.0 / shape, rel=1e-12, abs=1e-15)
+
+    def test_huge_scale_equals_unit_scale(self):
+        # the scale cancels from the standardized law: gamma:1:1e300 is gamma:1:1
+        big, unit = parse_dist("gamma:1:1e300"), parse_dist("gamma:1:1")
+        assert big.profile == unit.profile
+        assert np.array_equal(sample_block(big, 7, 1000), sample_block(unit, 7, 1000))
+
+    def test_gamma_shape_bound(self):
+        # the largest shape whose standardized draw still resolves its skewness
+        assert GAMMA_MAX_SHAPE == 2.0**53
+        assert standardized_gamma(GAMMA_MAX_SHAPE, 1.0).profile.mu3 > 0
+        with pytest.raises(ValueError, match="GAMMA_MAX_SHAPE"):
+            standardized_gamma(2.0 * GAMMA_MAX_SHAPE, 1.0)
 
     def test_two_point_design_values(self):
         d = two_point(0.2)
@@ -108,6 +144,14 @@ class TestSampling:
         assert abs(x.mean()) <= 0.004
         assert abs(x.var() - 1.0) <= 0.005
 
+    def test_gamma_draw_matches_scaled_generator(self):
+        # standard_gamma(k) standardized equals the scale-theta draw
+        # (g - k theta) / (theta sqrt(k)) bit for bit when theta is a power of 2
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            want = (rng.gamma(4.0, 0.5, 5000) - 2.0) / (0.5 * 2.0)
+            assert np.array_equal(sample_block(standardized_gamma(4, 0.5), seed, 5000), want)
+
     def test_gamma_monte_carlo_bands(self):
         x = sample_block(standardized_gamma(4, 0.5), 51, 10**6)
         assert abs(x.mean()) <= 0.003  # 3 sigma, sd of the mean = 1e-3
@@ -139,7 +183,7 @@ class TestParseDist:
     @pytest.mark.parametrize(
         "selector",
         ["", "norm", "gamma:4", "gamma:4:0.5:1", "twopoint", "twopoint:1.5", "gamma:-1:2",
-         "gamma:1e-300:1", "gamma:1:1e300"],
+         "gamma:1e-300:1", "gamma:1e300:1", "gamma:nan:1", "gamma:1:inf"],
     )
     def test_rejects_malformed(self, selector):
         with pytest.raises(ValueError):

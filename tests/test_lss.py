@@ -20,14 +20,29 @@ def make_cfg(eigs, dist, n, rep=0, seed=1234, u=None, **kw):
     )
 
 
+def symmetric_half(eigs, u=None):
+    """The symmetric root Sigma^{1/2} = U L^{1/2} U', built independently of the model."""
+    root = np.sqrt(np.asarray(eigs, dtype=float))
+    if u is None:
+        return np.diag(root)
+    half = (u * root) @ u.T
+    return 0.5 * (half + half.T)
+
+
+def dense_sigma(eigs, u=None):
+    half = symmetric_half(eigs, u)
+    return half @ half
+
+
 def replication_x(cfg):
     seed = derive_seed(cfg.master_seed, REPLICATION_STREAM, cfg.replication_index)
     return sample_block(cfg.dist, seed, cfg.model.p * cfg.n).reshape(cfg.model.p, cfg.n)
 
 
-def direct_pxp(cfg):
-    """T_1..T_4 of B and (T_1^0, T_2^0) of B - ybar ybar', built the p x p way."""
-    y = cfg.model.sigma_half.array @ replication_x(cfg)
+def direct_pxp(cfg, half):
+    """T_1..T_4 of B and (T_1^0, T_2^0) of B - ybar ybar', built the p x p way
+    from Y = half X for a square root ``half`` of Sigma."""
+    y = half @ replication_x(cfg)
     b = (y @ y.T) / cfg.n
     ybar = y.mean(axis=1)
     b0 = b - np.outer(ybar, ybar)
@@ -54,10 +69,10 @@ class TestGenerateGram:
             assert t[k - 1] == pytest.approx(t[0] ** k, rel=1e-12)
 
     def test_matches_naive_triple_loop(self):
-        cfg = make_cfg([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3,
-                       u=haar_orthogonal(3, 7), max_power=4)
+        u = haar_orthogonal(3, 7)
+        cfg = make_cfg([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=u, max_power=4)
         x = replication_x(cfg)
-        sig = cfg.model.sigma.array
+        sig = dense_sigma([2.0, 1.0, 0.5], u)
         naive = np.zeros((2, 2))
         for i in range(2):
             for j in range(2):
@@ -95,7 +110,7 @@ class TestLssTraces:
             eigs = list(rng.uniform(0.2, 4.0, p))
             u = haar_orthogonal(p, trial) if p > 1 else None
             cfg = make_cfg(eigs, standard_normal(), n=n, rep=trial, u=u, max_power=4)
-            want, _ = direct_pxp(cfg)
+            want, _ = direct_pxp(cfg, symmetric_half(eigs, u))
             assert run_replication(cfg).t == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -111,16 +126,16 @@ class TestCenteredLss:
     def test_antisymmetric_pair_already_centered(self):
         model = assemble_model([1.0, 2.0])
         col = np.array([[0.7], [1.1]])
-        y = model.sigma_half.array @ np.hstack([col, -col])
+        y = symmetric_half([1.0, 2.0]) @ np.hstack([col, -col])
         (t1, t2), (t1c, t2c) = _trace_stats(y, 2, 2, True)
         assert t1c == pytest.approx(t1, rel=1e-12)
         assert t2c == pytest.approx(t2, rel=1e-12)
 
     def test_matches_direct_pxp_construction(self):
         rng = np.random.default_rng(8)
-        model = assemble_model([2.0, 1.0, 0.5], haar_orthogonal(3, 5))
+        half = symmetric_half([2.0, 1.0, 0.5], haar_orthogonal(3, 5))
         for n in (2, 4):
-            y = model.sigma_half.array @ rng.standard_normal((3, n))
+            y = half @ rng.standard_normal((3, n))
             b = (y @ y.T) / n
             ybar = y.mean(axis=1)
             b0 = b - np.outer(ybar, ybar)
@@ -143,7 +158,7 @@ class TestRunReplication:
             cfg = make_cfg(eigs, standard_normal(), n=n, rep=4, max_power=4, centered=True)
             res = run_replication(cfg)
             x = replication_x(cfg)
-            a = x.T @ cfg.model.sigma.array @ x
+            a = x.T @ dense_sigma(eigs) @ x
             want = [np.trace(np.linalg.matrix_power(a, k)) / n**k for k in range(1, 5)]
             assert res.t == pytest.approx(want, rel=1e-10)
             rowsum = a.sum(axis=1)
@@ -152,17 +167,20 @@ class TestRunReplication:
             assert res.t_centered == pytest.approx(want_c, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("rotated", [False, True])
-    @pytest.mark.parametrize("p,n", [(4, 7), (5, 5), (7, 4)])
+    @pytest.mark.parametrize("p,n", [(4, 7), (5, 5), (7, 4), (40, 80), (60, 60), (80, 40)])
     def test_matches_direct_pxp_oracle(self, p, n, rotated):
+        # the kernel's Y = F X against Y = Sigma^{1/2} X with the symmetric
+        # root built here: both give X' Sigma X, so every statistic agrees
         eigs = list(np.linspace(3.0, 0.3, p))
         u = haar_orthogonal(p, 17) if rotated else None
+        half = symmetric_half(eigs, u)
         for rep in range(3):
             cfg = make_cfg(eigs, standard_normal(), n=n, rep=rep, u=u,
                            max_power=4, centered=True)
             res = run_replication(cfg)
-            want, want_c = direct_pxp(cfg)
-            assert res.t == pytest.approx(want, rel=1e-10)
-            assert res.t_centered == pytest.approx(want_c, rel=1e-10)
+            want, want_c = direct_pxp(cfg, half)
+            assert res.t == pytest.approx(want, rel=1e-12)
+            assert res.t_centered == pytest.approx(want_c, rel=1e-12)
 
     def test_deterministic_per_index(self):
         cfg = make_cfg([1.0, 2.0], standard_normal(), n=6, rep=9)

@@ -10,11 +10,10 @@ from covlss.moments import (
     single_spike_variance,
 )
 from covlss.population import assemble_model
-from covlss.symmat import diagonal, trace_set
 
 
 def traces_of_diag(values):
-    return trace_set(diagonal(values))
+    return assemble_model(values).traces
 
 
 class TestExpectedValues:

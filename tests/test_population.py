@@ -1,14 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covlss.lss import _half_times
 from covlss.population import (
+    ConsistencyError,
     SpectrumSpec,
     assemble_model,
     build_model,
     build_spectrum,
     haar_orthogonal,
 )
-from covlss.symmat import trace_set
+
+
+def dense_sigma(eigs, u=None):
+    """Sigma = U L U' built densely, the oracle the model's traces must match."""
+    lam = np.asarray(eigs, dtype=float)
+    if u is None:
+        return np.diag(lam)
+    sigma = (u * lam) @ u.T
+    return 0.5 * (sigma + sigma.T)
+
+
+def dense_traces(sigma):
+    """The seven trace functionals of a dense Sigma, by brute force."""
+    s2 = sigma @ sigma
+    d1, d2 = np.diagonal(sigma), np.diagonal(s2)
+    return {
+        "tr1": np.trace(sigma),
+        "tr2": np.trace(s2),
+        "tr3": np.trace(s2 @ sigma),
+        "tr4": np.trace(s2 @ s2),
+        "trH11": np.sum(d1 * d1),
+        "trH12": np.sum(d1 * d2),
+        "trH22": np.sum(d2 * d2),
+    }
+
+
+def assert_traces_match(model, sigma, rel):
+    want = dense_traces(sigma)
+    for name, got in model.traces.as_dict().items():
+        assert got == pytest.approx(float(want[name]), rel=rel), name
 
 
 def spec_with(p, n, alpha, beta, r=None, diagonal_only=False):
@@ -81,14 +114,14 @@ class TestHaarOrthogonal:
 class TestAssembleModel:
     def test_identity(self):
         m = assemble_model([1.0, 1.0, 1.0])
-        assert np.array_equal(m.sigma.array, np.eye(3))
-        assert np.array_equal(m.sigma_half.array, np.eye(3))
-        assert m.is_diagonal
+        assert m.factor is None
+        assert m.p == 3
+        assert m.traces.as_dict() == dict.fromkeys(m.traces.as_dict(), 3.0)
 
     def test_diagonal_square_root(self):
         m = assemble_model([4.0, 1.0])
-        assert np.allclose(m.sigma.array, np.diag([4.0, 1.0]))
-        assert np.allclose(m.sigma_half.array, np.diag([2.0, 1.0]))
+        assert m.factor is None
+        assert np.array_equal(_half_times(m, np.eye(2)), np.diag([2.0, 1.0]))
 
     def test_trace_invariance_under_conjugation(self):
         eigs = [25.0, 25.0, 1.0, 1.0]
@@ -98,9 +131,13 @@ class TestAssembleModel:
             assert m.traces.tr2 == pytest.approx(1252.0, rel=1e-10)
 
     def test_square_root_squares_back(self):
-        m = assemble_model([9.0, 4.0, 0.5], haar_orthogonal(3, 11))
-        err = np.linalg.norm(m.sigma_half.array @ m.sigma_half.array - m.sigma.array)
-        assert err <= 1e-8 * np.linalg.norm(m.sigma.array)
+        # the factor F = L^{1/2} U' satisfies F'F = Sigma
+        u = haar_orthogonal(3, 11)
+        m = assemble_model([9.0, 4.0, 0.5], u)
+        sigma = dense_sigma([9.0, 4.0, 0.5], u)
+        err = np.linalg.norm(m.factor.T @ m.factor - sigma)
+        assert err <= 1e-12 * np.linalg.norm(sigma)
+        assert np.array_equal(_half_times(m, np.eye(3)), m.factor)
 
     def test_rejects_nonpositive_eigenvalue(self):
         with pytest.raises(ValueError):
@@ -111,6 +148,27 @@ class TestAssembleModel:
     def test_rejects_non_orthogonal_u(self):
         with pytest.raises(ValueError):
             assemble_model([1.0, 2.0], np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="must be 2 x 2"):
+            assemble_model([1.0, 2.0], np.eye(3))
+
+    def test_rejects_diagonal_sum_disagreement(self):
+        # ||UU' - I||_F = 3e-8 passes the 1e-8 * p orthogonality check, but
+        # on the spike the diagonal of Sigma sums 2.9e-8 away from tr Sigma
+        u = np.diag([np.sqrt(1.0 + 3e-8), 1.0, 1.0, 1.0])
+        with pytest.raises(ConsistencyError, match="disagrees"):
+            assemble_model([100.0, 1.0, 1.0, 1.0], u)
+
+    def test_overflowing_trace_rejected(self):
+        # tr Sigma^4 of a 1e100 eigenvalue overflows, rotated or not
+        for u in (None, haar_orthogonal(2, 1)):
+            with pytest.raises(ConsistencyError, match="overflow"):
+                assemble_model([1e100, 1.0], u)
+
+    def test_arrays_frozen(self):
+        m = assemble_model([2.0, 1.0], haar_orthogonal(2, 3))
+        for a in (m.eigenvalues, m.factor):
+            with pytest.raises(ValueError):
+                a[0] = 5.0
 
     def test_full_trace_set_conjugation_invariant(self):
         rng = np.random.default_rng(17)
@@ -136,8 +194,8 @@ class TestBuildModel:
     def test_diagonal_only_skips_rotation(self):
         spec = spec_with(4, 100, 0.5, 0.5, diagonal_only=True)
         m = build_model(spec, rotation_seed=9)
-        assert m.is_diagonal
-        assert np.allclose(m.sigma.array, np.diag(m.eigenvalues))
+        assert m.factor is None
+        assert_traces_match(m, np.diag(m.eigenvalues), rel=1e-14)
 
     def test_spectral_norm_tracks_n_growth(self):
         rng = np.random.default_rng(23)
@@ -158,9 +216,44 @@ class TestBuildModel:
     def test_positive_definite(self):
         spec = spec_with(12, 300, 1.0, 0.2, r=np.random.default_rng(8).random(12))
         m = build_model(spec, rotation_seed=1)
-        assert np.all(np.linalg.eigvalsh(m.sigma.array) > 0)
+        assert np.all(np.linalg.eigvalsh(m.factor.T @ m.factor) > 0)
 
     def test_trace_set_of_sigma_matches_bundle(self):
         spec = spec_with(6, 50, 0.2, 0.5, r=np.random.default_rng(2).random(6))
         m = build_model(spec, rotation_seed=0)
-        assert trace_set(m.sigma) == m.traces
+        assert_traces_match(m, dense_sigma(m.eigenvalues, haar_orthogonal(6, 0)), rel=1e-12)
+
+
+class TestModelTraces:
+    """The traces taken from the spectrum against a dense Sigma = U L U'."""
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 5, 50])
+    def test_matches_dense_sigma(self, p, rotated):
+        rng = np.random.default_rng(p)
+        eigs = np.sort(rng.uniform(0.1, 3.0, p))[::-1]
+        eigs[0] *= 30.0  # one spike
+        u = haar_orthogonal(p, 5) if rotated else None
+        assert_traces_match(assemble_model(eigs, u), dense_sigma(eigs, u), rel=1e-12)
+
+    def test_hadamard_traces_from_diagonals(self):
+        # trH11 = d1.d1, trH12 = d1.d2, trH22 = d2.d2 for the diagonals of Sigma, Sigma^2
+        u = haar_orthogonal(4, 8)
+        eigs = [5.0, 2.0, 1.0, 0.25]
+        m = assemble_model(eigs, u)
+        d1 = (u * u) @ np.asarray(eigs)
+        d2 = (u * u) @ np.asarray(eigs) ** 2
+        assert m.traces.trH11 == pytest.approx(d1 @ d1, rel=1e-14)
+        assert m.traces.trH12 == pytest.approx(d1 @ d2, rel=1e-14)
+        assert m.traces.trH22 == pytest.approx(d2 @ d2, rel=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    eigs=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    rotated=st.booleans(),
+)
+def test_traces_match_dense_sigma_over_spectra(eigs, seed, rotated):
+    u = haar_orthogonal(len(eigs), seed) if rotated else None
+    assert_traces_match(assemble_model(eigs, u), dense_sigma(eigs, u), rel=1e-9)

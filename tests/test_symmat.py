@@ -3,22 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlss.population import assemble_model, haar_orthogonal
 from covlss.symmat import (
     SymMatrix,
     SymmetryError,
-    diagonal,
-    identity,
     trace_hadamard,
     trace_power,
     trace_product,
-    trace_set,
     triple_product_terms,
 )
+
+
+def identity(p):
+    return SymMatrix(np.eye(p))
+
+
+def diagonal(values):
+    return SymMatrix(np.diag(np.asarray(values, dtype=float)))
 
 
 def random_sym(rng, dim, scale=1.0):
     a = rng.uniform(-scale, scale, size=(dim, dim))
     return SymMatrix(0.5 * (a + a.T))
+
+
+def random_model(rng, dim, scale=1.0, seed=0):
+    """A rotated model with a positive spectrum in (0.01, 1) * scale, and its dense Sigma."""
+    lam = scale * rng.uniform(0.01, 1.0, dim)
+    u = haar_orthogonal(dim, seed)
+    sigma = (u * lam) @ u.T
+    return assemble_model(lam, u), SymMatrix(0.5 * (sigma + sigma.T))
 
 
 class TestConstruction:
@@ -137,21 +151,23 @@ class TestTripleProductTerms:
 
 
 class TestTraceSet:
+    """The TraceSet a population model carries, against dense functionals."""
+
     def test_identity(self):
-        ts = trace_set(identity(4))
+        ts = assemble_model(np.ones(4)).traces
         assert (ts.tr1, ts.tr2, ts.tr3, ts.tr4) == (4.0, 4.0, 4.0, 4.0)
         assert (ts.trH11, ts.trH12, ts.trH22) == (4.0, 4.0, 4.0)
 
     def test_rank_one_diagonal(self):
-        ts = trace_set(diagonal([2.0, 0.0]))
+        ts = assemble_model([2.0]).traces
         assert (ts.tr1, ts.tr2, ts.tr3, ts.tr4) == (2.0, 4.0, 8.0, 16.0)
         assert (ts.trH11, ts.trH12, ts.trH22) == (4.0, 8.0, 16.0)
 
     def test_consistent_with_componentwise_ops(self):
         rng = np.random.default_rng(31)
-        m = random_sym(rng, 5)
+        model, m = random_model(rng, 5, seed=31)
         m2 = SymMatrix(m.array @ m.array)
-        ts = trace_set(m)
+        ts = model.traces
         assert ts.tr1 == pytest.approx(trace_power(m, 1), rel=1e-12)
         assert ts.tr2 == pytest.approx(trace_power(m, 2), rel=1e-12)
         assert ts.tr3 == pytest.approx(trace_power(m, 3), rel=1e-12)
@@ -163,9 +179,10 @@ class TestTraceSet:
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_scaling_covariance(self, c):
         rng = np.random.default_rng(41)
-        m = random_sym(rng, 6)
-        base = trace_set(m)
-        scaled = trace_set(SymMatrix(c * m.array))
+        lam = rng.uniform(0.1, 1.0, 6)
+        u = haar_orthogonal(6, 41)
+        base = assemble_model(lam, u).traces
+        scaled = assemble_model(c * lam, u).traces
         assert scaled.tr1 == pytest.approx(c * base.tr1, rel=1e-10)
         assert scaled.tr2 == pytest.approx(c**2 * base.tr2, rel=1e-10)
         assert scaled.tr3 == pytest.approx(c**3 * base.tr3, rel=1e-10)
@@ -188,11 +205,13 @@ class TestTraceSet:
     scale=st.floats(0.01, 100),
 )
 def test_square_traces_nonnegative(dim, seed, scale):
-    # tr2, tr4, trH11, trH22 are sums of squares for any symmetric matrix
+    # tr2, tr4, trH11, trH22 are sums of squares, and they match the dense Sigma
     rng = np.random.default_rng(seed)
-    m = random_sym(rng, dim, scale=scale)
-    ts = trace_set(m)
+    model, m = random_model(rng, dim, scale=scale, seed=seed)
+    ts = model.traces
     assert ts.tr2 >= 0 and ts.tr4 >= 0 and ts.trH11 >= 0 and ts.trH22 >= 0
+    assert ts.tr2 == pytest.approx(trace_power(m, 2), rel=1e-10)
+    assert ts.trH22 == pytest.approx(float(np.sum(np.diagonal(m.array @ m.array) ** 2)), rel=1e-10)
 
 
 def test_trace_product_matches_matmul_trace():
