@@ -3,7 +3,9 @@
 Replication index, not worker, owns the RNG stream, so outputs are
 byte-identical for any worker count.  Workers are taken from the
 ``COVLSS_WORKERS`` environment variable unless set explicitly; the
-default is a single in-process loop.
+default is a single in-process loop.  The loop, in-process or in a worker,
+draws the next replication's innovations on a second thread and runs
+OpenBLAS on one thread.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +35,7 @@ from .enumeration import (
 )
 from .inference import QQReport, check_covariance, qq_report, whiten
 from .innovations import parse_dist, rademacher, two_point
-from .lss import ReplicationResult, SampleConfig, run_replication
+from .lss import ReplicationResult, SampleConfig, _draw_x, run_replication
 from .moments import MomentSet, moment_set
 from .population import PopulationModel, SpectrumSpec, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
@@ -39,6 +43,17 @@ from .symmat import SymMatrix
 
 WORKERS_ENV_VAR = "COVLSS_WORKERS"
 VERIFY_THRESHOLD = 1e-9
+
+# Innovations drawn per hand-off to the drawer thread: one replication's
+# p x n values, or enough consecutive replications to reach this count.
+_BATCH_VALUES = 1 << 17
+
+# (set, get) thread-count symbols of OpenBLAS builds, first match wins
+_OPENBLAS_SYMBOLS = [
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+]
 
 _FORMATS = ("csv", "json", "both")
 
@@ -107,6 +122,17 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first use, since its modules would
+    # cost a one-worker run about 1.4 MB of RSS.  It stays a module attribute
+    # because perfbench's tracer rebinds it to count the pool's jobs.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def resolve_workers(cfg_workers: int | None) -> int:
     if cfg_workers is not None:
         return cfg_workers
@@ -140,24 +166,76 @@ def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
 
 
 def _retain_freed_arrays() -> None:
-    """Fix glibc's malloc thresholds, so that the p x n arrays a replication
-    frees stay in the heap for the next one instead of being faulted in
-    again (about 1,100 minor faults per replication at p = 1000, n = 300)."""
+    """Fix glibc's malloc thresholds and keep every thread on one arena, so
+    that the p x n arrays a replication frees stay in the heap for the next
+    one, on either thread, instead of being faulted in again (about 1,100
+    minor faults per replication at p = 1000, n = 300)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # not glibc
         return
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at its 64-bit maximum
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
+def _openblas_threads() -> list[tuple]:
+    """(set, get) thread-count functions of each OpenBLAS the process has loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+            )
+    except OSError:  # no procfs: the libraries cannot be located
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore its count.
+
+    The drawer thread needs the second core; spinning BLAS threads would
+    contend with it.  Without an OpenBLAS control symbol nothing is pinned.
+    """
+    controls = _openblas_threads()
+    saved = [get() for _, get in controls]
+    try:
+        for set_threads, _ in controls:
+            set_threads(1)
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
+
+
+def _draw_batch(cfgs: list[SampleConfig]) -> list[np.ndarray]:
+    return [_draw_x(cfg) for cfg in cfgs]
 
 
 def _replicate_block(args) -> list[ReplicationResult]:
+    """Replications start..stop, in index order, as a two-stage pipeline:
+    a drawer thread draws the next batch's innovations (numpy's generator
+    releases the GIL) while this thread runs the current batch's kernel.
+    Each replication owns its seeded stream, so no draw changes."""
     _retain_freed_arrays()
     model, dist_selector, n, master_seed, max_power, centered, start, stop = args
     dist = parse_dist(dist_selector)
-    out = []
-    for rep in range(start, stop):
-        cfg = SampleConfig(
+    cfgs = [
+        SampleConfig(
             model=model,
             dist=dist,
             n=n,
@@ -166,7 +244,20 @@ def _replicate_block(args) -> list[ReplicationResult]:
             max_power=max_power,
             centered=centered,
         )
-        out.append(run_replication(cfg))
+        for rep in range(start, stop)
+    ]
+    per_batch = -(-_BATCH_VALUES // (model.p * n))
+    batches = [cfgs[i : i + per_batch] for i in range(0, len(cfgs), per_batch)]
+    out: list[ReplicationResult] = []
+    with _one_blas_thread(), ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="covlss-drawer"
+    ) as drawer:
+        pending = drawer.submit(_draw_batch, batches[0])
+        for b, batch in enumerate(batches):
+            xs = pending.result()  # frees the previous batch's arrays
+            if b + 1 < len(batches):
+                pending = drawer.submit(_draw_batch, batches[b + 1])
+            out.extend(map(run_replication, batch, xs))
     return out
 
 
@@ -183,7 +274,7 @@ def run_replications(
         for start in range(0, cfg.reps, block)
     ]
     results: list[ReplicationResult] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_replicate_block, jobs):
             results.extend(chunk)
     results.sort(key=lambda r: r.replication_index)

@@ -24,6 +24,8 @@ from .population import PopulationModel
 from .seeding import REPLICATION_STREAM, derive_seed
 
 _PSD_SLACK = 1e-9
+# columns of X projected per product when F X is written over X
+_COLUMN_BLOCK = 256
 
 
 class ReplicationInvariantError(RuntimeError):
@@ -65,9 +67,13 @@ def _draw_x(cfg: SampleConfig) -> np.ndarray:
 
 
 def _half_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
+    """F X, written over ``x`` (a float p x n array) and returned."""
     if model.factor is None:
-        return np.sqrt(model.eigenvalues)[:, None] * x
-    return model.factor @ x
+        x *= np.sqrt(model.eigenvalues)[:, None]
+        return x
+    for c in range(0, x.shape[1], _COLUMN_BLOCK):
+        x[:, c : c + _COLUMN_BLOCK] = model.factor @ x[:, c : c + _COLUMN_BLOCK]
+    return x
 
 
 def _trace_stats(
@@ -76,16 +82,16 @@ def _trace_stats(
     """T_1, T_2 (and T_3, T_4 up to max_power) of B = Y Y' / n, plus the
     centered pair when asked.
 
-    T_3 and T_4 share one product G^2: tr G^3 = sum(G^2 ∘ G) and
-    tr G^4 = ||G^2||_F^2.
+    G is symmetric, so tr G^2 = <G, G>; T_3 and T_4 share one product G^2:
+    tr G^3 = <G^2, G> and tr G^4 = <G^2, G^2>.
     """
     g = y @ y.T if y.shape[0] <= n else y.T @ y
-    t = [float(np.trace(g)) / n, float(np.sum(g * g)) / n**2]
+    t = [float(np.trace(g)) / n, float(np.vdot(g, g)) / n**2]
     if max_power >= 3:
         g2 = g @ g
-        t.append(float(np.sum(g2 * g)) / n**3)
+        t.append(float(np.vdot(g2, g)) / n**3)
         if max_power == 4:
-            t.append(float(np.sum(g2 * g2)) / n**4)
+            t.append(float(np.vdot(g2, g2)) / n**4)
     tc = None
     if centered:
         ybar = y.mean(axis=1)
@@ -95,9 +101,10 @@ def _trace_stats(
     return t, tc
 
 
-def run_replication(cfg: SampleConfig) -> ReplicationResult:
-    """Sample X and compute (T_1..T_m) plus the centered pair when asked."""
-    y = _half_times(cfg.model, _draw_x(cfg))
+def run_replication(cfg: SampleConfig, x: np.ndarray | None = None) -> ReplicationResult:
+    """(T_1..T_m) plus the centered pair when asked, from the replication's
+    innovations ``x`` (drawn here when not given; overwritten)."""
+    y = _half_times(cfg.model, _draw_x(cfg) if x is None else x)
     t, tc = _trace_stats(y, cfg.n, cfg.max_power, cfg.centered)
     _check_invariants(t, tc, cfg.model.p, cfg.replication_index)
     return ReplicationResult(

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covlss.harness as harness
+import covlss.lss as lss
 from covlss.cli import main, read_config_file
 from covlss.harness import (
     ConfigError,
@@ -25,6 +28,10 @@ from covlss.harness import (
     run_verification_suite,
 )
 from covlss.inference import DegenerateCovarianceError
+from covlss.innovations import parse_dist
+from covlss.lss import ReplicationInvariantError, SampleConfig, run_replication
+from covlss.population import assemble_model, haar_orthogonal
+from covlss.seeding import REPLICATION_STREAM, derive_seed
 
 
 def tiny_cfg(tmp_path, **kw):
@@ -170,6 +177,128 @@ class TestRunExperiment:
         run_replications(model, cfg, 1)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / cfg.reps < 100
+
+
+def _blas_counts():
+    return [get() for _, get in harness._openblas_threads()]
+
+
+def _set_blas_counts(count):
+    for set_threads, _ in harness._openblas_threads():
+        set_threads(count)
+
+
+def _assert_no_drawer_alive():
+    for thread in threading.enumerate():
+        if thread.name.startswith("covlss-drawer"):
+            thread.join(timeout=30)
+            assert not thread.is_alive(), thread.name
+
+
+class TestPipeline:
+    """The drawer thread and the BLAS pin of ``_replicate_block``."""
+
+    @pytest.mark.skipif(not harness._openblas_threads(), reason="no OpenBLAS control symbol")
+    def test_results_independent_of_ambient_blas_threads(self, tmp_path, monkeypatch):
+        # p > n, rotated and centered: the Y'Y side, where a 2-thread Gram
+        # product rounds differently from a 1-thread one at this size
+        cfg = tiny_cfg(tmp_path, p=400, n=300, alpha=0.3, beta=0.3, centered=True, reps=4)
+        model = build_experiment_model(cfg)
+        assert model.factor is not None
+        seen = []
+
+        def recording(*args):
+            seen.append(_blas_counts())
+            return run_replication(*args)
+
+        monkeypatch.setattr(harness, "run_replication", recording)
+        ambient = _blas_counts()
+        runs = {}
+        try:
+            for count in (1, 2):
+                _set_blas_counts(count)
+                runs[count] = [(r.t, r.t_centered) for r in run_replications(model, cfg, 1)]
+                assert _blas_counts() == [count] * len(ambient)
+        finally:
+            for (set_threads, _), count in zip(harness._openblas_threads(), ambient):
+                set_threads(count)
+        assert runs[1] == runs[2]
+        assert seen and all(counts == [1] * len(ambient) for counts in seen)
+
+    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 200, 70), (400, 400, 6, 3)])
+    def test_draw_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
+        cfg = tiny_cfg(tmp_path, p=p, n=n, diagonal_only=True, reps=reps)
+        model = build_experiment_model(cfg)
+        bad_seed = derive_seed(cfg.master_seed, REPLICATION_STREAM, fail_at)
+        error = RuntimeError(f"draw failed at replication {fail_at}")
+        original = lss.sample_block
+
+        def failing(dist, seed, count):
+            if seed == bad_seed:
+                raise error
+            return original(dist, seed, count)
+
+        monkeypatch.setattr(lss, "sample_block", failing)
+        before = _blas_counts()
+        with pytest.raises(RuntimeError) as excinfo:
+            run_replications(model, cfg, 1)
+        assert excinfo.value is error
+        _assert_no_drawer_alive()
+        assert _blas_counts() == before
+
+    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 200, 150), (400, 400, 6, 2)])
+    def test_kernel_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
+        cfg = tiny_cfg(tmp_path, p=p, n=n, diagonal_only=True, reps=reps)
+        model = build_experiment_model(cfg)
+        calls = []
+        original = lss._trace_stats
+
+        def corrupting(*args):
+            calls.append(None)
+            t, tc = original(*args)
+            return ([math.nan] + t[1:], tc) if len(calls) == fail_at + 1 else (t, tc)
+
+        monkeypatch.setattr(lss, "_trace_stats", corrupting)
+        before = _blas_counts()
+        with pytest.raises(ReplicationInvariantError, match=f"replication {fail_at}:"):
+            run_replications(model, cfg, 1)
+        _assert_no_drawer_alive()
+        assert _blas_counts() == before
+
+    def test_partial_last_batch_matches_replication_loop(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, p=30, n=40, centered=True, max_power=4, reps=250)
+        per_batch = -(-harness._BATCH_VALUES // (cfg.p * cfg.n))
+        assert 1 < per_batch < cfg.reps and cfg.reps % per_batch
+        model = build_experiment_model(cfg)
+        dist = parse_dist(cfg.dist)
+        start, stop = 3, cfg.reps  # a block that does not start at 0, as in a pool
+        args = (model, cfg.dist, cfg.n, cfg.master_seed, cfg.max_power, cfg.centered, start, stop)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL between the two threads often
+        try:
+            got = harness._replicate_block(args)
+        finally:
+            sys.setswitchinterval(interval)
+        want = [
+            run_replication(SampleConfig(model=model, dist=dist, n=cfg.n, replication_index=rep,
+                                         master_seed=cfg.master_seed, max_power=cfg.max_power,
+                                         centered=cfg.centered))
+            for rep in range(start, stop)
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 255, 600])
+    def test_half_times_matches_dense_product(self, n):
+        p = 20
+        rng = np.random.default_rng(n)
+        eigs = np.sort(rng.uniform(0.5, 3.0, p))[::-1]
+        x = rng.standard_normal((p, n))
+        rotated = assemble_model(eigs, haar_orthogonal(p, 7))
+        dense = rotated.factor @ x
+        y = lss._half_times(rotated, x.copy())
+        assert np.allclose(y, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+        diagonal = assemble_model(eigs)
+        assert np.array_equal(lss._half_times(diagonal, x.copy()), np.sqrt(eigs)[:, None] * x)
 
 
 class TestVerificationSuite:
