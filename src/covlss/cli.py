@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--grid-size", type=int, default=None, help="Q-Q probability grid points (default 199)")
     sim.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: COVLSS_WORKERS or 1); each one "
-                     "draws innovations on a second thread beside a one-thread BLAS")
+                     "draws innovations on a second thread beside a one-thread OpenBLAS")
     sim.add_argument("--config", default=None, help="key=value config file; flags override it")
     sim.add_argument("--desk-scale", action="store_true",
                      help=f"CI preset: {DESK_SCALE}")

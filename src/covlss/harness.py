@@ -5,7 +5,7 @@ byte-identical for any worker count.  Workers are taken from the
 ``COVLSS_WORKERS`` environment variable unless set explicitly; the
 default is a single in-process loop.  The loop, in-process or in a worker,
 draws the next replication's innovations on a second thread and runs
-OpenBLAS on one thread.
+OpenBLAS on one thread; where OpenBLAS cannot be pinned it draws inline.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import dataclasses
 import hashlib
 import json
 import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,10 +42,6 @@ from .symmat import SymMatrix
 
 WORKERS_ENV_VAR = "COVLSS_WORKERS"
 VERIFY_THRESHOLD = 1e-9
-
-# Innovations drawn per hand-off to the drawer thread: one replication's
-# p x n values, or enough consecutive replications to reach this count.
-_BATCH_VALUES = 1 << 17
 
 # (set, get) thread-count symbols of OpenBLAS builds, first match wins
 _OPENBLAS_SYMBOLS = [
@@ -120,17 +115,6 @@ class ExperimentConfig:
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def __getattr__(name: str):
-    # ProcessPoolExecutor is imported on first use, since its modules would
-    # cost a one-worker run about 1.4 MB of RSS.  It stays a module attribute
-    # because perfbench's tracer rebinds it to count the pool's jobs.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def resolve_workers(cfg_workers: int | None) -> int:
@@ -208,29 +192,25 @@ def _openblas_threads() -> list[tuple]:
 def _one_blas_thread():
     """Run OpenBLAS on one thread inside the block, then restore its count.
 
-    The drawer thread needs the second core; spinning BLAS threads would
-    contend with it.  Without an OpenBLAS control symbol nothing is pinned.
+    Yields whether anything was pinned: without an OpenBLAS control symbol
+    the BLAS threads are left as they are.
     """
     controls = _openblas_threads()
     saved = [get() for _, get in controls]
     try:
         for set_threads, _ in controls:
             set_threads(1)
-        yield
+        yield bool(controls)
     finally:
         for (set_threads, _), count in zip(controls, saved):
             set_threads(count)
 
 
-def _draw_batch(cfgs: list[SampleConfig]) -> list[np.ndarray]:
-    return [_draw_x(cfg) for cfg in cfgs]
-
-
 def _replicate_block(args) -> list[ReplicationResult]:
     """Replications start..stop, in index order, as a two-stage pipeline:
-    a drawer thread draws the next batch's innovations (numpy's generator
-    releases the GIL) while this thread runs the current batch's kernel.
-    Each replication owns its seeded stream, so no draw changes."""
+    a drawer thread draws the next replication's innovations (numpy's
+    generator releases the GIL) while this thread runs the current one's
+    kernel.  Each replication owns its seeded stream, so no draw changes."""
     _retain_freed_arrays()
     model, dist_selector, n, master_seed, max_power, centered, start, stop = args
     dist = parse_dist(dist_selector)
@@ -246,19 +226,18 @@ def _replicate_block(args) -> list[ReplicationResult]:
         )
         for rep in range(start, stop)
     ]
-    per_batch = -(-_BATCH_VALUES // (model.p * n))
-    batches = [cfgs[i : i + per_batch] for i in range(0, len(cfgs), per_batch)]
-    out: list[ReplicationResult] = []
-    with _one_blas_thread(), ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix="covlss-drawer"
-    ) as drawer:
-        pending = drawer.submit(_draw_batch, batches[0])
-        for b, batch in enumerate(batches):
-            xs = pending.result()  # frees the previous batch's arrays
-            if b + 1 < len(batches):
-                pending = drawer.submit(_draw_batch, batches[b + 1])
-            out.extend(map(run_replication, batch, xs))
-    return out
+    with _one_blas_thread() as pinned:
+        if not pinned:  # spinning BLAS threads would contend with a drawer
+            return [run_replication(cfg) for cfg in cfgs]
+        out: list[ReplicationResult] = []
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="covlss-drawer") as drawer:
+            pending = drawer.submit(_draw_x, cfgs[0])
+            for i, cfg in enumerate(cfgs):
+                x = pending.result()  # frees the previous replication's array
+                if i + 1 < len(cfgs):
+                    pending = drawer.submit(_draw_x, cfgs[i + 1])
+                out.append(run_replication(cfg, x))
+        return out
 
 
 def run_replications(
@@ -274,7 +253,7 @@ def run_replications(
         for start in range(0, cfg.reps, block)
     ]
     results: list[ReplicationResult] = []
-    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_replicate_block, jobs):
             results.extend(chunk)
     results.sort(key=lambda r: r.replication_index)

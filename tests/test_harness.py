@@ -225,7 +225,7 @@ class TestPipeline:
         assert runs[1] == runs[2]
         assert seen and all(counts == [1] * len(ambient) for counts in seen)
 
-    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 200, 70), (400, 400, 6, 3)])
+    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 12, 7), (400, 400, 6, 3)])
     def test_draw_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
         cfg = tiny_cfg(tmp_path, p=p, n=n, diagonal_only=True, reps=reps)
         model = build_experiment_model(cfg)
@@ -246,7 +246,7 @@ class TestPipeline:
         _assert_no_drawer_alive()
         assert _blas_counts() == before
 
-    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 200, 150), (400, 400, 6, 2)])
+    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 12, 9), (400, 400, 6, 2)])
     def test_kernel_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
         cfg = tiny_cfg(tmp_path, p=p, n=n, diagonal_only=True, reps=reps)
         model = build_experiment_model(cfg)
@@ -265,20 +265,34 @@ class TestPipeline:
         _assert_no_drawer_alive()
         assert _blas_counts() == before
 
-    def test_partial_last_batch_matches_replication_loop(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, p=30, n=40, centered=True, max_power=4, reps=250)
-        per_batch = -(-harness._BATCH_VALUES // (cfg.p * cfg.n))
-        assert 1 < per_batch < cfg.reps and cfg.reps % per_batch
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_block_matches_replication_loop(self, tmp_path, monkeypatch, pinned):
+        if not pinned:  # as on a BLAS without a thread-count symbol: draw inline
+            monkeypatch.setattr(harness, "_openblas_threads", lambda: [])
+        elif not harness._openblas_threads():
+            pytest.skip("no OpenBLAS control symbol")
+        cfg = tiny_cfg(tmp_path, p=30, n=40, centered=True, max_power=4, reps=60)
         model = build_experiment_model(cfg)
         dist = parse_dist(cfg.dist)
         start, stop = 3, cfg.reps  # a block that does not start at 0, as in a pool
         args = (model, cfg.dist, cfg.n, cfg.master_seed, cfg.max_power, cfg.centered, start, stop)
+        names = []
+        original = lss.sample_block
+
+        def recording(*a):
+            names.append(threading.current_thread().name)
+            return original(*a)
+
+        monkeypatch.setattr(lss, "sample_block", recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the GIL between the two threads often
         try:
             got = harness._replicate_block(args)
         finally:
             sys.setswitchinterval(interval)
+        assert len(names) == stop - start
+        assert all(name.startswith("covlss-drawer") == pinned for name in names)
+        monkeypatch.setattr(lss, "sample_block", original)
         want = [
             run_replication(SampleConfig(model=model, dist=dist, n=cfg.n, replication_index=rep,
                                          master_seed=cfg.master_seed, max_power=cfg.max_power,
