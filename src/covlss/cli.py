@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--grid-size", type=int, default=None, help="Q-Q probability grid points (default 199)")
     sim.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: COVLSS_WORKERS or 1); each one "
-                     "draws innovations on a second thread beside a one-thread OpenBLAS")
+                     "replicates on two threads that draw in parallel and take turns "
+                     "at a one-thread OpenBLAS kernel")
     sim.add_argument("--config", default=None, help="key=value config file; flags override it")
     sim.add_argument("--desk-scale", action="store_true",
                      help=f"CI preset: {DESK_SCALE}")
@@ -182,8 +183,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"all identities within {summary.threshold:g}")
         return 0
+    # OSError: a config file or output directory that is missing or not usable
     except (ConfigError, DegenerateCovarianceError, EnumerationGuardError,
-            ConsistencyError, FileNotFoundError) as exc:
+            ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

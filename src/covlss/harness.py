@@ -3,9 +3,12 @@
 Replication index, not worker, owns the RNG stream, so outputs are
 byte-identical for any worker count.  Workers are taken from the
 ``COVLSS_WORKERS`` environment variable unless set explicitly; the
-default is a single in-process loop.  The loop, in-process or in a worker,
-draws the next replication's innovations on a second thread and runs
-OpenBLAS on one thread; where OpenBLAS cannot be pinned it draws inline.
+default is a single in-process block.  A block, in-process or in a pool
+worker, runs OpenBLAS on one thread and replicates on two threads that
+each draw their own replication's innovations and take turns at the
+kernel; where OpenBLAS cannot be pinned it draws inline on one thread.
+A pool ships the model to each worker once, and each job names only its
+range of replication indices.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -207,10 +211,13 @@ def _one_blas_thread():
 
 
 def _replicate_block(args) -> list[ReplicationResult]:
-    """Replications start..stop, in index order, as a two-stage pipeline:
-    a drawer thread draws the next replication's innovations (numpy's
-    generator releases the GIL) while this thread runs the current one's
-    kernel.  Each replication owns its seeded stream, so no draw changes."""
+    """Replications start..stop, in index order.
+
+    This thread and one helper each take the next index, draw that
+    replication's innovations (numpy's generator releases the GIL), then run
+    its kernel under one lock, so both cores draw while at most one Gram
+    matrix is in flight.  Each replication owns its seeded stream and every
+    kernel runs on one BLAS thread, so no result depends on the thread."""
     _retain_freed_arrays()
     model, dist_selector, n, master_seed, max_power, centered, start, stop = args
     dist = parse_dist(dist_selector)
@@ -227,17 +234,45 @@ def _replicate_block(args) -> list[ReplicationResult]:
         for rep in range(start, stop)
     ]
     with _one_blas_thread() as pinned:
-        if not pinned:  # spinning BLAS threads would contend with a drawer
+        if not pinned:  # a many-thread BLAS kernel would contend with the other draw
             return [run_replication(cfg) for cfg in cfgs]
-        out: list[ReplicationResult] = []
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="covlss-drawer") as drawer:
-            pending = drawer.submit(_draw_x, cfgs[0])
-            for i, cfg in enumerate(cfgs):
-                x = pending.result()  # frees the previous replication's array
-                if i + 1 < len(cfgs):
-                    pending = drawer.submit(_draw_x, cfgs[i + 1])
-                out.append(run_replication(cfg, x))
+        out: list[ReplicationResult | None] = [None] * len(cfgs)
+        indices = iter(range(len(cfgs)))
+        claim, kernel, failed = threading.Lock(), threading.Lock(), threading.Event()
+
+        def replicate() -> None:
+            try:
+                while not failed.is_set():
+                    with claim:
+                        i = next(indices, None)
+                    if i is None:
+                        return
+                    x = _draw_x(cfgs[i])
+                    with kernel:
+                        out[i] = run_replication(cfgs[i], x)
+                    del x  # not held through the next draw
+            except BaseException:
+                failed.set()  # the other thread stops at its next replication
+                raise
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="covlss-replicate") as helper:
+            other = helper.submit(replicate)
+            replicate()
+            other.result()
         return out
+
+
+# what every job of one pool shares, sent to each worker once by its initializer
+_pool_block: tuple = ()
+
+
+def _init_pool_worker(block: tuple) -> None:
+    global _pool_block
+    _pool_block = block
+
+
+def _replicate_pool_job(bounds: tuple[int, int]) -> list[ReplicationResult]:
+    return _replicate_block(_pool_block + bounds)
 
 
 def run_replications(
@@ -248,13 +283,12 @@ def run_replications(
     if workers <= 1:
         return _replicate_block(base + (0, cfg.reps))
     block = max(1, -(-cfg.reps // (workers * 4)))
-    jobs = [
-        base + (start, min(start + block, cfg.reps))
-        for start in range(0, cfg.reps, block)
-    ]
+    jobs = [(start, min(start + block, cfg.reps)) for start in range(0, cfg.reps, block)]
     results: list[ReplicationResult] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_replicate_block, jobs):
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_pool_worker, initargs=(base,)
+    ) as pool:
+        for chunk in pool.map(_replicate_pool_job, jobs):
             results.extend(chunk)
     results.sort(key=lambda r: r.replication_index)
     return results

@@ -1,14 +1,21 @@
 """Sample covariance trace statistics T_k = tr(B^k), B = (1/n) Y Y', Y = F X.
 
 Any factor with F'F = Sigma gives the same Y'Y = X'Sigma X, so the model's
-F serves as Sigma^{1/2}.  One kernel computes every statistic from Y.
-B and its companion Y'Y / n share their nonzero eigenvalues, so
-tr(B^k) = tr(G^k) / n^k for either Gram matrix G = Y Y' (p x p) or
-G = Y'Y (n x n).  The kernel takes the smaller one: Y Y' when p <= n,
-Y'Y otherwise.  That choice is the only place the two sides differ, and
-it depends only on (p, n), so results are reproducible for any worker
-layout.  The mean-centered statistics of B - ybar ybar' are the same on
-both sides:
+F serves as Sigma^{1/2}.  B, Y'Y / n and Sigma X X' / n share their nonzero
+eigenvalues, so T_k = tr(M^k) / n^k for either
+
+  M = Sigma G, G = X X'  (p x p, when p <= n), or
+  M = Y'Y               (n x n, when p > n).
+
+The p side never forms Y: G is one symmetric product of X, and Sigma G
+scales the rows of G by the eigenvalues when Sigma is diagonal.  Which side
+is taken depends only on (p, n), so results are reproducible for any worker
+layout.  From M,
+
+  T_1 = tr M,  T_2 = sum_ij M_ij M_ji,  T_3 = <M^2, M'>,  T_4 = <M^2, M^2'>.
+
+The mean-centered statistics of B - ybar ybar' need only v = Sigma xbar,
+since ybar'ybar = xbar'v and Y'ybar = X'v:
 
   T_1^0 = T_1 - ybar'ybar,  T_2^0 = T_2 - 2 ||Y'ybar||^2 / n + (ybar'ybar)^2.
 """
@@ -77,35 +84,47 @@ def _half_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
 
 
 def _trace_stats(
-    y: np.ndarray, n: int, max_power: int, centered: bool
+    model: PopulationModel, x: np.ndarray, max_power: int, centered: bool
 ) -> tuple[list[float], tuple[float, float] | None]:
-    """T_1, T_2 (and T_3, T_4 up to max_power) of B = Y Y' / n, plus the
-    centered pair when asked.
-
-    G is symmetric, so tr G^2 = <G, G>; T_3 and T_4 share one product G^2:
-    tr G^3 = <G^2, G> and tr G^4 = <G^2, G^2>.
-    """
-    g = y @ y.T if y.shape[0] <= n else y.T @ y
-    t = [float(np.trace(g)) / n, float(np.vdot(g, g)) / n**2]
+    """T_1, T_2 (and T_3, T_4 up to max_power) of B = (F x)(F x)' / n for the
+    innovations ``x`` (p x n, overwritten), plus the centered pair when asked."""
+    p, n = x.shape
+    if p <= n:
+        if centered:
+            xbar = x.mean(axis=1)
+            v = model.eigenvalues * xbar if model.factor is None else model.sigma @ xbar
+            ybar_sq, z = float(xbar @ v), x.T @ v
+        # Sigma G goes over x, which is no longer needed (p * p <= p * n), and
+        # G is freed at once: the copy np.vdot makes of M' reuses its memory
+        m = x.reshape(-1)[: p * p].reshape(p, p)
+        if model.factor is None:
+            np.multiply(model.eigenvalues[:, None], x @ x.T, out=m)
+        else:
+            np.matmul(model.sigma, x @ x.T, out=m)
+        mt = m.T
+    else:
+        y = _half_times(model, x)
+        if centered:
+            ybar = y.mean(axis=1)
+            ybar_sq, z = float(ybar @ ybar), y.T @ ybar
+        m = mt = y.T @ y  # symmetric
+    t = [float(np.trace(m)) / n, float(np.vdot(m, mt)) / n**2]
     if max_power >= 3:
-        g2 = g @ g
-        t.append(float(np.vdot(g2, g)) / n**3)
+        m2 = m @ m
+        t.append(float(np.vdot(m2, mt)) / n**3)
         if max_power == 4:
-            t.append(float(np.vdot(g2, g2)) / n**4)
+            t.append(float(np.vdot(m2, m2.T if p <= n else m2)) / n**4)
     tc = None
     if centered:
-        ybar = y.mean(axis=1)
-        yy = float(ybar @ ybar)
-        z = y.T @ ybar
-        tc = (t[0] - yy, t[1] - 2.0 * float(z @ z) / n + yy * yy)
+        tc = (t[0] - ybar_sq, t[1] - 2.0 * float(z @ z) / n + ybar_sq * ybar_sq)
     return t, tc
 
 
 def run_replication(cfg: SampleConfig, x: np.ndarray | None = None) -> ReplicationResult:
     """(T_1..T_m) plus the centered pair when asked, from the replication's
     innovations ``x`` (drawn here when not given; overwritten)."""
-    y = _half_times(cfg.model, _draw_x(cfg) if x is None else x)
-    t, tc = _trace_stats(y, cfg.n, cfg.max_power, cfg.centered)
+    x = _draw_x(cfg) if x is None else x
+    t, tc = _trace_stats(cfg.model, x, cfg.max_power, cfg.centered)
     _check_invariants(t, tc, cfg.model.p, cfg.replication_index)
     return ReplicationResult(
         t=tuple(t[: cfg.max_power]), t_centered=tc, replication_index=cfg.replication_index

@@ -4,14 +4,16 @@ A spectrum is split into a spiked group of size floor(beta*p) with
 eigenvalues (2 + r_i) * n^alpha and a bulk group with eigenvalues
 2*r_i in (0, 2), for r_i in (0, 1).  The covariance is Sigma = U L U'
 for a random orthogonal U (or L itself in the diagonal-only regime), but
-no dense Sigma is formed: the statistics see Sigma only through
-X'Sigma X = (FX)'(FX), so a model keeps one factor F = L^{1/2} U'.  Its
-traces come from the spectrum and the diagonals (U∘U) l^k of Sigma^k.
+the model keeps one factor F = L^{1/2} U' rather than a dense Sigma: the
+statistics see Sigma through X'Sigma X = (FX)'(FX), or through Sigma X X',
+whose dense Sigma = F'F is formed once, on first use.  Its traces come from
+the spectrum and the diagonals (U∘U) l^k of Sigma^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +71,14 @@ class PopulationModel:
     @property
     def p(self) -> int:
         return self.eigenvalues.size
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Dense Sigma = F'F, formed on first use and kept with the model."""
+        f = self.factor
+        sigma = np.diag(self.eigenvalues) if f is None else f.T @ f
+        sigma.flags.writeable = False
+        return sigma
 
 
 def build_spectrum(spec: SpectrumSpec) -> np.ndarray:

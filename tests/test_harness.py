@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import math
+import pickle
 import platform
 import resource
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +119,25 @@ class TestRunExperiment:
                 tmp_path / "wN" / name
             ).read_bytes()
 
+    def test_pool_jobs_carry_no_model(self, tmp_path, monkeypatch):
+        # the model (a 60 x 60 factor, about 29 kB pickled) reaches each
+        # worker once, through the pool's initializer; a job names its range
+        cfg = tiny_cfg(tmp_path, p=60, n=80, reps=12)
+        model = build_experiment_model(cfg)
+        sent = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                jobs = list(zip(*iterables))
+                sent.extend(len(pickle.dumps((fn, job))) for job in jobs)
+                return super().map(fn, *zip(*jobs), **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_replications(model, cfg, 2)
+        assert len(pickle.dumps(model)) > 20_000
+        assert sent and max(sent) < 1024
+        assert pooled == run_replications(model, cfg, 1)
+
     def test_summary_contents(self, tmp_path):
         cfg = tiny_cfg(tmp_path, centered=True)
         res = run_experiment(cfg)
@@ -188,23 +209,26 @@ def _set_blas_counts(count):
         set_threads(count)
 
 
-def _assert_no_drawer_alive():
+def _assert_no_replication_thread_alive():
     for thread in threading.enumerate():
-        if thread.name.startswith("covlss-drawer"):
+        if thread.name.startswith("covlss-replicate"):
             thread.join(timeout=30)
             assert not thread.is_alive(), thread.name
 
 
+def _block_args(cfg, model, start=0):
+    return (model, cfg.dist, cfg.n, cfg.master_seed, cfg.max_power, cfg.centered,
+            start, cfg.reps)
+
+
 class TestPipeline:
-    """The drawer thread and the BLAS pin of ``_replicate_block``."""
+    """The two replication threads, the kernel lock and the BLAS pin of
+    ``_replicate_block``."""
 
     @pytest.mark.skipif(not harness._openblas_threads(), reason="no OpenBLAS control symbol")
     def test_results_independent_of_ambient_blas_threads(self, tmp_path, monkeypatch):
-        # p > n, rotated and centered: the Y'Y side, where a 2-thread Gram
-        # product rounds differently from a 1-thread one at this size
-        cfg = tiny_cfg(tmp_path, p=400, n=300, alpha=0.3, beta=0.3, centered=True, reps=4)
-        model = build_experiment_model(cfg)
-        assert model.factor is not None
+        # rotated and centered, on both sides: Y'Y (p > n) and Sigma X X'
+        # (p <= n), where 2-thread products round differently from 1-thread ones
         seen = []
 
         def recording(*args):
@@ -213,17 +237,21 @@ class TestPipeline:
 
         monkeypatch.setattr(harness, "run_replication", recording)
         ambient = _blas_counts()
-        runs = {}
-        try:
-            for count in (1, 2):
-                _set_blas_counts(count)
-                runs[count] = [(r.t, r.t_centered) for r in run_replications(model, cfg, 1)]
-                assert _blas_counts() == [count] * len(ambient)
-        finally:
-            for (set_threads, _), count in zip(harness._openblas_threads(), ambient):
-                set_threads(count)
-        assert runs[1] == runs[2]
-        assert seen and all(counts == [1] * len(ambient) for counts in seen)
+        for p, n in ((400, 300), (300, 400)):
+            cfg = tiny_cfg(tmp_path, p=p, n=n, alpha=0.3, beta=0.3, centered=True, reps=4)
+            model = build_experiment_model(cfg)
+            assert model.factor is not None
+            runs = {}
+            try:
+                for count in (1, 2):
+                    _set_blas_counts(count)
+                    runs[count] = [(r.t, r.t_centered) for r in run_replications(model, cfg, 1)]
+                    assert _blas_counts() == [count] * len(ambient)
+            finally:
+                for (set_threads, _), count in zip(harness._openblas_threads(), ambient):
+                    set_threads(count)
+            assert runs[1] == runs[2]
+        assert len(seen) == 16 and all(counts == [1] * len(ambient) for counts in seen)
 
     @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 12, 7), (400, 400, 6, 3)])
     def test_draw_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
@@ -243,26 +271,27 @@ class TestPipeline:
         with pytest.raises(RuntimeError) as excinfo:
             run_replications(model, cfg, 1)
         assert excinfo.value is error
-        _assert_no_drawer_alive()
+        _assert_no_replication_thread_alive()
         assert _blas_counts() == before
 
     @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 12, 9), (400, 400, 6, 2)])
     def test_kernel_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
+        # a NaN innovation makes replication fail_at's statistics NaN, which
+        # its invariant check turns into ReplicationInvariantError
         cfg = tiny_cfg(tmp_path, p=p, n=n, diagonal_only=True, reps=reps)
         model = build_experiment_model(cfg)
-        calls = []
-        original = lss._trace_stats
 
-        def corrupting(*args):
-            calls.append(None)
-            t, tc = original(*args)
-            return ([math.nan] + t[1:], tc) if len(calls) == fail_at + 1 else (t, tc)
+        def poisoning(cfg, x=None):
+            x = lss._draw_x(cfg) if x is None else x
+            if cfg.replication_index == fail_at:
+                x[0, 0] = math.nan
+            return run_replication(cfg, x)
 
-        monkeypatch.setattr(lss, "_trace_stats", corrupting)
+        monkeypatch.setattr(harness, "run_replication", poisoning)
         before = _blas_counts()
         with pytest.raises(ReplicationInvariantError, match=f"replication {fail_at}:"):
             run_replications(model, cfg, 1)
-        _assert_no_drawer_alive()
+        _assert_no_replication_thread_alive()
         assert _blas_counts() == before
 
     @pytest.mark.parametrize("pinned", [True, False])
@@ -275,7 +304,6 @@ class TestPipeline:
         model = build_experiment_model(cfg)
         dist = parse_dist(cfg.dist)
         start, stop = 3, cfg.reps  # a block that does not start at 0, as in a pool
-        args = (model, cfg.dist, cfg.n, cfg.master_seed, cfg.max_power, cfg.centered, start, stop)
         names = []
         original = lss.sample_block
 
@@ -287,11 +315,16 @@ class TestPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the GIL between the two threads often
         try:
-            got = harness._replicate_block(args)
+            got = harness._replicate_block(_block_args(cfg, model, start))
         finally:
             sys.setswitchinterval(interval)
         assert len(names) == stop - start
-        assert all(name.startswith("covlss-drawer") == pinned for name in names)
+        caller = threading.current_thread().name
+        if pinned:  # both threads draw
+            assert {name.startswith("covlss-replicate") for name in names} == {True, False}
+            assert caller in names
+        else:
+            assert set(names) == {caller}
         monkeypatch.setattr(lss, "sample_block", original)
         want = [
             run_replication(SampleConfig(model=model, dist=dist, n=cfg.n, replication_index=rep,
@@ -300,6 +333,33 @@ class TestPipeline:
             for rep in range(start, stop)
         ]
         assert got == want
+
+    @pytest.mark.skipif(not harness._openblas_threads(), reason="no OpenBLAS control symbol")
+    def test_one_kernel_at_a_time(self, tmp_path, monkeypatch):
+        # each kernel call is held open for a millisecond, so two threads
+        # without the kernel lock would overlap; with it, at most one runs
+        cfg = tiny_cfg(tmp_path, p=20, n=30, reps=40)
+        model = build_experiment_model(cfg)
+        guard = threading.Lock()
+        active, peak, callers = [0], [0], set()
+
+        def counting(*args):
+            with guard:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                callers.add(threading.current_thread().name)
+            try:
+                time.sleep(1e-3)
+                return run_replication(*args)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(harness, "run_replication", counting)
+        got = harness._replicate_block(_block_args(cfg, model))
+        assert [r.replication_index for r in got] == list(range(cfg.reps))
+        assert peak[0] == 1
+        assert len(callers) == 2
 
     @pytest.mark.parametrize("n", [1, 255, 600])
     def test_half_times_matches_dense_product(self, n):
@@ -397,6 +457,27 @@ class TestCli:
         assert rc == 1
         assert f"error: bad distribution selector '{dist}'" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("case", ["output_dir_is_file", "output_dir_under_file",
+                                      "config_is_directory"])
+    def test_unusable_path_exit_one(self, tmp_path, capsys, case):
+        # each raised an uncaught OSError (FileExistsError, NotADirectoryError,
+        # IsADirectoryError) before any report was written
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        sim = ["simulate", "--p", "3", "--n", "5", "--reps", "3"]
+        path, argv = {
+            "output_dir_is_file": (afile, sim + ["--output-dir", str(afile)]),
+            "output_dir_under_file": (afile / "x", ["verify", "--max-dim", "1", "--cases", "1",
+                                                    "--output-dir", str(afile / "x")]),
+            "config_is_directory": (tmp_path, sim + ["--config", str(tmp_path),
+                                                     "--output-dir", str(tmp_path / "o")]),
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not list(tmp_path.rglob("summary.json"))
+        assert not list(tmp_path.rglob("verify.json"))
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

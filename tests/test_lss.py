@@ -94,14 +94,14 @@ class TestGenerateGram:
 
 class TestLssTraces:
     def test_scaled_identity(self):
-        # Y = sqrt(2) I_2 and n = 2: G = 2 I_2, so T_k = tr(G^k) / 2^k = 2
-        t, tc = _trace_stats(np.sqrt(2.0) * np.eye(2), 2, 2, False)
+        # Sigma = 2 I_2, X = I_2 and n = 2: M = 2 I_2, so T_k = tr(M^k) / 2^k = 2
+        t, tc = _trace_stats(assemble_model([2.0, 2.0]), np.eye(2), 2, False)
         assert t == pytest.approx([2.0, 2.0])
         assert tc is None
 
     def test_rank_one(self):
-        y = np.array([[np.sqrt(2.0), 0.0], [0.0, 0.0]])
-        assert _trace_stats(y, 2, 2, False)[0] == pytest.approx([1.0, 1.0])
+        x = np.array([[np.sqrt(2.0), 0.0], [0.0, 0.0]])
+        assert _trace_stats(assemble_model([1.0, 1.0]), x, 2, False)[0] == pytest.approx([1.0, 1.0])
 
     def test_sides_agree(self):
         rng = np.random.default_rng(31)
@@ -118,28 +118,32 @@ class TestCenteredLss:
     def test_identical_columns_vanish(self):
         # both sides: p < n and p > n
         for p, n in ((2, 3), (3, 2)):
-            y = np.tile(np.linspace(-0.4, 1.3, p)[:, None], (1, n))
-            _, (t1c, t2c) = _trace_stats(y, n, 2, True)
+            x = np.tile(np.linspace(-0.4, 1.3, p)[:, None], (1, n))
+            model = assemble_model(np.linspace(0.5, 2.0, p), haar_orthogonal(p, 3))
+            _, (t1c, t2c) = _trace_stats(model, x, 2, True)
             assert t1c == pytest.approx(0.0, abs=1e-12)
             assert t2c == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetric_pair_already_centered(self):
         model = assemble_model([1.0, 2.0])
         col = np.array([[0.7], [1.1]])
-        y = symmetric_half([1.0, 2.0]) @ np.hstack([col, -col])
-        (t1, t2), (t1c, t2c) = _trace_stats(y, 2, 2, True)
+        (t1, t2), (t1c, t2c) = _trace_stats(model, np.hstack([col, -col]), 2, True)
         assert t1c == pytest.approx(t1, rel=1e-12)
         assert t2c == pytest.approx(t2, rel=1e-12)
 
     def test_matches_direct_pxp_construction(self):
+        # n = 2 takes the Y'Y side, n = 3 and 4 the Sigma X X' side
         rng = np.random.default_rng(8)
-        half = symmetric_half([2.0, 1.0, 0.5], haar_orthogonal(3, 5))
-        for n in (2, 4):
-            y = half @ rng.standard_normal((3, n))
+        u = haar_orthogonal(3, 5)
+        model = assemble_model([2.0, 1.0, 0.5], u)
+        half = symmetric_half([2.0, 1.0, 0.5], u)
+        for n in (2, 3, 4):
+            x = rng.standard_normal((3, n))
+            y = half @ x
             b = (y @ y.T) / n
             ybar = y.mean(axis=1)
             b0 = b - np.outer(ybar, ybar)
-            _, (t1c, t2c) = _trace_stats(y, n, 2, True)
+            _, (t1c, t2c) = _trace_stats(model, x, 2, True)
             assert t1c == pytest.approx(float(np.trace(b0)), rel=1e-10)
             assert t2c == pytest.approx(float(np.sum(b0 * b0)), rel=1e-10)
 
@@ -167,10 +171,13 @@ class TestRunReplication:
             assert res.t_centered == pytest.approx(want_c, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("rotated", [False, True])
-    @pytest.mark.parametrize("p,n", [(4, 7), (5, 5), (7, 4), (40, 80), (60, 60), (80, 40)])
+    @pytest.mark.parametrize(
+        "p,n", [(4, 7), (5, 5), (7, 4), (40, 80), (60, 60), (80, 40), (120, 300), (150, 150)]
+    )
     def test_matches_direct_pxp_oracle(self, p, n, rotated):
-        # the kernel's Y = F X against Y = Sigma^{1/2} X with the symmetric
-        # root built here: both give X' Sigma X, so every statistic agrees
+        # the kernel's Sigma X X' (p <= n) or Y'Y with Y = F X (p > n) against
+        # B built here from Y = Sigma^{1/2} X with the symmetric root: all
+        # share the nonzero eigenvalues of B, so every statistic agrees
         eigs = list(np.linspace(3.0, 0.3, p))
         u = haar_orthogonal(p, 17) if rotated else None
         half = symmetric_half(eigs, u)

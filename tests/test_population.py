@@ -139,6 +139,19 @@ class TestAssembleModel:
         assert err <= 1e-12 * np.linalg.norm(sigma)
         assert np.array_equal(_half_times(m, np.eye(3)), m.factor)
 
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_dense_sigma_formed_once(self, rotated):
+        # Sigma = F'F for the p <= n kernel: exactly symmetric, frozen, and
+        # formed on first use only
+        u = haar_orthogonal(3, 11) if rotated else None
+        m = assemble_model([9.0, 4.0, 0.5], u)
+        want = dense_sigma([9.0, 4.0, 0.5], u)
+        assert np.linalg.norm(m.sigma - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(m.sigma, m.sigma.T)
+        assert m.sigma is m.sigma
+        with pytest.raises(ValueError):
+            m.sigma[0, 0] = 1.0
+
     def test_rejects_nonpositive_eigenvalue(self):
         with pytest.raises(ValueError):
             assemble_model([1.0, 0.0])
