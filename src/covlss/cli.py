@@ -8,6 +8,7 @@ config file, then explicit command-line flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,21 +25,10 @@ from .population import ConsistencyError
 DESK_SCALE = {"reps": 2000, "p": 50, "n": 500}
 FULL_SCALE = {"reps": 10000}
 
+# config-file key -> caster, one per ExperimentConfig field, from its annotation
+_CASTERS = {"int": int, "float": float, "str": str, "bool": bool}
 _SIMULATE_KEYS = {
-    "p": int,
-    "n": int,
-    "alpha": float,
-    "beta": float,
-    "dist": str,
-    "reps": int,
-    "master_seed": int,
-    "centered": bool,
-    "max_power": int,
-    "diagonal_only": bool,
-    "output_dir": str,
-    "format": str,
-    "grid_size": int,
-    "workers": int,
+    f.name: _CASTERS[f.type.removesuffix(" | None")] for f in dataclasses.fields(ExperimentConfig)
 }
 
 
@@ -104,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--diagonal-only", action="store_true", default=None,
                      help="skip the random orthogonal conjugation")
     sim.add_argument("--output-dir", default=None, help="report directory (default out)")
-    sim.add_argument("--format", dest="fmt", choices=("csv", "json", "both"), default=None,
+    sim.add_argument("--format", choices=("csv", "json", "both"), default=None,
                      help="qq table format (default both)")
     sim.add_argument("--grid-size", type=int, default=None, help="Q-Q probability grid points (default 199)")
     sim.add_argument("--workers", type=int, default=None,
@@ -141,14 +131,11 @@ def _resolve_simulate_config(args: argparse.Namespace, parser: argparse.Argument
     if args.config is not None:
         resolved.update(read_config_file(args.config))
     for key in _SIMULATE_KEYS:
-        attr = "fmt" if key == "format" else key
-        value = getattr(args, attr)
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     if "p" not in resolved or "n" not in resolved:
         parser.error("--p and --n are required (directly, via --config, or via a preset)")
-    if "format" in resolved:
-        resolved["fmt"] = resolved.pop("format")
     return ExperimentConfig(**resolved)
 
 

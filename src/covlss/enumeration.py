@@ -10,6 +10,9 @@ the assignment count.  Every block's weighted terms feed one
 blocks fall.  Scale is still small: the point is bit-level verification
 of the quadratic-form moment identities and of the exact finite-n moment
 formulas.
+
+The identity checks take their operands as :class:`SymMatrix`, a frozen
+real symmetric matrix whose symmetry is checked once, at construction.
 """
 
 from __future__ import annotations
@@ -24,21 +27,52 @@ import numpy as np
 from .innovations import InnovationDist, NotEnumerableError
 from .moments import centered_expected_values, expected_values, psi_matrix
 from .population import PopulationModel
-from .symmat import (
-    SymMatrix,
-    trace_hadamard,
-    trace_power,
-    trace_product,
-    triple_product_terms,
-)
 
 STATE_GUARD = 10**8
 MAX_IDENTITY_DIM = 4
 BLOCK_ROWS = 4096
+SYMMETRY_RTOL = 1e-12
 
 
 class EnumerationGuardError(RuntimeError):
     """The assignment space is too large to enumerate."""
+
+
+class SymmetryError(ValueError):
+    """Raised when a matrix fails the symmetry check at construction."""
+
+
+@dataclass(frozen=True)
+class SymMatrix:
+    """Immutable real symmetric matrix.
+
+    Symmetry is validated once at construction (relative tolerance 1e-12
+    against the largest entry) and exploited unconditionally afterwards.
+    """
+
+    array: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = np.array(self.array, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if a.shape[0] < 1:
+            raise ValueError("matrix dimension must be at least 1")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        scale = max(1.0, float(np.abs(a).max()))
+        skew = float(np.abs(a - a.T).max())
+        if skew > SYMMETRY_RTOL * scale:
+            raise SymmetryError(
+                f"matrix is not symmetric: max |a_ij - a_ji| = {skew:.3e} "
+                f"exceeds {SYMMETRY_RTOL:g} * {scale:.3e}"
+            )
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+
+    @property
+    def dim(self) -> int:
+        return self.array.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +185,16 @@ def verify_quadratic_covariance(
     product, symmetric in the two operands, is what enumeration confirms.
     """
     dim = _check_identity_dims(a, b)
-    tr_a, tr_b = trace_power(a, 1), trace_power(b, 1)
     aa, ba = a.array, b.array
+    tr_a, tr_b = float(np.trace(aa)), float(np.trace(ba))
 
     def statistic(x: np.ndarray) -> np.ndarray:
         return (_quadratic_forms(x, aa) - tr_a) * (_quadratic_forms(x, ba) - tr_b)
 
     lhs = exact_expectation(EnumerationTask(dim, dist, statistic))
-    # tr(AB') == tr(AB) for symmetric operands
-    rhs = dist.profile.nu4 * trace_hadamard(a, b) + 2.0 * trace_product(a, b)
+    # tr(A∘B) = sum_i a_ii b_ii; tr(AB') == tr(AB) = sum_ij a_ij b_ij for symmetric operands
+    tr_ab_hadamard = float(np.sum(np.diagonal(aa) * np.diagonal(ba)))
+    rhs = dist.profile.nu4 * tr_ab_hadamard + 2.0 * float(np.sum(aa * ba))
     return IdentityReport("quadratic_covariance", dim, dist.selector, lhs, rhs)
 
 
@@ -184,9 +219,11 @@ def verify_triple_product(
 ) -> IdentityReport:
     """E[(x'Tx)^2 (x'Wx)] against its eleven-term closed form.
 
-    The closed form mixes plain traces, Hadamard traces, the diagonal
-    interaction scalars of :func:`triple_product_terms`, and the moments
-    mu3, mu4, mu6 of the innovation law.
+    The closed form mixes plain traces, Hadamard traces, diagonal
+    interaction scalars and the moments mu3, mu4, mu6 of the innovation
+    law.  With d_M the diagonal of M and D_M its diagonal matrix, the
+    interaction scalars are d_T' T d_W, d_T' W d_T, 1'(T∘T∘W)1,
+    tr(T D_W T), tr(W D_T T) and tr(T∘T∘W).
     """
     dim = _check_identity_dims(t, w)
     ta, wa = t.array, w.array
@@ -199,12 +236,15 @@ def verify_triple_product(
 
     prof = dist.profile
     nu4 = prof.nu4
-    aux = triple_product_terms(t, w)
-    tr_t = trace_power(t, 1)
-    tr_t2 = trace_power(t, 2)
-    tr_w = trace_power(w, 1)
-    tr_tw = trace_product(t, w)
+    dt, dw = np.diagonal(ta), np.diagonal(wa)
+    tr_t, tr_w = float(np.trace(ta)), float(np.trace(wa))
+    tr_t2, tr_tw = float(np.sum(ta * ta)), float(np.sum(ta * wa))
     tr_ttw = float(np.sum((ta @ ta) * wa))
+    tr_t_dw_t = float(np.sum((ta * ta) @ dw))
+    tr_w_dt_t = float(np.sum((wa * ta) @ dt))
+    dt_t_dw, dt_w_dt = float(dt @ ta @ dw), float(dt @ wa @ dt)
+    ones_ttw = float(np.sum(ta * ta * wa))
+    tr_ttw_diag = float(np.sum(dt * dt * dw))
     # The diagonal-interaction terms carry pure fourth-cumulant coefficients
     # (4 nu4 and 8 nu4): for Gaussian innovations every basis-dependent term
     # must drop out, leaving only the Wick pairings on the first line.
@@ -213,11 +253,11 @@ def verify_triple_product(
         + 2.0 * tr_t2 * tr_w
         + 4.0 * tr_t * tr_tw
         + 8.0 * tr_ttw
-        + nu4 * (2.0 * trace_hadamard(t, w) * tr_t + trace_hadamard(t, t) * tr_w)
-        + 4.0 * nu4 * aux.tr_t_dw_t
-        + 8.0 * nu4 * aux.tr_w_dt_t
-        + prof.mu3**2 * (4.0 * aux.dt_t_dw + 2.0 * aux.dt_w_dt + 4.0 * aux.ones_ttw)
-        + (prof.mu6 - 15.0 * prof.mu4 - 10.0 * prof.mu3**2 + 30.0) * aux.tr_ttw_diag
+        + nu4 * (2.0 * float(np.sum(dt * dw)) * tr_t + float(np.sum(dt * dt)) * tr_w)
+        + 4.0 * nu4 * tr_t_dw_t
+        + 8.0 * nu4 * tr_w_dt_t
+        + prof.mu3**2 * (4.0 * dt_t_dw + 2.0 * dt_w_dt + 4.0 * ones_ttw)
+        + (prof.mu6 - 15.0 * prof.mu4 - 10.0 * prof.mu3**2 + 30.0) * tr_ttw_diag
     )
     return IdentityReport("triple_product", dim, dist.selector, lhs, rhs)
 

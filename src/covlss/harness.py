@@ -31,6 +31,7 @@ from .enumeration import (
     EnumerationGuardError,
     FiniteMomentReport,
     IdentityReport,
+    SymMatrix,
     verify_finite_n_moments,
     verify_fourth_moment,
     verify_quadratic_covariance,
@@ -42,7 +43,6 @@ from .lss import ReplicationResult, SampleConfig, _draw_x, run_replication
 from .moments import MomentSet, moment_set
 from .population import PopulationModel, SpectrumSpec, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
-from .symmat import SymMatrix
 
 WORKERS_ENV_VAR = "COVLSS_WORKERS"
 VERIFY_THRESHOLD = 1e-9
@@ -55,6 +55,8 @@ _OPENBLAS_SYMBOLS = [
 ]
 
 _FORMATS = ("csv", "json", "both")
+# ExperimentConfig fields that change where or how reports are written, not their numbers
+_UNDIGESTED = ("output_dir", "format", "workers")
 
 
 class ConfigError(ValueError):
@@ -74,7 +76,7 @@ class ExperimentConfig:
     max_power: int = 2
     diagonal_only: bool = False
     output_dir: str = "out"
-    fmt: str = "both"
+    format: str = "both"
     grid_size: int = 199
     workers: int | None = None
 
@@ -91,8 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"reps must be a positive integer, got {self.reps}")
         if not 2 <= self.max_power <= 4:  # the whitened statistic needs T_2
             raise ConfigError(f"max_power must be in 2..4, got {self.max_power}")
-        if self.fmt not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
+        if self.format not in _FORMATS:
+            raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
         if self.workers is not None and self.workers < 1:
@@ -104,19 +106,9 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """Digest of every field that affects the statistical output."""
-        payload = {
-            "p": self.p,
-            "n": self.n,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "dist": self.dist,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "centered": self.centered,
-            "max_power": self.max_power,
-            "diagonal_only": self.diagonal_only,
-            "grid_size": self.grid_size,
-        }
+        payload = dataclasses.asdict(self)
+        for key in _UNDIGESTED:
+            del payload[key]
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -278,7 +270,8 @@ def _replicate_pool_job(bounds: tuple[int, int]) -> list[ReplicationResult]:
 def run_replications(
     model: PopulationModel, cfg: ExperimentConfig, workers: int
 ) -> list[ReplicationResult]:
-    """All replications, in replication-index order regardless of scheduling."""
+    """All replications, in replication-index order regardless of scheduling:
+    each job is one index range, and ``pool.map`` yields jobs in order."""
     base = (model, cfg.dist, cfg.n, cfg.master_seed, cfg.max_power, cfg.centered)
     if workers <= 1:
         return _replicate_block(base + (0, cfg.reps))
@@ -290,7 +283,6 @@ def run_replications(
     ) as pool:
         for chunk in pool.map(_replicate_pool_job, jobs):
             results.extend(chunk)
-    results.sort(key=lambda r: r.replication_index)
     return results
 
 
@@ -362,8 +354,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
 
     files: list[str] = []
-    write_csv = cfg.fmt in ("csv", "both")
-    embed_json = cfg.fmt in ("json", "both")
+    write_csv = cfg.format in ("csv", "both")
+    embed_json = cfg.format in ("json", "both")
     if write_csv:
         qq_path = out_dir / "qq.csv"
         _write_qq_csv(qq_path, qq)
@@ -373,9 +365,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             _write_qq_csv(qqc_path, qq_centered)
             files.append(str(qqc_path))
 
-    config_out = dataclasses.asdict(cfg)
-    config_out["format"] = config_out.pop("fmt")
-    config_out["workers"] = workers
+    config_out = dict(dataclasses.asdict(cfg), workers=workers)
     summary = {
         "version": VERSION_STRING,
         "config": config_out,
@@ -475,9 +465,9 @@ def run_verification_suite(
         for dist in (rademacher(), two_point(0.2)):
             reports.append(verify_finite_n_moments(model, n, dist))
 
+    rows = [r.as_dict() for r in reports]
     max_err: dict[str, float] = {}
-    for r in reports:
-        row = r.as_dict()
+    for row in rows:
         max_err[row["lemma"]] = max(max_err.get(row["lemma"], 0.0), row["abs_err"])
     ok = all(v <= VERIFY_THRESHOLD for v in max_err.values())
 
@@ -490,14 +480,14 @@ def run_verification_suite(
             "threshold": VERIFY_THRESHOLD,
             "max_abs_err": max_err,
             "ok": ok,
-            "cases": [r.as_dict() for r in reports],
+            "cases": rows,
         }
         path = out_dir / "verify.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
         files.append(str(path))
 
     return VerificationSummary(
-        cases=[r.as_dict() for r in reports],
+        cases=rows,
         max_abs_err=max_err,
         threshold=VERIFY_THRESHOLD,
         ok=ok,

@@ -14,8 +14,9 @@ layout.  From M,
 
   T_1 = tr M,  T_2 = sum_ij M_ij M_ji,  T_3 = <M^2, M'>,  T_4 = <M^2, M^2'>.
 
-The mean-centered statistics of B - ybar ybar' need only v = Sigma xbar,
-since ybar'ybar = xbar'v and Y'ybar = X'v:
+The mean-centered statistics of B - ybar ybar' need only v = Sigma xbar =
+F'(F xbar), since ybar'ybar = xbar'v and Y'ybar = X'v.  Both sides take
+them from X before it is overwritten, and neither forms Y for them:
 
   T_1^0 = T_1 - ybar'ybar,  T_2^0 = T_2 - 2 ||Y'ybar||^2 / n + (ybar'ybar)^2.
 """
@@ -89,11 +90,12 @@ def _trace_stats(
     """T_1, T_2 (and T_3, T_4 up to max_power) of B = (F x)(F x)' / n for the
     innovations ``x`` (p x n, overwritten), plus the centered pair when asked."""
     p, n = x.shape
+    if centered:  # from x, before either side writes over it
+        xbar = x.mean(axis=1)
+        f = model.factor
+        v = model.eigenvalues * xbar if f is None else f.T @ (f @ xbar)
+        ybar_sq, z = float(xbar @ v), x.T @ v
     if p <= n:
-        if centered:
-            xbar = x.mean(axis=1)
-            v = model.eigenvalues * xbar if model.factor is None else model.sigma @ xbar
-            ybar_sq, z = float(xbar @ v), x.T @ v
         # Sigma G goes over x, which is no longer needed (p * p <= p * n), and
         # G is freed at once: the copy np.vdot makes of M' reuses its memory
         m = x.reshape(-1)[: p * p].reshape(p, p)
@@ -104,9 +106,6 @@ def _trace_stats(
         mt = m.T
     else:
         y = _half_times(model, x)
-        if centered:
-            ybar = y.mean(axis=1)
-            ybar_sq, z = float(ybar @ ybar), y.T @ ybar
         m = mt = y.T @ y  # symmetric
     t = [float(np.trace(m)) / n, float(np.vdot(m, mt)) / n**2]
     if max_power >= 3:

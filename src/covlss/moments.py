@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symmat import TraceSet
+from .population import TraceSet
 
 
 @dataclass(frozen=True)

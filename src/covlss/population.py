@@ -6,8 +6,12 @@ eigenvalues (2 + r_i) * n^alpha and a bulk group with eigenvalues
 for a random orthogonal U (or L itself in the diagonal-only regime), but
 the model keeps one factor F = L^{1/2} U' rather than a dense Sigma: the
 statistics see Sigma through X'Sigma X = (FX)'(FX), or through Sigma X X',
-whose dense Sigma = F'F is formed once, on first use.  Its traces come from
-the spectrum and the diagonals (U∘U) l^k of Sigma^k.
+whose dense Sigma = F'F is formed once, on first use.
+
+Every moment formula reads Sigma through seven trace functionals, held in
+one :class:`TraceSet`: tr Sigma^k for k = 1..4 and the Hadamard traces
+tr(Sigma∘Sigma), tr(Sigma∘Sigma^2), tr(Sigma^2∘Sigma^2).  The model fills
+it from the spectrum and the diagonals (U∘U) l^k of Sigma^k.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .symmat import TraceSet
 
 TRACE_CHECK_RTOL = 1e-8
 
@@ -58,6 +60,27 @@ class SpectrumSpec:
     @property
     def spike_count(self) -> int:
         return int(np.floor(self.beta * self.p))
+
+
+@dataclass(frozen=True)
+class TraceSet:
+    """The seven trace functionals of one symmetric matrix S.
+
+    tr1..tr4 are tr S^k; trH11 = tr(S∘S), trH12 = tr(S∘S^2),
+    trH22 = tr(S^2∘S^2).  tr2, tr4, trH11 and trH22 are sums of squares
+    and therefore nonnegative for any real symmetric input.
+    """
+
+    tr1: float
+    tr2: float
+    tr3: float
+    tr4: float
+    trH11: float
+    trH12: float
+    trH22: float
+
+    def as_dict(self) -> dict[str, float]:
+        return dict(vars(self))  # the fields, in declaration order
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from covlss.harness import (
 )
 from covlss.innovations import rademacher, two_point
 from covlss.moments import psi_matrix, single_spike_variance
-from covlss.population import assemble_model
-from covlss.symmat import TraceSet
+from covlss.population import TraceSet, assemble_model
 
 
 def announce(criterion, ok, detail):

@@ -8,6 +8,8 @@ from covlss.enumeration import (
     BLOCK_ROWS,
     EnumerationGuardError,
     EnumerationTask,
+    SymMatrix,
+    SymmetryError,
     exact_expectation,
     exact_variance,
     verify_finite_n_moments,
@@ -24,7 +26,6 @@ from covlss.innovations import (
     two_point,
 )
 from covlss.population import assemble_model, haar_orthogonal
-from covlss.symmat import SymMatrix
 
 
 def identity(p):
@@ -75,6 +76,30 @@ THREE_POINT = InnovationDist(
     support=np.array([-1.0, 0.0, 2.0]),
     probabilities=np.array([1.0 / 3.0, 0.5, 1.0 / 6.0]),
 )
+
+
+class TestSymMatrix:
+    def test_rejects_asymmetric(self):
+        with pytest.raises(SymmetryError):
+            SymMatrix(np.array([[1.0, 2.0], [2.1, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            SymMatrix(np.zeros((2, 3)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            SymMatrix(np.array([[np.nan]]))
+
+    def test_tolerates_roundoff_asymmetry(self):
+        a = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
+        m = SymMatrix(a)
+        assert m.dim == 2
+
+    def test_array_is_frozen(self):
+        m = identity(3)
+        with pytest.raises(ValueError):
+            m.array[0, 0] = 5.0
 
 
 class TestExactExpectation:
@@ -237,8 +262,10 @@ class TestQuadraticCovariance:
             verify_quadratic_covariance(identity(5), identity(5), rademacher())
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             verify_quadratic_covariance(identity(2), identity(3), rademacher())
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_triple_product(identity(2), identity(3), two_point(0.2))
 
 
 class TestFourthMoment:

@@ -62,7 +62,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_power"):
             ExperimentConfig(p=2, n=10, max_power=1).validate()
         with pytest.raises(ConfigError, match="format"):
-            ExperimentConfig(p=2, n=10, fmt="xml").validate()
+            ExperimentConfig(p=2, n=10, format="xml").validate()
         with pytest.raises(ValueError):
             ExperimentConfig(p=2, n=10, dist="cauchy").validate()
 
@@ -72,6 +72,18 @@ class TestConfig:
         c = ExperimentConfig(p=3, n=11, output_dir="x")
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+    def test_digest_pinned(self):
+        # a digest names a run's statistical inputs across versions, so it must not drift
+        assert ExperimentConfig(p=3, n=10, format="json").digest() == (
+            "5566809f6ec1526836667cbd6a82490dfeff305da3c6a0322373b45376ac39e9"
+        )
+        full_panel = ExperimentConfig(
+            p=500, n=1000, alpha=0.2, beta=0.5, dist="gamma:4:0.5", reps=10000, master_seed=1
+        )
+        assert full_panel.digest() == (
+            "a8cde1988723c05c875c16d6c8bfa8a9d8b9f1adb96227abe99d63999a545308"
+        )
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.delenv("COVLSS_WORKERS", raising=False)
@@ -153,13 +165,13 @@ class TestRunExperiment:
         assert summary["qq"]["prob"][0] == res.qq.probs[0]
 
     def test_csv_only_format(self, tmp_path):
-        run_experiment(tiny_cfg(tmp_path, fmt="csv"))
+        run_experiment(tiny_cfg(tmp_path, format="csv"))
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "qq" not in summary
         assert (tmp_path / "out" / "qq.csv").exists()
 
     def test_json_only_format(self, tmp_path):
-        run_experiment(tiny_cfg(tmp_path, fmt="json"))
+        run_experiment(tiny_cfg(tmp_path, format="json"))
         assert not (tmp_path / "out" / "qq.csv").exists()
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(summary["qq"]["prob"]) == 199

@@ -23,6 +23,13 @@ def dense_sigma(eigs, u=None):
     return 0.5 * (sigma + sigma.T)
 
 
+def random_model(rng, dim, scale=1.0, seed=0):
+    """A rotated model with a positive spectrum in (0.01, 1) * scale, and its dense Sigma."""
+    lam = scale * rng.uniform(0.01, 1.0, dim)
+    u = haar_orthogonal(dim, seed)
+    return assemble_model(lam, u), dense_sigma(lam, u)
+
+
 def dense_traces(sigma):
     """The seven trace functionals of a dense Sigma, by brute force."""
     s2 = sigma @ sigma
@@ -270,3 +277,66 @@ class TestModelTraces:
 def test_traces_match_dense_sigma_over_spectra(eigs, seed, rotated):
     u = haar_orthogonal(len(eigs), seed) if rotated else None
     assert_traces_match(assemble_model(eigs, u), dense_sigma(eigs, u), rel=1e-9)
+
+
+class TestTraceSet:
+    """The TraceSet a population model carries, against dense functionals."""
+
+    def test_identity(self):
+        ts = assemble_model(np.ones(4)).traces
+        assert (ts.tr1, ts.tr2, ts.tr3, ts.tr4) == (4.0, 4.0, 4.0, 4.0)
+        assert (ts.trH11, ts.trH12, ts.trH22) == (4.0, 4.0, 4.0)
+
+    def test_rank_one_diagonal(self):
+        ts = assemble_model([2.0]).traces
+        assert (ts.tr1, ts.tr2, ts.tr3, ts.tr4) == (2.0, 4.0, 8.0, 16.0)
+        assert (ts.trH11, ts.trH12, ts.trH22) == (4.0, 8.0, 16.0)
+
+    def test_consistent_with_componentwise_ops(self):
+        rng = np.random.default_rng(31)
+        model, s = random_model(rng, 5, seed=31)
+        s2 = s @ s
+        ts = model.traces
+        for k in (1, 2, 3, 4):
+            want = float(np.trace(np.linalg.matrix_power(s, k)))
+            assert getattr(ts, f"tr{k}") == pytest.approx(want, rel=1e-12)
+        assert ts.trH11 == pytest.approx(np.diagonal(s) @ np.diagonal(s), rel=1e-12)
+        assert ts.trH12 == pytest.approx(np.diagonal(s) @ np.diagonal(s2), rel=1e-12)
+        assert ts.trH22 == pytest.approx(np.diagonal(s2) @ np.diagonal(s2), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+    def test_scaling_covariance(self, c):
+        rng = np.random.default_rng(41)
+        lam = rng.uniform(0.1, 1.0, 6)
+        u = haar_orthogonal(6, 41)
+        base = assemble_model(lam, u).traces
+        scaled = assemble_model(c * lam, u).traces
+        assert scaled.tr1 == pytest.approx(c * base.tr1, rel=1e-10)
+        assert scaled.tr2 == pytest.approx(c**2 * base.tr2, rel=1e-10)
+        assert scaled.tr3 == pytest.approx(c**3 * base.tr3, rel=1e-10)
+        assert scaled.tr4 == pytest.approx(c**4 * base.tr4, rel=1e-10)
+        assert scaled.trH11 == pytest.approx(c**2 * base.trH11, rel=1e-10)
+        assert scaled.trH12 == pytest.approx(c**3 * base.trH12, rel=1e-10)
+        assert scaled.trH22 == pytest.approx(c**4 * base.trH22, rel=1e-10)
+
+    def test_diagonal_powers_are_eigenvalue_sums(self):
+        lam = np.array([0.3, 1.7, 4.0])
+        ts = assemble_model(lam).traces
+        for k in (1, 2, 3, 4):
+            assert getattr(ts, f"tr{k}") == pytest.approx(float(np.sum(lam**k)), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 100),
+)
+def test_square_traces_nonnegative(dim, seed, scale):
+    # tr2, tr4, trH11, trH22 are sums of squares, and they match the dense Sigma
+    rng = np.random.default_rng(seed)
+    model, s = random_model(rng, dim, scale=scale, seed=seed)
+    ts = model.traces
+    assert ts.tr2 >= 0 and ts.tr4 >= 0 and ts.trH11 >= 0 and ts.trH22 >= 0
+    assert ts.tr2 == pytest.approx(float(np.trace(s @ s)), rel=1e-10)
+    assert ts.trH22 == pytest.approx(float(np.sum(np.diagonal(s @ s) ** 2)), rel=1e-10)
