@@ -1,18 +1,21 @@
 """Exhaustive-expectation engine over finite-support innovations.
 
 For a statistic s(x_1, ..., x_m) of i.i.d. finite-support variables the
-expectation is the weighted sum over all |support|^m assignments.  The
-assignments are built in ``itertools.product`` order as blocks of at most
-``BLOCK_ROWS`` rows, and the statistic maps a whole block to one value
-per row in one numpy pass, so memory is bounded by the block and not by
-the assignment count.  Every block's weighted terms feed one
-``math.fsum``, so the sum is exactly rounded over all terms however the
-blocks fall.  Scale is still small: the point is bit-level verification
-of the quadratic-form moment identities and of the exact finite-n moment
-formulas.
+expectation is the weighted sum over all |support|^m assignments.  A task
+holds a stack of such statistics over the same variables, one per case.
+The assignments are built in ``itertools.product`` order as blocks of at
+most ``BLOCK_ROWS`` rows, and the statistic maps a whole block to one
+value per case and row in one numpy pass.  Each case's weighted terms feed
+its own ``math.fsum``, so every case's sum is exactly rounded over all of
+its terms however the blocks fall; between blocks a case keeps only a few
+floats with the same exact sum, so memory is bounded by the block and not
+by the assignment count.  Scale is still small: the point is bit-level
+verification of the quadratic-form moment identities and of the exact
+finite-n moment formulas.
 
 The identity checks take their operands as :class:`SymMatrix`, a frozen
-real symmetric matrix whose symmetry is checked once, at construction.
+stack of real symmetric matrices whose symmetry is checked once per stack,
+at construction, and enumerate each identity once per stack.
 """
 
 from __future__ import annotations
@@ -44,49 +47,55 @@ class SymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Immutable real symmetric matrix.
+    """Immutable stack of real symmetric matrices, shape ``(cases, d, d)``.
 
-    Symmetry is validated once at construction (relative tolerance 1e-12
-    against the largest entry) and exploited unconditionally afterwards.
+    Finiteness and symmetry (relative tolerance 1e-12 against each matrix's
+    largest entry) are validated once per stack at construction and
+    exploited unconditionally afterwards.  A single matrix is a stack of one.
     """
 
     array: np.ndarray
 
     def __post_init__(self) -> None:
         a = np.array(self.array, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(a).max()))
-        skew = float(np.abs(a - a.T).max())
-        if skew > SYMMETRY_RTOL * scale:
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ValueError(f"expected a (cases, d, d) stack, got shape {a.shape}")
+        if a.shape[0] < 1 or a.shape[1] < 1:
+            raise ValueError(f"expected at least one matrix of dimension >= 1, got {a.shape}")
+        finite = np.isfinite(a).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"matrix {int(np.argmin(finite))} of the stack has non-finite entries")
+        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        skew = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
+        asymmetric = skew > SYMMETRY_RTOL * scale
+        if asymmetric.any():
+            first = int(np.argmax(asymmetric))
             raise SymmetryError(
-                f"matrix is not symmetric: max |a_ij - a_ji| = {skew:.3e} "
-                f"exceeds {SYMMETRY_RTOL:g} * {scale:.3e}"
+                f"matrix {first} of the stack is not symmetric: max |a_ij - a_ji| = "
+                f"{skew[first]:.3e} exceeds {SYMMETRY_RTOL:g} * {scale[first]:.3e}"
             )
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
 
     @property
     def dim(self) -> int:
-        return self.array.shape[0]
+        return self.array.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class EnumerationTask:
-    """A pure statistic of ``num_vars`` i.i.d. finite-support variables.
+    """A stack of ``cases`` pure statistics of ``num_vars`` i.i.d.
+    finite-support variables.
 
     ``statistic`` is evaluated on blocks: it maps a ``(rows, num_vars)``
-    array, one assignment per row, to a ``(rows,)`` array holding the
-    statistic of each row.
+    array, one assignment per row, to a ``(cases, rows)`` array holding
+    every case's statistic of each row.
     """
 
     num_vars: int
     dist: InnovationDist
     statistic: Callable[[np.ndarray], np.ndarray]
+    cases: int = 1
 
     def __post_init__(self) -> None:
         if not self.dist.enumerable:
@@ -109,37 +118,70 @@ def _weighted_blocks(task: EnumerationTask) -> Iterator[tuple[np.ndarray, np.nda
         idx = np.arange(start, min(start + BLOCK_ROWS, total))[:, None] // place % k
         x = support[idx]
         values = np.asarray(task.statistic(x), dtype=float)
-        if values.shape != (len(x),):
+        if values.shape != (task.cases, len(x)):
             raise ValueError(
-                f"statistic must map a {x.shape} block to shape ({len(x)},), "
+                f"statistic must map a {x.shape} block to shape ({task.cases}, {len(x)}), "
                 f"got shape {values.shape}"
             )
         yield probs[idx].prod(axis=1), values
 
 
-def exact_expectation(task: EnumerationTask) -> float:
-    """E s(x) as an exactly-accumulated weighted sum over all assignments."""
-    return math.fsum(
-        itertools.chain.from_iterable((w * s).tolist() for w, s in _weighted_blocks(task))
-    )
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``terms``.
+
+    Each part is the exactly rounded remainder of the terms less the parts
+    before it; the remainder shrinks by at least 2^53 a step and is a
+    multiple of the smallest subnormal, so it reaches zero.
+    """
+    parts: list[float] = []
+    while s := math.fsum(itertools.chain(terms, [-p for p in parts])):
+        parts.append(s)
+    return parts
 
 
-def exact_variance(task: EnumerationTask) -> float:
-    """Var s(x), two-pass so the centered second moment does not cancel."""
-    mean = exact_expectation(task)
-    return math.fsum(
-        itertools.chain.from_iterable(
-            (w * (s - mean) ** 2).tolist() for w, s in _weighted_blocks(task)
-        )
+def _exact_case_sums(cases: int, blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """Exactly rounded sum of each case's terms over ``(cases, rows)`` blocks."""
+    terms: list[list[float]] = [[] for _ in range(cases)]
+    for block in blocks:
+        for kept, row in zip(terms, block.tolist()):
+            kept.extend(row)
+            if len(kept) > BLOCK_ROWS:
+                kept[:] = _exact_parts(kept)
+    return np.array([math.fsum(kept) for kept in terms])
+
+
+def exact_expectation(task: EnumerationTask) -> np.ndarray:
+    """E s(x) of every case, each an exactly-accumulated weighted sum over
+    all assignments: shape ``(cases,)``."""
+    return _exact_case_sums(task.cases, (w * s for w, s in _weighted_blocks(task)))
+
+
+def exact_variance(task: EnumerationTask) -> np.ndarray:
+    """Var s(x) of every case, two-pass so the centered second moment does
+    not cancel: shape ``(cases,)``."""
+    mean = exact_expectation(task)[:, None]
+    return _exact_case_sums(
+        task.cases, (w * (s - mean) ** 2 for w, s in _weighted_blocks(task))
     )
 
 
 def _quadratic_forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x_r' A x_r for every row x_r of a block."""
-    return ((x @ a) * x).sum(axis=1)
+    """x_r' A_c x_r for every row x_r of a block and matrix A_c of a stack:
+    shape ``(cases, rows)``."""
+    return ((x @ a) * x).sum(axis=2)
 
 
-@dataclass(frozen=True)
+def _diagonals(a: np.ndarray) -> np.ndarray:
+    """The diagonal of each matrix of a ``(cases, d, d)`` stack: ``(cases, d)``."""
+    return np.diagonal(a, axis1=1, axis2=2)
+
+
+def _flat_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of each matrix of a ``(cases, d, d)`` stack, as one flat row."""
+    return a.reshape(len(a), -1).sum(axis=1)
+
+
+@dataclass(frozen=True, slots=True)
 class IdentityReport:
     """Enumerated LHS vs closed-form RHS of one moment identity."""
 
@@ -165,10 +207,10 @@ class IdentityReport:
 
 
 def _check_identity_dims(*mats: SymMatrix) -> int:
-    dims = {m.dim for m in mats}
-    if len(dims) != 1:
-        raise ValueError(f"dimension mismatch: {sorted(dims)}")
-    (dim,) = dims
+    shapes = {m.array.shape for m in mats}
+    if len(shapes) != 1:
+        raise ValueError(f"dimension mismatch: {sorted(shapes)}")
+    dim = mats[0].dim
     if dim > MAX_IDENTITY_DIM:
         raise EnumerationGuardError(
             f"identity checks are capped at dimension {MAX_IDENTITY_DIM}, got {dim}"
@@ -176,48 +218,62 @@ def _check_identity_dims(*mats: SymMatrix) -> int:
     return dim
 
 
+def _reports(
+    identity: str, dim: int, dist: InnovationDist, task: EnumerationTask, rhs: np.ndarray
+) -> list[IdentityReport]:
+    """Enumerate ``task`` and pair each case's LHS with its closed-form RHS."""
+    lhs, selector = exact_expectation(task), dist.selector
+    return [
+        IdentityReport(identity, dim, selector, left, right)
+        for left, right in zip(lhs.tolist(), rhs.tolist())
+    ]
+
+
 def verify_quadratic_covariance(
     a: SymMatrix, b: SymMatrix, dist: InnovationDist
-) -> IdentityReport:
-    """E[(x'Ax - trA)(x'Bx - trB)] == nu4 tr(A∘B) + tr(AB') + tr(AB).
+) -> list[IdentityReport]:
+    """E[(x'Ax - trA)(x'Bx - trB)] == nu4 tr(A∘B) + tr(AB') + tr(AB),
+    one report per case of the stacks.
 
     The fourth-moment coefficient multiplies tr(A∘B): the mixed diagonal
     product, symmetric in the two operands, is what enumeration confirms.
     """
     dim = _check_identity_dims(a, b)
     aa, ba = a.array, b.array
-    tr_a, tr_b = float(np.trace(aa)), float(np.trace(ba))
+    da, db = _diagonals(aa), _diagonals(ba)
+    tr_a, tr_b = da.sum(axis=1)[:, None], db.sum(axis=1)[:, None]
 
     def statistic(x: np.ndarray) -> np.ndarray:
         return (_quadratic_forms(x, aa) - tr_a) * (_quadratic_forms(x, ba) - tr_b)
 
-    lhs = exact_expectation(EnumerationTask(dim, dist, statistic))
     # tr(A∘B) = sum_i a_ii b_ii; tr(AB') == tr(AB) = sum_ij a_ij b_ij for symmetric operands
-    tr_ab_hadamard = float(np.sum(np.diagonal(aa) * np.diagonal(ba)))
-    rhs = dist.profile.nu4 * tr_ab_hadamard + 2.0 * float(np.sum(aa * ba))
-    return IdentityReport("quadratic_covariance", dim, dist.selector, lhs, rhs)
+    tr_ab_hadamard = (da * db).sum(axis=1)
+    rhs = dist.profile.nu4 * tr_ab_hadamard + 2.0 * _flat_sum(aa * ba)
+    task = EnumerationTask(dim, dist, statistic, len(aa))
+    return _reports("quadratic_covariance", dim, dist, task, rhs)
 
 
-def verify_fourth_moment(a: SymMatrix, dist: InnovationDist) -> IdentityReport:
-    """E sum_i (A x)_i^4 == 3 tr(A'A ∘ A'A) + nu4 tr((A'∘A')(A∘A))."""
+def verify_fourth_moment(a: SymMatrix, dist: InnovationDist) -> list[IdentityReport]:
+    """E sum_i (A x)_i^4 == 3 tr(A'A ∘ A'A) + nu4 tr((A'∘A')(A∘A)),
+    one report per case of the stack."""
     dim = _check_identity_dims(a)
     aa = a.array
+    at = aa.transpose(0, 2, 1)
 
     def statistic(x: np.ndarray) -> np.ndarray:
-        return ((x @ aa.T) ** 4).sum(axis=1)
+        return ((x @ at) ** 4).sum(axis=2)
 
-    lhs = exact_expectation(EnumerationTask(dim, dist, statistic))
     a2 = aa @ aa
-    rhs = 3.0 * float(np.sum(np.diagonal(a2) ** 2)) + dist.profile.nu4 * float(
-        np.sum(aa**4)
-    )
-    return IdentityReport("fourth_moment", dim, dist.selector, lhs, rhs)
+    rhs = 3.0 * (_diagonals(a2) ** 2).sum(axis=1) + dist.profile.nu4 * _flat_sum(aa**4)
+    task = EnumerationTask(dim, dist, statistic, len(aa))
+    return _reports("fourth_moment", dim, dist, task, rhs)
 
 
 def verify_triple_product(
     t: SymMatrix, w: SymMatrix, dist: InnovationDist
-) -> IdentityReport:
-    """E[(x'Tx)^2 (x'Wx)] against its eleven-term closed form.
+) -> list[IdentityReport]:
+    """E[(x'Tx)^2 (x'Wx)] against its eleven-term closed form, one report
+    per case of the stacks.
 
     The closed form mixes plain traces, Hadamard traces, diagonal
     interaction scalars and the moments mu3, mu4, mu6 of the innovation
@@ -232,19 +288,19 @@ def verify_triple_product(
         qt = _quadratic_forms(x, ta)
         return qt * qt * _quadratic_forms(x, wa)
 
-    lhs = exact_expectation(EnumerationTask(dim, dist, statistic))
-
     prof = dist.profile
     nu4 = prof.nu4
-    dt, dw = np.diagonal(ta), np.diagonal(wa)
-    tr_t, tr_w = float(np.trace(ta)), float(np.trace(wa))
-    tr_t2, tr_tw = float(np.sum(ta * ta)), float(np.sum(ta * wa))
-    tr_ttw = float(np.sum((ta @ ta) * wa))
-    tr_t_dw_t = float(np.sum((ta * ta) @ dw))
-    tr_w_dt_t = float(np.sum((wa * ta) @ dt))
-    dt_t_dw, dt_w_dt = float(dt @ ta @ dw), float(dt @ wa @ dt)
-    ones_ttw = float(np.sum(ta * ta * wa))
-    tr_ttw_diag = float(np.sum(dt * dt * dw))
+    dt, dw = _diagonals(ta), _diagonals(wa)
+    tr_t, tr_w = dt.sum(axis=1), dw.sum(axis=1)
+    tr_t2, tr_tw = _flat_sum(ta * ta), _flat_sum(ta * wa)
+    tr_ttw = _flat_sum((ta @ ta) * wa)
+    tr_t_dw_t = ((ta * ta) @ dw[:, :, None])[:, :, 0].sum(axis=1)
+    tr_w_dt_t = ((wa * ta) @ dt[:, :, None])[:, :, 0].sum(axis=1)
+    row_dt = dt[:, None, :]
+    dt_t_dw = (row_dt @ ta @ dw[:, :, None])[:, 0, 0]
+    dt_w_dt = (row_dt @ wa @ dt[:, :, None])[:, 0, 0]
+    ones_ttw = _flat_sum(ta * ta * wa)
+    tr_ttw_diag = (dt * dt * dw).sum(axis=1)
     # The diagonal-interaction terms carry pure fourth-cumulant coefficients
     # (4 nu4 and 8 nu4): for Gaussian innovations every basis-dependent term
     # must drop out, leaving only the Wick pairings on the first line.
@@ -253,13 +309,14 @@ def verify_triple_product(
         + 2.0 * tr_t2 * tr_w
         + 4.0 * tr_t * tr_tw
         + 8.0 * tr_ttw
-        + nu4 * (2.0 * float(np.sum(dt * dw)) * tr_t + float(np.sum(dt * dt)) * tr_w)
+        + nu4 * (2.0 * (dt * dw).sum(axis=1) * tr_t + (dt * dt).sum(axis=1) * tr_w)
         + 4.0 * nu4 * tr_t_dw_t
         + 8.0 * nu4 * tr_w_dt_t
         + prof.mu3**2 * (4.0 * dt_t_dw + 2.0 * dt_w_dt + 4.0 * ones_ttw)
         + (prof.mu6 - 15.0 * prof.mu4 - 10.0 * prof.mu3**2 + 30.0) * tr_ttw_diag
     )
-    return IdentityReport("triple_product", dim, dist.selector, lhs, rhs)
+    task = EnumerationTask(dim, dist, statistic, len(ta))
+    return _reports("triple_product", dim, dist, task, rhs)
 
 
 @dataclass(frozen=True)
@@ -314,27 +371,31 @@ def verify_finite_n_moments(
         raise EnumerationGuardError("finite-n enumeration is capped at p, n <= 4")
     factor = np.diag(np.sqrt(model.eigenvalues)) if model.factor is None else model.factor
 
-    def sample_covariance(x: np.ndarray, centered: bool) -> np.ndarray:
-        # B = YY'/n per row, with Y = F X and F'F = Sigma; centered: B - ybar ybar'
+    def sample_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Y and B = YY'/n per row, with Y = F X and F'F = Sigma
         y = factor @ x.reshape(-1, p, n)
-        b = (y @ y.transpose(0, 2, 1)) / n
-        if centered:
-            ybar = y.mean(axis=2)
-            b = b - ybar[:, :, None] * ybar[:, None, :]
-        return b
+        return y, (y @ y.transpose(0, 2, 1)) / n
 
-    def t1(centered: bool) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: np.trace(sample_covariance(x, centered), axis1=1, axis2=2)
+    def t1(x: np.ndarray) -> np.ndarray:
+        return np.trace(sample_covariance(x)[1], axis1=1, axis2=2)[None]
 
-    def t2(centered: bool) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: (sample_covariance(x, centered) ** 2).sum(axis=(1, 2))
+    def traces(x: np.ndarray) -> np.ndarray:
+        # (T_1, T_2, T_1^0, T_2^0) per row, with B^0 = B - ybar ybar'
+        y, b = sample_covariance(x)
+        ybar = y.mean(axis=2)
+        b0 = b - ybar[:, :, None] * ybar[:, None, :]
+        return np.stack([
+            np.trace(b, axis1=1, axis2=2),
+            (b**2).sum(axis=(1, 2)),
+            np.trace(b0, axis1=1, axis2=2),
+            (b0**2).sum(axis=(1, 2)),
+        ])
 
     num_vars = p * n
-    e_t1 = exact_expectation(EnumerationTask(num_vars, dist, t1(False)))
-    var_t1 = exact_variance(EnumerationTask(num_vars, dist, t1(False)))
-    e_t2 = exact_expectation(EnumerationTask(num_vars, dist, t2(False)))
-    e_t1c = exact_expectation(EnumerationTask(num_vars, dist, t1(True)))
-    e_t2c = exact_expectation(EnumerationTask(num_vars, dist, t2(True)))
+    e_t1, e_t2, e_t1c, e_t2c = exact_expectation(
+        EnumerationTask(num_vars, dist, traces, 4)
+    ).tolist()
+    (var_t1,) = exact_variance(EnumerationTask(num_vars, dist, t1)).tolist()
 
     nu4 = dist.profile.nu4
     f_e_t1, f_e_t2 = expected_values(model.traces, n, nu4)

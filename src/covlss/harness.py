@@ -406,9 +406,9 @@ class VerificationSummary:
     files: list[str]
 
 
-def _random_symmetric(rng: np.random.Generator, dim: int) -> SymMatrix:
-    a = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    return SymMatrix(0.5 * (a + a.T))
+def _symmetric_stack(mats: list[np.ndarray]) -> SymMatrix:
+    a = np.stack(mats)
+    return SymMatrix(0.5 * (a + a.transpose(0, 2, 1)))
 
 
 def _verification_dists():
@@ -433,15 +433,42 @@ def _finite_moment_grid() -> list[tuple[PopulationModel, int]]:
     return models
 
 
+def _identity_reports(
+    rng: np.random.Generator, max_dim: int, cases: int
+) -> list[IdentityReport]:
+    """Draw the random cases one at a time, check each (dimension, law)
+    group as one stack, and return the reports in case order."""
+    dists = _verification_dists()
+    groups: dict[tuple[int, int], tuple[list[int], list, list]] = {}
+    for i in range(cases):
+        dim = int(rng.integers(1, max_dim + 1))
+        members, a, b = groups.setdefault((dim, i % len(dists)), ([], [], []))
+        members.append(i)
+        a.append(rng.uniform(-1.0, 1.0, size=(dim, dim)))
+        b.append(rng.uniform(-1.0, 1.0, size=(dim, dim)))
+    by_case: list = [None] * cases
+    for (_, law), (members, a_mats, b_mats) in groups.items():
+        a, b, dist = _symmetric_stack(a_mats), _symmetric_stack(b_mats), dists[law]
+        checks = zip(
+            verify_quadratic_covariance(a, b, dist),
+            verify_fourth_moment(a, dist),
+            verify_triple_product(a, b, dist),
+        )
+        for i, case in zip(members, checks):
+            by_case[i] = case
+    return [r for case in by_case for r in case]
+
+
 def run_verification_suite(
     max_dim: int, cases: int, seed: int, output_dir: str | None = None
 ) -> VerificationSummary:
     """Randomized identity checks plus the fixed finite-n moment grid.
 
     ``cases`` random (matrix, distribution) draws are checked per
-    identity at dimensions 1..max_dim; a report row is emitted per check
-    and the suite passes only if every exact comparison stays within
-    ``VERIFY_THRESHOLD``.
+    identity at dimensions 1..max_dim; a report row is emitted per check,
+    in case order, and the suite passes only if every exact comparison
+    stays within ``VERIFY_THRESHOLD``.  The cases of one (dimension, law)
+    group are checked together, one enumeration per identity and group.
     """
     if max_dim > 4:
         raise EnumerationGuardError(f"max_dim is capped at 4, got {max_dim}")
@@ -449,18 +476,12 @@ def run_verification_suite(
         raise ConfigError(f"max_dim must be at least 1, got {max_dim}")
     if cases < 1:
         raise ConfigError(f"cases must be at least 1, got {cases}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    rng = np.random.default_rng(seed)
-    dists = _verification_dists()
-    reports: list[IdentityReport | FiniteMomentReport] = []
-    for i in range(cases):
-        dim = int(rng.integers(1, max_dim + 1))
-        a = _random_symmetric(rng, dim)
-        b = _random_symmetric(rng, dim)
-        dist = dists[i % len(dists)]
-        reports.append(verify_quadratic_covariance(a, b, dist))
-        reports.append(verify_fourth_moment(a, dist))
-        reports.append(verify_triple_product(a, b, dist))
+    reports: list[IdentityReport | FiniteMomentReport] = _identity_reports(
+        np.random.default_rng(seed), max_dim, cases
+    )
     for model, n in _finite_moment_grid():
         for dist in (rademacher(), two_point(0.2)):
             reports.append(verify_finite_n_moments(model, n, dist))

@@ -29,7 +29,7 @@ from covlss.population import assemble_model, haar_orthogonal
 
 
 def identity(p):
-    return SymMatrix(np.eye(p))
+    return SymMatrix(np.eye(p)[None])
 
 
 def rotation(theta):
@@ -38,7 +38,12 @@ def rotation(theta):
 
 def random_sym(rng, dim):
     a = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    return SymMatrix(0.5 * (a + a.T))
+    return SymMatrix((0.5 * (a + a.T))[None])
+
+
+def one_case(statistic):
+    """A single statistic as a stack of one: shape (1, rows) per block."""
+    return lambda x: statistic(x)[None]
 
 
 def loop_expectation(dist, num_vars, statistic, mean=None):
@@ -78,23 +83,63 @@ THREE_POINT = InnovationDist(
 )
 
 
+def symmetric_stack(rng, cases, dim):
+    a = rng.uniform(-1.0, 1.0, size=(cases, dim, dim))
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
 class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
-            SymMatrix(np.array([[1.0, 2.0], [2.1, 1.0]]))
+            SymMatrix(np.array([[[1.0, 2.0], [2.1, 1.0]]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            SymMatrix(np.zeros((2, 3)))
+            SymMatrix(np.zeros((1, 2, 3)))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            SymMatrix(np.array([[np.nan]]))
+            SymMatrix(np.array([[[np.nan]]]))
 
     def test_tolerates_roundoff_asymmetry(self):
-        a = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
+        a = np.array([[[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]]])
         m = SymMatrix(a)
         assert m.dim == 2
+
+    def test_rejects_a_bare_matrix(self):
+        # a single matrix is a stack of one, never a bare (d, d) array
+        with pytest.raises(ValueError, match="stack"):
+            SymMatrix(np.eye(2))
+
+    def test_asymmetric_member_named_by_index(self):
+        a = symmetric_stack(np.random.default_rng(3), 5, 3)
+        a[3, 0, 2] += 1e-6
+        with pytest.raises(SymmetryError, match="matrix 3 of the stack"):
+            SymMatrix(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_refused(self, bad):
+        a = symmetric_stack(np.random.default_rng(4), 4, 2)
+        a[2, 1, 1] = bad
+        with pytest.raises(ValueError, match="matrix 2 of the stack"):
+            SymMatrix(a)
+
+    def test_mismatched_stacks(self):
+        rng = np.random.default_rng(5)
+        three, two = SymMatrix(symmetric_stack(rng, 3, 2)), SymMatrix(symmetric_stack(rng, 2, 2))
+        wide = SymMatrix(symmetric_stack(rng, 3, 3))
+        for a, b in ((three, two), (three, wide)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                verify_quadratic_covariance(a, b, rademacher())
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                verify_triple_product(a, b, two_point(0.2))
+
+    def test_dimension_five_stack_guarded(self):
+        a = SymMatrix(symmetric_stack(np.random.default_rng(6), 3, 5))
+        with pytest.raises(EnumerationGuardError):
+            verify_fourth_moment(a, rademacher())
+        with pytest.raises(EnumerationGuardError):
+            verify_triple_product(a, a, rademacher())
 
     def test_array_is_frozen(self):
         m = identity(3)
@@ -104,16 +149,26 @@ class TestSymMatrix:
 
 class TestExactExpectation:
     def test_unit_variance(self):
-        task = EnumerationTask(1, rademacher(), lambda x: x[:, 0] ** 2)
-        assert exact_expectation(task) == 1.0
+        task = EnumerationTask(1, rademacher(), one_case(lambda x: x[:, 0] ** 2))
+        assert exact_expectation(task).tolist() == [1.0]
 
     def test_fourth_moment_two_point(self):
-        task = EnumerationTask(1, two_point(0.2), lambda x: x[:, 0] ** 4)
-        assert exact_expectation(task) == pytest.approx(3.25, abs=1e-14)
+        task = EnumerationTask(1, two_point(0.2), one_case(lambda x: x[:, 0] ** 4))
+        (e,) = exact_expectation(task)
+        assert e == pytest.approx(3.25, abs=1e-14)
 
     def test_sum_of_independent(self):
-        task = EnumerationTask(2, rademacher(), lambda x: (x[:, 0] + x[:, 1]) ** 2)
-        assert exact_expectation(task) == 2.0
+        task = EnumerationTask(2, rademacher(), one_case(lambda x: (x[:, 0] + x[:, 1]) ** 2))
+        assert exact_expectation(task).tolist() == [2.0]
+
+    def test_stack_sums_each_case(self):
+        # E x^k for k = 1..4 of one law in one task: 0, 1, mu3, mu4
+        d = two_point(0.2)
+        task = EnumerationTask(1, d, lambda x: x[:, 0] ** np.arange(1, 5)[:, None], cases=4)
+        e = exact_expectation(task)
+        assert e.shape == (4,)
+        assert e == pytest.approx([0.0, 1.0, d.profile.mu3, d.profile.mu4], abs=1e-14)
+        assert exact_variance(task)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -122,15 +177,15 @@ class TestExactExpectation:
         s2 = lambda x: c[2] * x[:, 0] * x[:, 1]
         both = lambda x: s1(x) + s2(x)
         d = two_point(0.35)
-        lhs = exact_expectation(EnumerationTask(2, d, both))
-        rhs = exact_expectation(EnumerationTask(2, d, s1)) + exact_expectation(
-            EnumerationTask(2, d, s2)
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        (lhs,) = exact_expectation(EnumerationTask(2, d, one_case(both)))
+        (e1,) = exact_expectation(EnumerationTask(2, d, one_case(s1)))
+        (e2,) = exact_expectation(EnumerationTask(2, d, one_case(s2)))
+        assert lhs == pytest.approx(e1 + e2, abs=1e-12)
 
     def test_variance_two_pass(self):
-        task = EnumerationTask(1, two_point(0.2), lambda x: x[:, 0])
-        assert exact_variance(task) == pytest.approx(1.0, abs=1e-14)
+        task = EnumerationTask(1, two_point(0.2), one_case(lambda x: x[:, 0]))
+        (v,) = exact_variance(task)
+        assert v == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize(
         "statistic",
@@ -138,8 +193,9 @@ class TestExactExpectation:
             lambda x: x[0] ** 2,  # the first row only: shape (num_vars,)
             lambda x: x**2,  # a column, not a vector: shape (rows, 1)
             lambda x: float(np.sum(x**2)),  # one scalar for the whole block
+            lambda x: x[:, 0] ** 2,  # one value per row but no case axis: (rows,)
         ],
-        ids=["first-row", "column", "scalar"],
+        ids=["first-row", "column", "scalar", "no-case-axis"],
     )
     def test_one_value_per_row_required(self, statistic):
         # each of these would broadcast against the weights without the check
@@ -164,12 +220,14 @@ class TestBlocks:
         # value and product is exact in binary, so the sums are too
         m = 18
         assert 2**m > 4 * BLOCK_ROWS
-        total = lambda x: x.sum(axis=1)
-        square = lambda x: x.sum(axis=1) ** 2
-        assert exact_expectation(EnumerationTask(m, rademacher(), square)) == m
-        assert exact_variance(EnumerationTask(m, rademacher(), total)) == m
+        total = one_case(lambda x: x.sum(axis=1))
+        square = one_case(lambda x: x.sum(axis=1) ** 2)
+        assert exact_expectation(EnumerationTask(m, rademacher(), square)).tolist() == [m]
+        assert exact_variance(EnumerationTask(m, rademacher(), total)).tolist() == [m]
         # E S^4 = 3m^2 - 2m for a Rademacher sum, so Var S^2 = 2m^2 - 2m
-        assert exact_variance(EnumerationTask(m, rademacher(), square)) == 2 * m * m - 2 * m
+        assert exact_variance(EnumerationTask(m, rademacher(), square)).tolist() == [
+            2 * m * m - 2 * m
+        ]
 
     def test_partial_last_block_matches_loop(self):
         # 3^9 = 19683 assignments end in a partial block; an odd statistic
@@ -177,12 +235,31 @@ class TestBlocks:
         m = 9
         assert 3**m % BLOCK_ROWS != 0 and 3**m > BLOCK_ROWS
         c = np.arange(1.0, m + 1.0)
-        task = EnumerationTask(m, THREE_POINT, lambda x: (x @ c) ** 3)
+        task = EnumerationTask(m, THREE_POINT, one_case(lambda x: (x @ c) ** 3))
+        (e,) = exact_expectation(task)
         # E (c'x)^3 = mu3 * sum c_i^3 for independent centred variables
-        assert exact_expectation(task) == pytest.approx(np.sum(c**3), rel=1e-12)
-        assert exact_expectation(task) == pytest.approx(
+        assert e == pytest.approx(np.sum(c**3), rel=1e-12)
+        assert e == pytest.approx(
             loop_expectation(THREE_POINT, m, lambda x: (x @ c) ** 3), rel=1e-12
         )
+
+    def test_stacked_sums_exact_across_blocks(self):
+        # four cases over four blocks: each case's sum stays exactly rounded
+        # while the blocks before the last are folded into a few floats
+        m = 14
+        assert 2**m == 4 * BLOCK_ROWS
+        c = np.linspace(0.1, 1.3, m)
+        stack = lambda x: np.stack(
+            [x.sum(axis=1) ** 2, np.exp(0.1 * x @ c), -np.exp(0.1 * x @ c) / 3.0, x[:, 0]]
+        )
+        task = EnumerationTask(m, rademacher(), stack, cases=4)
+        e = exact_expectation(task)
+        # oracle: every assignment at once, one fsum per case over all terms
+        x = np.array(list(itertools.product([-1.0, 1.0], repeat=m)))
+        for case, values in enumerate(stack(x)):
+            assert e[case] == math.fsum((values * 0.5**m).tolist())
+        assert e[0] == m and e[3] == 0.0
+        assert e[1] == pytest.approx(np.prod(np.cosh(0.1 * c)), rel=1e-14)
 
 
 class TestLoopOracle:
@@ -193,20 +270,20 @@ class TestLoopOracle:
     def test_identity_statistics(self, dist, dim):
         rng = np.random.default_rng(100 + dim)
         a, b = random_sym(rng, dim), random_sym(rng, dim)
-        aa, ba = a.array, b.array
+        aa, ba = a.array[0], b.array[0]
         tr_a, tr_b = np.trace(aa), np.trace(ba)
 
-        quad = verify_quadratic_covariance(a, b, dist).lhs
+        quad = verify_quadratic_covariance(a, b, dist)[0].lhs
         want = loop_expectation(
             dist, dim, lambda x: (x @ aa @ x - tr_a) * (x @ ba @ x - tr_b)
         )
         assert quad == pytest.approx(want, rel=1e-12)
 
-        fourth = verify_fourth_moment(a, dist).lhs
+        fourth = verify_fourth_moment(a, dist)[0].lhs
         want = loop_expectation(dist, dim, lambda x: np.sum((aa @ x) ** 4))
         assert fourth == pytest.approx(want, rel=1e-12)
 
-        triple = verify_triple_product(a, b, dist).lhs
+        triple = verify_triple_product(a, b, dist)[0].lhs
         want = loop_expectation(dist, dim, lambda x: (x @ aa @ x) ** 2 * (x @ ba @ x))
         assert triple == pytest.approx(want, rel=1e-12)
 
@@ -240,19 +317,19 @@ class TestLoopOracle:
 
 class TestQuadraticCovariance:
     def test_identity_rademacher_degenerate(self):
-        r = verify_quadratic_covariance(identity(2), identity(2), rademacher())
+        (r,) = verify_quadratic_covariance(identity(2), identity(2), rademacher())
         assert r.lhs == 0.0 and r.rhs == 0.0
 
     def test_zero_matrix(self):
-        z = SymMatrix(np.zeros((2, 2)))
-        r = verify_quadratic_covariance(identity(2), z, rademacher())
+        z = SymMatrix(np.zeros((1, 2, 2)))
+        (r,) = verify_quadratic_covariance(identity(2), z, rademacher())
         assert r.lhs == 0.0 and r.rhs == 0.0
 
     def test_random_grid(self):
         rng = np.random.default_rng(9)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            r = verify_quadratic_covariance(
+            (r,) = verify_quadratic_covariance(
                 random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
             )
             assert r.abs_err <= 1e-12
@@ -270,45 +347,45 @@ class TestQuadraticCovariance:
 
 class TestFourthMoment:
     def test_identity_rademacher(self):
-        r = verify_fourth_moment(identity(2), rademacher())
+        (r,) = verify_fourth_moment(identity(2), rademacher())
         assert r.lhs == pytest.approx(2.0, abs=1e-14)
         assert r.rhs == pytest.approx(2.0, abs=1e-14)
 
     def test_zero_matrix(self):
-        r = verify_fourth_moment(SymMatrix(np.zeros((3, 3))), two_point(0.4))
+        (r,) = verify_fourth_moment(SymMatrix(np.zeros((1, 3, 3))), two_point(0.4))
         assert r.lhs == 0.0 and r.rhs == 0.0
 
     def test_random_grid(self):
         rng = np.random.default_rng(10)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            r = verify_fourth_moment(random_sym(rng, dim), two_point(0.35))
+            (r,) = verify_fourth_moment(random_sym(rng, dim), two_point(0.35))
             assert r.abs_err <= 1e-12
 
 
 class TestTripleProduct:
     def test_identity_rademacher_cube(self):
         # x'x is identically 2, so E (x'x)^3 = 8
-        r = verify_triple_product(identity(2), identity(2), rademacher())
+        (r,) = verify_triple_product(identity(2), identity(2), rademacher())
         assert r.lhs == pytest.approx(8.0, abs=1e-14)
         assert r.rhs == pytest.approx(8.0, abs=1e-14)
 
     def test_zero_weight_matrix(self):
-        z = SymMatrix(np.zeros((2, 2)))
-        r = verify_triple_product(identity(2), z, two_point(0.2))
+        z = SymMatrix(np.zeros((1, 2, 2)))
+        (r,) = verify_triple_product(identity(2), z, two_point(0.2))
         assert r.lhs == 0.0 and r.rhs == 0.0
 
     def test_random_grid_with_skewed_innovations(self):
         rng = np.random.default_rng(11)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            r = verify_triple_product(
+            (r,) = verify_triple_product(
                 random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
             )
             assert r.abs_err <= 1e-10
 
     def test_report_dict_shape(self):
-        r = verify_triple_product(identity(2), identity(2), rademacher())
+        (r,) = verify_triple_product(identity(2), identity(2), rademacher())
         d = r.as_dict()
         assert set(d) == {"lemma", "dims", "dist", "lhs", "rhs", "abs_err"}
         assert d["lemma"] == "triple_product"

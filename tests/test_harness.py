@@ -20,6 +20,12 @@ from hypothesis import strategies as st
 import covlss.harness as harness
 import covlss.lss as lss
 from covlss.cli import main, read_config_file
+from covlss.enumeration import (
+    SymMatrix,
+    verify_fourth_moment,
+    verify_quadratic_covariance,
+    verify_triple_product,
+)
 from covlss.harness import (
     ConfigError,
     ExperimentConfig,
@@ -30,7 +36,7 @@ from covlss.harness import (
     run_verification_suite,
 )
 from covlss.inference import DegenerateCovarianceError
-from covlss.innovations import parse_dist
+from covlss.innovations import parse_dist, rademacher, two_point
 from covlss.lss import ReplicationInvariantError, SampleConfig, run_replication
 from covlss.population import assemble_model, haar_orthogonal
 from covlss.seeding import REPLICATION_STREAM, derive_seed
@@ -408,6 +414,45 @@ class TestVerificationSuite:
         row = summary.cases[0]
         assert {"lemma", "dims", "dist", "lhs", "rhs", "abs_err"} <= set(row)
 
+    def test_groups_split_and_regroup_in_case_order(self):
+        # 60 cases cover all 4 x 3 (dimension, law) groups; every row must
+        # match its case checked alone, as a stack of one, in case order
+        cases, seed = 60, 5
+        summary = run_verification_suite(4, cases, seed=seed)
+        rng = np.random.default_rng(seed)
+        laws = [rademacher(), two_point(0.2), two_point(0.35)]
+        groups = set()
+        for i in range(cases):
+            dim = int(rng.integers(1, 5))
+            a, b = (rng.uniform(-1.0, 1.0, size=(dim, dim)) for _ in range(2))
+            a, b = (SymMatrix((0.5 * (m + m.T))[None]) for m in (a, b))
+            dist = laws[i % 3]
+            groups.add((dim, dist.selector))
+            alone = [
+                *verify_quadratic_covariance(a, b, dist),
+                *verify_fourth_moment(a, dist),
+                *verify_triple_product(a, b, dist),
+            ]
+            for got, want in zip(summary.cases[3 * i : 3 * i + 3], alone):
+                want = want.as_dict()
+                assert (got["lemma"], got["dims"], got["dist"]) == (
+                    want["lemma"], want["dims"], want["dist"]
+                )
+                assert got["lhs"] == want["lhs"]
+                assert got["rhs"] == pytest.approx(want["rhs"], rel=1e-14, abs=0.0)
+        assert len(groups) == 12
+        assert summary.cases[3 * cases]["lemma"] == "finite_n_moments"
+
+    def test_verify_json_byte_identical_on_rerun(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        run_verification_suite(4, 300, 1, str(first))
+        run_verification_suite(4, 300, 1, str(second))
+        assert (first / "verify.json").read_bytes() == (second / "verify.json").read_bytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            run_verification_suite(2, 3, seed=-1)
+
 
 class TestCli:
     def test_simulate_and_exit_zero(self, tmp_path, capsys):
@@ -434,6 +479,14 @@ class TestCli:
         rc = main(["verify", "--max-dim", "5", "--cases", "2",
                    "--output-dir", str(tmp_path)])
         assert rc == 1
+
+    def test_verify_negative_seed_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        rc = main(["verify", "--max-dim", "2", "--cases", "2", "--seed", "-1",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+        assert not (out / "verify.json").exists()
 
     def test_degenerate_exit_one(self, tmp_path, capsys):
         rc = main([
