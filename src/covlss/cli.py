@@ -98,9 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="qq table format (default both)")
     sim.add_argument("--grid-size", type=int, default=None, help="Q-Q probability grid points (default 199)")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: COVLSS_WORKERS or 1); each one "
-                     "replicates on two threads that draw in parallel and take turns "
-                     "at a one-thread OpenBLAS kernel")
+                     help="replication kernels in flight at once (default: COVLSS_WORKERS "
+                     "or 1), each on one OpenBLAS thread; one more thread draws, all "
+                     "in this process")
     sim.add_argument("--config", default=None, help="key=value config file; flags override it")
     sim.add_argument("--desk-scale", action="store_true",
                      help=f"CI preset: {DESK_SCALE}")

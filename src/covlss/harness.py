@@ -1,14 +1,13 @@
 """Experiment orchestration: config, deterministic parallel replication, reports.
 
-Replication index, not worker, owns the RNG stream, so outputs are
+Replication index, not thread, owns the RNG stream, so outputs are
 byte-identical for any worker count.  Workers are taken from the
 ``COVLSS_WORKERS`` environment variable unless set explicitly; the
-default is a single in-process block.  A block, in-process or in a pool
-worker, runs OpenBLAS on one thread and replicates on two threads that
-each draw their own replication's innovations and take turns at the
-kernel; where OpenBLAS cannot be pinned it draws inline on one thread.
-A pool ships the model to each worker once, and each job names only its
-range of replication indices.
+default is 1.  ``workers`` is the number of replication kernels in flight
+at once, all in this process: OpenBLAS runs on one thread, and
+``workers + 1`` threads each draw their own replication's innovations and
+then wait for a kernel slot.  Where OpenBLAS cannot be pinned, one thread
+draws and runs each replication in turn and ``workers`` has no effect.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import hashlib
 import json
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,7 +185,7 @@ def _openblas_threads() -> list[tuple]:
 
 @contextmanager
 def _one_blas_thread():
-    """Run OpenBLAS on one thread inside the block, then restore its count.
+    """Run OpenBLAS on one thread while replicating, then restore its count.
 
     Yields whether anything was pinned: without an OpenBLAS control symbol
     the BLAS threads are left as they are.
@@ -202,35 +201,39 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _replicate_block(args) -> list[ReplicationResult]:
-    """Replications start..stop, in index order.
+def run_replications(
+    model: PopulationModel, cfg: ExperimentConfig, workers: int
+) -> list[ReplicationResult]:
+    """All replications, in replication-index order regardless of scheduling.
 
-    This thread and one helper each take the next index, draw that
-    replication's innovations (numpy's generator releases the GIL), then run
-    its kernel under one lock, so both cores draw while at most one Gram
-    matrix is in flight.  Each replication owns its seeded stream and every
-    kernel runs on one BLAS thread, so no result depends on the thread."""
+    This thread and ``min(workers, reps)`` helpers each take the next index,
+    draw that replication's innovations (numpy's generator releases the
+    GIL), then run its kernel once one of ``workers`` kernel slots is free,
+    so every thread draws while at most ``workers`` Gram matrices are in
+    flight.  Each replication owns its seeded stream and every kernel runs
+    on one BLAS thread, so no result depends on the thread or on ``workers``."""
     _retain_freed_arrays()
-    model, dist_selector, n, master_seed, max_power, centered, start, stop = args
-    dist = parse_dist(dist_selector)
+    dist = parse_dist(cfg.dist)
     cfgs = [
         SampleConfig(
             model=model,
             dist=dist,
-            n=n,
+            n=cfg.n,
             replication_index=rep,
-            master_seed=master_seed,
-            max_power=max_power,
-            centered=centered,
+            master_seed=cfg.master_seed,
+            max_power=cfg.max_power,
+            centered=cfg.centered,
         )
-        for rep in range(start, stop)
+        for rep in range(cfg.reps)
     ]
     with _one_blas_thread() as pinned:
-        if not pinned:  # a many-thread BLAS kernel would contend with the other draw
-            return [run_replication(cfg) for cfg in cfgs]
+        if not pinned:  # a many-thread BLAS kernel would contend with other draws,
+            return [run_replication(c) for c in cfgs]  # so workers has no effect
+        slots = min(workers, len(cfgs))
         out: list[ReplicationResult | None] = [None] * len(cfgs)
         indices = iter(range(len(cfgs)))
-        claim, kernel, failed = threading.Lock(), threading.Lock(), threading.Event()
+        claim, failed = threading.Lock(), threading.Event()
+        kernels = threading.Semaphore(slots)
 
         def replicate() -> None:
             try:
@@ -240,50 +243,21 @@ def _replicate_block(args) -> list[ReplicationResult]:
                     if i is None:
                         return
                     x = _draw_x(cfgs[i])
-                    with kernel:
+                    with kernels:
                         out[i] = run_replication(cfgs[i], x)
                     del x  # not held through the next draw
             except BaseException:
-                failed.set()  # the other thread stops at its next replication
+                failed.set()  # the other threads stop at their next replication
                 raise
 
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="covlss-replicate") as helper:
-            other = helper.submit(replicate)
+        with ThreadPoolExecutor(
+            max_workers=slots, thread_name_prefix="covlss-replicate"
+        ) as helpers:
+            others = [helpers.submit(replicate) for _ in range(slots)]
             replicate()
-            other.result()
+            for other in others:
+                other.result()
         return out
-
-
-# what every job of one pool shares, sent to each worker once by its initializer
-_pool_block: tuple = ()
-
-
-def _init_pool_worker(block: tuple) -> None:
-    global _pool_block
-    _pool_block = block
-
-
-def _replicate_pool_job(bounds: tuple[int, int]) -> list[ReplicationResult]:
-    return _replicate_block(_pool_block + bounds)
-
-
-def run_replications(
-    model: PopulationModel, cfg: ExperimentConfig, workers: int
-) -> list[ReplicationResult]:
-    """All replications, in replication-index order regardless of scheduling:
-    each job is one index range, and ``pool.map`` yields jobs in order."""
-    base = (model, cfg.dist, cfg.n, cfg.master_seed, cfg.max_power, cfg.centered)
-    if workers <= 1:
-        return _replicate_block(base + (0, cfg.reps))
-    block = max(1, -(-cfg.reps // (workers * 4)))
-    jobs = [(start, min(start + block, cfg.reps)) for start in range(0, cfg.reps, block)]
-    results: list[ReplicationResult] = []
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_pool_worker, initargs=(base,)
-    ) as pool:
-        for chunk in pool.map(_replicate_pool_job, jobs):
-            results.extend(chunk)
-    return results
 
 
 @dataclass(frozen=True)

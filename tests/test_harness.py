@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import pickle
 import platform
 import resource
 import subprocess
@@ -137,25 +136,6 @@ class TestRunExperiment:
                 tmp_path / "wN" / name
             ).read_bytes()
 
-    def test_pool_jobs_carry_no_model(self, tmp_path, monkeypatch):
-        # the model (a 60 x 60 factor, about 29 kB pickled) reaches each
-        # worker once, through the pool's initializer; a job names its range
-        cfg = tiny_cfg(tmp_path, p=60, n=80, reps=12)
-        model = build_experiment_model(cfg)
-        sent = []
-
-        class RecordingPool(harness.ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                jobs = list(zip(*iterables))
-                sent.extend(len(pickle.dumps((fn, job))) for job in jobs)
-                return super().map(fn, *zip(*jobs), **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        pooled = run_replications(model, cfg, 2)
-        assert len(pickle.dumps(model)) > 20_000
-        assert sent and max(sent) < 1024
-        assert pooled == run_replications(model, cfg, 1)
-
     def test_summary_contents(self, tmp_path):
         cfg = tiny_cfg(tmp_path, centered=True)
         res = run_experiment(cfg)
@@ -234,14 +214,18 @@ def _assert_no_replication_thread_alive():
             assert not thread.is_alive(), thread.name
 
 
-def _block_args(cfg, model, start=0):
-    return (model, cfg.dist, cfg.n, cfg.master_seed, cfg.max_power, cfg.centered,
-            start, cfg.reps)
+def _with_workers(*cases, more=3):
+    """Each case at one worker, under its plain id, then at ``more`` workers."""
+    return [
+        pytest.param(*case, workers, id="-".join(map(str, case)) + suffix)
+        for workers, suffix in ((1, ""), (more, f"-w{more}"))
+        for case in cases
+    ]
 
 
 class TestPipeline:
-    """The two replication threads, the kernel lock and the BLAS pin of
-    ``_replicate_block``."""
+    """The replication threads, the kernel slots and the BLAS pin of
+    ``run_replications``."""
 
     @pytest.mark.skipif(not harness._openblas_threads(), reason="no OpenBLAS control symbol")
     def test_results_independent_of_ambient_blas_threads(self, tmp_path, monkeypatch):
@@ -271,8 +255,10 @@ class TestPipeline:
             assert runs[1] == runs[2]
         assert len(seen) == 16 and all(counts == [1] * len(ambient) for counts in seen)
 
-    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 12, 7), (400, 400, 6, 3)])
-    def test_draw_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
+    @pytest.mark.parametrize(
+        "p,n,reps,fail_at,workers", _with_workers((40, 50, 12, 7), (400, 400, 6, 3))
+    )
+    def test_draw_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at, workers):
         cfg = tiny_cfg(tmp_path, p=p, n=n, diagonal_only=True, reps=reps)
         model = build_experiment_model(cfg)
         bad_seed = derive_seed(cfg.master_seed, REPLICATION_STREAM, fail_at)
@@ -287,33 +273,41 @@ class TestPipeline:
         monkeypatch.setattr(lss, "sample_block", failing)
         before = _blas_counts()
         with pytest.raises(RuntimeError) as excinfo:
-            run_replications(model, cfg, 1)
+            run_replications(model, cfg, workers)
         assert excinfo.value is error
         _assert_no_replication_thread_alive()
         assert _blas_counts() == before
 
-    @pytest.mark.parametrize("p,n,reps,fail_at", [(40, 50, 12, 9), (400, 400, 6, 2)])
-    def test_kernel_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at):
+    @pytest.mark.parametrize(
+        "p,n,reps,fail_at,workers", _with_workers((40, 50, 12, 9), (400, 400, 6, 2))
+    )
+    def test_kernel_error_propagates(self, tmp_path, monkeypatch, p, n, reps, fail_at, workers):
         # a NaN innovation makes replication fail_at's statistics NaN, which
         # its invariant check turns into ReplicationInvariantError
         cfg = tiny_cfg(tmp_path, p=p, n=n, diagonal_only=True, reps=reps)
         model = build_experiment_model(cfg)
+        raised = []
 
         def poisoning(cfg, x=None):
             x = lss._draw_x(cfg) if x is None else x
             if cfg.replication_index == fail_at:
                 x[0, 0] = math.nan
-            return run_replication(cfg, x)
+            try:
+                return run_replication(cfg, x)
+            except ReplicationInvariantError as exc:
+                raised.append(exc)
+                raise
 
         monkeypatch.setattr(harness, "run_replication", poisoning)
         before = _blas_counts()
-        with pytest.raises(ReplicationInvariantError, match=f"replication {fail_at}:"):
-            run_replications(model, cfg, 1)
+        with pytest.raises(ReplicationInvariantError, match=f"replication {fail_at}:") as excinfo:
+            run_replications(model, cfg, workers)
+        assert raised == [excinfo.value]
         _assert_no_replication_thread_alive()
         assert _blas_counts() == before
 
-    @pytest.mark.parametrize("pinned", [True, False])
-    def test_block_matches_replication_loop(self, tmp_path, monkeypatch, pinned):
+    @pytest.mark.parametrize("pinned,workers", _with_workers((True,), (False,), more=2))
+    def test_block_matches_replication_loop(self, tmp_path, monkeypatch, pinned, workers):
         if not pinned:  # as on a BLAS without a thread-count symbol: draw inline
             monkeypatch.setattr(harness, "_openblas_threads", lambda: [])
         elif not harness._openblas_threads():
@@ -321,26 +315,28 @@ class TestPipeline:
         cfg = tiny_cfg(tmp_path, p=30, n=40, centered=True, max_power=4, reps=60)
         model = build_experiment_model(cfg)
         dist = parse_dist(cfg.dist)
-        start, stop = 3, cfg.reps  # a block that does not start at 0, as in a pool
         names = []
         original = lss.sample_block
 
         def recording(*a):
             names.append(threading.current_thread().name)
+            time.sleep(1e-3)  # longer than a thread start, so the caller gets draws too
             return original(*a)
 
         monkeypatch.setattr(lss, "sample_block", recording)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the GIL between the two threads often
+        sys.setswitchinterval(1e-6)  # hand the GIL between the threads often
         try:
-            got = harness._replicate_block(_block_args(cfg, model, start))
+            got = run_replications(model, cfg, workers)
         finally:
             sys.setswitchinterval(interval)
-        assert len(names) == stop - start
+        assert len(names) == cfg.reps
         caller = threading.current_thread().name
-        if pinned:  # both threads draw
-            assert {name.startswith("covlss-replicate") for name in names} == {True, False}
-            assert caller in names
+        if pinned:  # the caller and the helpers all draw
+            helpers = set(names) - {caller}
+            assert caller in names and helpers
+            assert len(helpers) <= workers
+            assert all(name.startswith("covlss-replicate") for name in helpers)
         else:
             assert set(names) == {caller}
         monkeypatch.setattr(lss, "sample_block", original)
@@ -348,14 +344,15 @@ class TestPipeline:
             run_replication(SampleConfig(model=model, dist=dist, n=cfg.n, replication_index=rep,
                                          master_seed=cfg.master_seed, max_power=cfg.max_power,
                                          centered=cfg.centered))
-            for rep in range(start, stop)
+            for rep in range(cfg.reps)
         ]
         assert got == want
 
     @pytest.mark.skipif(not harness._openblas_threads(), reason="no OpenBLAS control symbol")
-    def test_one_kernel_at_a_time(self, tmp_path, monkeypatch):
-        # each kernel call is held open for a millisecond, so two threads
-        # without the kernel lock would overlap; with it, at most one runs
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_kernels_at_a_time(self, tmp_path, monkeypatch, workers):
+        # each kernel call is held open for a millisecond, so the threads
+        # pile up at the kernel slots: as many kernels run as there are slots
         cfg = tiny_cfg(tmp_path, p=20, n=30, reps=40)
         model = build_experiment_model(cfg)
         guard = threading.Lock()
@@ -374,10 +371,36 @@ class TestPipeline:
                     active[0] -= 1
 
         monkeypatch.setattr(harness, "run_replication", counting)
-        got = harness._replicate_block(_block_args(cfg, model))
+        got = run_replications(model, cfg, workers)
         assert [r.replication_index for r in got] == list(range(cfg.reps))
-        assert peak[0] == 1
-        assert len(callers) == 2
+        assert peak[0] == workers
+        assert len(callers) <= workers + 1
+
+    def test_threads_capped_by_reps(self, tmp_path, monkeypatch):
+        # 64 workers and 3 replications start at most 3 helper threads; an
+        # executor sized past that fails before it starts any, so no run of
+        # this test starts 64
+        names = set()
+        original = lss.sample_block
+
+        class CappedExecutor(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                assert max_workers <= 3
+                super().__init__(max_workers, *args, **kwargs)
+
+        def recording(*a):
+            names.add(threading.current_thread().name)
+            return original(*a)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", CappedExecutor)
+        monkeypatch.setattr(lss, "sample_block", recording)
+        run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "w1"), reps=3, workers=1))
+        names.clear()
+        run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "w64"), reps=3, workers=64))
+        assert len(names - {threading.current_thread().name}) <= 3
+        assert (tmp_path / "w1" / "qq.csv").read_bytes() == (
+            tmp_path / "w64" / "qq.csv"
+        ).read_bytes()
 
     @pytest.mark.parametrize("n", [1, 255, 600])
     def test_half_times_matches_dense_product(self, n):

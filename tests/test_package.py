@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import covlss
@@ -27,3 +29,16 @@ def test_every_public_name_is_used_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert public - used == ONLY_TESTS_CALL
+
+
+def test_cli_import_loads_no_process_pool():
+    # replications run on threads in one process; a process pool would load
+    # multiprocessing (about 1.3 MB) into every run
+    code = (
+        "import sys, covlss.cli; "
+        "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
