@@ -6,8 +6,10 @@ byte-identical for any worker count.  Workers are taken from the
 default is 1.  ``workers`` is the number of replication kernels in flight
 at once, all in this process: OpenBLAS runs on one thread, and
 ``workers + 1`` threads each draw their own replication's innovations and
-then wait for a kernel slot.  Where OpenBLAS cannot be pinned, one thread
-draws and runs each replication in turn and ``workers`` has no effect.
+then wait for a kernel slot.  Where OpenBLAS cannot be pinned, the caller
+runs the same loop alone and ``workers`` has no effect.  Each replication
+writes its row of two arrays, (T_1..T_max_power) and the centered pair,
+and each array is whitened in one call.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .enumeration import (
 )
 from .inference import QQReport, check_covariance, qq_report, whiten
 from .innovations import parse_dist, rademacher, two_point
-from .lss import ReplicationResult, SampleConfig, _draw_x, run_replication
+from .lss import _draw_x, run_replication
 from .moments import MomentSet, moment_set
 from .population import PopulationModel, SpectrumSpec, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
@@ -203,35 +205,28 @@ def _one_blas_thread():
 
 def run_replications(
     model: PopulationModel, cfg: ExperimentConfig, workers: int
-) -> list[ReplicationResult]:
-    """All replications, in replication-index order regardless of scheduling.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every replication's (T_1..T_max_power) as row ``rep`` of a (reps,
+    max_power) array, plus its centered pair as row ``rep`` of a (reps, 2)
+    array when ``cfg.centered`` (else None).
 
     This thread and ``min(workers, reps)`` helpers each take the next index,
     draw that replication's innovations (numpy's generator releases the
     GIL), then run its kernel once one of ``workers`` kernel slots is free,
     so every thread draws while at most ``workers`` Gram matrices are in
     flight.  Each replication owns its seeded stream and every kernel runs
-    on one BLAS thread, so no result depends on the thread or on ``workers``."""
+    on one BLAS thread, so no result depends on the thread or on ``workers``.
+    Where OpenBLAS cannot be pinned, a many-thread kernel would contend with
+    the other draws, so this thread replicates alone and ``workers`` has no
+    effect."""
+    cfg.validate()
     _retain_freed_arrays()
     dist = parse_dist(cfg.dist)
-    cfgs = [
-        SampleConfig(
-            model=model,
-            dist=dist,
-            n=cfg.n,
-            replication_index=rep,
-            master_seed=cfg.master_seed,
-            max_power=cfg.max_power,
-            centered=cfg.centered,
-        )
-        for rep in range(cfg.reps)
-    ]
+    t = np.empty((cfg.reps, cfg.max_power))
+    tc = np.empty((cfg.reps, 2)) if cfg.centered else None
     with _one_blas_thread() as pinned:
-        if not pinned:  # a many-thread BLAS kernel would contend with other draws,
-            return [run_replication(c) for c in cfgs]  # so workers has no effect
-        slots = min(workers, len(cfgs))
-        out: list[ReplicationResult | None] = [None] * len(cfgs)
-        indices = iter(range(len(cfgs)))
+        slots = min(workers, cfg.reps) if pinned else 1
+        indices = iter(range(cfg.reps))
         claim, failed = threading.Lock(), threading.Event()
         kernels = threading.Semaphore(slots)
 
@@ -242,9 +237,13 @@ def run_replications(
                         i = next(indices, None)
                     if i is None:
                         return
-                    x = _draw_x(cfgs[i])
+                    x = _draw_x(dist, model.p, cfg.n, cfg.master_seed, i)
                     with kernels:
-                        out[i] = run_replication(cfgs[i], x)
+                        t[i], centered_pair = run_replication(
+                            model, x, i, cfg.max_power, cfg.centered
+                        )
+                    if tc is not None:
+                        tc[i] = centered_pair
                     del x  # not held through the next draw
             except BaseException:
                 failed.set()  # the other threads stop at their next replication
@@ -253,11 +252,11 @@ def run_replications(
         with ThreadPoolExecutor(
             max_workers=slots, thread_name_prefix="covlss-replicate"
         ) as helpers:
-            others = [helpers.submit(replicate) for _ in range(slots)]
+            others = [helpers.submit(replicate) for _ in range(slots if pinned else 0)]
             replicate()
             for other in others:
                 other.result()
-        return out
+    return t, tc
 
 
 @dataclass(frozen=True)
@@ -309,19 +308,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         f"beta={cfg.beta} diagonal_only={cfg.diagonal_only}",
     )
 
-    results = run_replications(model, cfg, workers)
-    digest = cfg.digest()
-    ts = np.array([whiten(r.t[0], r.t[1], ms) for r in results])
-    qq = qq_report(ts, "chi2_df2", cfg.grid_size, config_digest=digest)
+    t, tc = run_replications(model, cfg, workers)
+    qq = qq_report(whiten(t[:, 0], t[:, 1], ms), "chi2_df2", cfg.grid_size)
 
     qq_centered = None
     notes: list[str] = []
     if cfg.centered:
-        centered_ms = ms.centered_view()
-        ts0 = np.array(
-            [whiten(r.t_centered[0], r.t_centered[1], centered_ms) for r in results]
-        )
-        qq_centered = qq_report(ts0, "chi2_df2", cfg.grid_size, config_digest=digest)
+        ts0 = whiten(tc[:, 0], tc[:, 1], ms.centered_view())
+        qq_centered = qq_report(ts0, "chi2_df2", cfg.grid_size)
         notes.append(
             "centered mean convention: E T1^0 = (1 - 1/n) tr(Sigma) for the "
             "divisor-n centered sample covariance, validated by enumeration"
@@ -343,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     summary = {
         "version": VERSION_STRING,
         "config": config_out,
-        "config_digest": digest,
+        "config_digest": cfg.digest(),
         "reps": cfg.reps,
         "ks": qq.ks,
         "moments": ms.as_dict(),

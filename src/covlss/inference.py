@@ -62,10 +62,6 @@ class QQReport:
     q_empirical: np.ndarray
     ks: float
     reps: int
-    config_digest: str = ""
-
-    def as_dict(self) -> dict:
-        return {"ks": self.ks, "reps": self.reps, "config_digest": self.config_digest}
 
 
 def chi2_df2_cdf(x):
@@ -92,18 +88,19 @@ _REFERENCES = {
 }
 
 
-def whiten(t1: float, t2: float, ms: MomentSet) -> float:
-    """ts = d' Psi^{-1} d with d = (t1 - E T1, t2 - E T2).
+def whiten(t1, t2, ms: MomentSet):
+    """ts = d' Psi^{-1} d with d = (t1 - E T1, t2 - E T2), elementwise over
+    arrays of replications.
 
     Uses the closed-form 2x2 inverse; refuses a non-positive-definite
     covariance rather than pseudo-inverting it.
     """
     check_covariance(ms)
     det = ms.det_psi
-    d1 = t1 - ms.e_t1
-    d2 = t2 - ms.e_t2
+    d1 = np.subtract(t1, ms.e_t1)
+    d2 = np.subtract(t2, ms.e_t2)
     ts = (ms.psi22 * d1 * d1 - 2.0 * ms.psi12 * d1 * d2 + ms.psi11 * d2 * d2) / det
-    return max(ts, 0.0)
+    return np.maximum(ts, 0.0)
 
 
 def ks_distance(samples: np.ndarray, reference_cdf) -> float:
@@ -118,12 +115,7 @@ def ks_distance(samples: np.ndarray, reference_cdf) -> float:
     return float(max((i / m - f).max(), (f - (i - 1) / m).max()))
 
 
-def qq_report(
-    samples,
-    reference: str = "chi2_df2",
-    grid_size: int = 199,
-    config_digest: str = "",
-) -> QQReport:
+def qq_report(samples, reference: str = "chi2_df2", grid_size: int = 199) -> QQReport:
     """Q-Q table on the probability grid (i - 0.5)/grid_size plus the KS
     distance of the full sample against the reference."""
     s = np.asarray(samples, dtype=float)
@@ -145,7 +137,6 @@ def qq_report(
         q_empirical=q_emp,
         ks=ks_distance(s, cdf),
         reps=int(s.size),
-        config_digest=config_digest,
     )
 
 

@@ -19,11 +19,12 @@ F'(F xbar), since ybar'ybar = xbar'v and Y'ybar = X'v.  Both sides take
 them from X before it is overwritten, and neither forms Y for them:
 
   T_1^0 = T_1 - ybar'ybar,  T_2^0 = T_2 - 2 ||Y'ybar||^2 / n + (ybar'ybar)^2.
+
+Replication rep draws X from its own seeded stream (``_draw_x``), and
+``run_replication`` turns that X into its statistics and checks them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,38 +41,10 @@ class ReplicationInvariantError(RuntimeError):
     """A per-replication sanity bound failed (numerical corruption)."""
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """One replication's worth of inputs, fully deterministic per index."""
-
-    model: PopulationModel
-    dist: InnovationDist
-    n: int
-    replication_index: int
-    master_seed: int
-    max_power: int = 2
-    centered: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.centered and self.n < 2:
-            raise ValueError("centered statistics need n >= 2")
-        if not 1 <= self.max_power <= 4:
-            raise ValueError(f"max_power must be in 1..4, got {self.max_power}")
-
-
-@dataclass(frozen=True)
-class ReplicationResult:
-    t: tuple[float, ...]
-    t_centered: tuple[float, float] | None
-    replication_index: int
-
-
-def _draw_x(cfg: SampleConfig) -> np.ndarray:
-    seed = derive_seed(cfg.master_seed, REPLICATION_STREAM, cfg.replication_index)
-    p = cfg.model.p
-    return sample_block(cfg.dist, seed, p * cfg.n).reshape(p, cfg.n)
+def _draw_x(dist: InnovationDist, p: int, n: int, master_seed: int, rep: int) -> np.ndarray:
+    """Replication ``rep``'s innovations, a p x n array from its own stream."""
+    seed = derive_seed(master_seed, REPLICATION_STREAM, rep)
+    return sample_block(dist, seed, p * n).reshape(p, n)
 
 
 def _half_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
@@ -119,15 +92,14 @@ def _trace_stats(
     return t, tc
 
 
-def run_replication(cfg: SampleConfig, x: np.ndarray | None = None) -> ReplicationResult:
-    """(T_1..T_m) plus the centered pair when asked, from the replication's
-    innovations ``x`` (drawn here when not given; overwritten)."""
-    x = _draw_x(cfg) if x is None else x
-    t, tc = _trace_stats(cfg.model, x, cfg.max_power, cfg.centered)
-    _check_invariants(t, tc, cfg.model.p, cfg.replication_index)
-    return ReplicationResult(
-        t=tuple(t[: cfg.max_power]), t_centered=tc, replication_index=cfg.replication_index
-    )
+def run_replication(
+    model: PopulationModel, x: np.ndarray, rep: int, max_power: int, centered: bool
+) -> tuple[list[float], tuple[float, float] | None]:
+    """(T_1..T_max_power) plus the centered pair when asked (else None) of
+    replication ``rep``, from its innovations ``x`` (overwritten), checked."""
+    t, tc = _trace_stats(model, x, max_power, centered)
+    _check_invariants(t, tc, model.p, rep)
+    return t, tc
 
 
 def _check_invariants(

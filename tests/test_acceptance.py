@@ -38,13 +38,10 @@ def monte_carlo_t_pairs(model, n, dist_selector, reps, seed, centered=False):
         p=model.p, n=n, dist=dist_selector, reps=reps, master_seed=seed,
         centered=centered,
     )
-    rows = run_replications(model, cfg, workers=1)
-    t1 = np.array([r.t[0] for r in rows])
-    t2 = np.array([r.t[1] for r in rows])
+    t, tc = run_replications(model, cfg, workers=1)
     if centered:
-        t1c = np.array([r.t_centered[0] for r in rows])
-        return t1, t2, t1c
-    return t1, t2
+        return t[:, 0], t[:, 1], tc[:, 0]
+    return t[:, 0], t[:, 1]
 
 
 def test_criterion_1_exact_moment_oracle_suite():

@@ -36,7 +36,7 @@ from covlss.harness import (
 )
 from covlss.inference import DegenerateCovarianceError
 from covlss.innovations import parse_dist, rademacher, two_point
-from covlss.lss import ReplicationInvariantError, SampleConfig, run_replication
+from covlss.lss import ReplicationInvariantError, _draw_x, run_replication
 from covlss.population import assemble_model, haar_orthogonal
 from covlss.seeding import REPLICATION_STREAM, derive_seed
 
@@ -64,8 +64,9 @@ class TestConfig:
         for alpha in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="alpha"):
                 ExperimentConfig(p=2, n=10, alpha=alpha).validate()
-        with pytest.raises(ConfigError, match="max_power"):
-            ExperimentConfig(p=2, n=10, max_power=1).validate()
+        for max_power in (1, 5):
+            with pytest.raises(ConfigError, match="max_power"):
+                ExperimentConfig(p=2, n=10, max_power=max_power).validate()
         with pytest.raises(ConfigError, match="format"):
             ExperimentConfig(p=2, n=10, format="xml").validate()
         with pytest.raises(ValueError):
@@ -223,6 +224,20 @@ def _with_workers(*cases, more=3):
     ]
 
 
+# max_power 2..4, centered or not, at each (pinned, workers) case; the
+# plain ids are max_power 4, centered
+_BLOCK_CASES = [
+    pytest.param(
+        *case.values, max_power, centered,
+        id=case.id + ("" if (max_power, centered) == (4, True)
+                      else f"-m{max_power}" + ("-centered" if centered else "")),
+    )
+    for case in _with_workers((True,), (False,), more=2)
+    for max_power in (2, 3, 4)
+    for centered in (False, True)
+]
+
+
 class TestPipeline:
     """The replication threads, the kernel slots and the BLAS pin of
     ``run_replications``."""
@@ -247,12 +262,12 @@ class TestPipeline:
             try:
                 for count in (1, 2):
                     _set_blas_counts(count)
-                    runs[count] = [(r.t, r.t_centered) for r in run_replications(model, cfg, 1)]
+                    runs[count] = run_replications(model, cfg, 1)
                     assert _blas_counts() == [count] * len(ambient)
             finally:
                 for (set_threads, _), count in zip(harness._openblas_threads(), ambient):
                     set_threads(count)
-            assert runs[1] == runs[2]
+            assert all(map(np.array_equal, runs[1], runs[2]))
         assert len(seen) == 16 and all(counts == [1] * len(ambient) for counts in seen)
 
     @pytest.mark.parametrize(
@@ -288,12 +303,11 @@ class TestPipeline:
         model = build_experiment_model(cfg)
         raised = []
 
-        def poisoning(cfg, x=None):
-            x = lss._draw_x(cfg) if x is None else x
-            if cfg.replication_index == fail_at:
+        def poisoning(model, x, rep, *args):
+            if rep == fail_at:
                 x[0, 0] = math.nan
             try:
-                return run_replication(cfg, x)
+                return run_replication(model, x, rep, *args)
             except ReplicationInvariantError as exc:
                 raised.append(exc)
                 raise
@@ -306,13 +320,15 @@ class TestPipeline:
         _assert_no_replication_thread_alive()
         assert _blas_counts() == before
 
-    @pytest.mark.parametrize("pinned,workers", _with_workers((True,), (False,), more=2))
-    def test_block_matches_replication_loop(self, tmp_path, monkeypatch, pinned, workers):
+    @pytest.mark.parametrize("pinned,workers,max_power,centered", _BLOCK_CASES)
+    def test_block_matches_replication_loop(
+        self, tmp_path, monkeypatch, pinned, workers, max_power, centered
+    ):
         if not pinned:  # as on a BLAS without a thread-count symbol: draw inline
             monkeypatch.setattr(harness, "_openblas_threads", lambda: [])
         elif not harness._openblas_threads():
             pytest.skip("no OpenBLAS control symbol")
-        cfg = tiny_cfg(tmp_path, p=30, n=40, centered=True, max_power=4, reps=60)
+        cfg = tiny_cfg(tmp_path, p=30, n=40, centered=centered, max_power=max_power, reps=60)
         model = build_experiment_model(cfg)
         dist = parse_dist(cfg.dist)
         names = []
@@ -327,7 +343,7 @@ class TestPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the GIL between the threads often
         try:
-            got = run_replications(model, cfg, workers)
+            t, tc = run_replications(model, cfg, workers)
         finally:
             sys.setswitchinterval(interval)
         assert len(names) == cfg.reps
@@ -341,12 +357,16 @@ class TestPipeline:
             assert set(names) == {caller}
         monkeypatch.setattr(lss, "sample_block", original)
         want = [
-            run_replication(SampleConfig(model=model, dist=dist, n=cfg.n, replication_index=rep,
-                                         master_seed=cfg.master_seed, max_power=cfg.max_power,
-                                         centered=cfg.centered))
+            run_replication(model, _draw_x(dist, cfg.p, cfg.n, cfg.master_seed, rep), rep,
+                            max_power, centered)
             for rep in range(cfg.reps)
         ]
-        assert got == want
+        assert t.shape == (cfg.reps, max_power)
+        assert t.tolist() == [stats for stats, _ in want]
+        if centered:
+            assert tc.tolist() == [list(pair) for _, pair in want]
+        else:
+            assert tc is None
 
     @pytest.mark.skipif(not harness._openblas_threads(), reason="no OpenBLAS control symbol")
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -371,8 +391,8 @@ class TestPipeline:
                     active[0] -= 1
 
         monkeypatch.setattr(harness, "run_replication", counting)
-        got = run_replications(model, cfg, workers)
-        assert [r.replication_index for r in got] == list(range(cfg.reps))
+        t, _ = run_replications(model, cfg, workers)
+        assert t.shape == (cfg.reps, cfg.max_power) and np.all(np.isfinite(t))
         assert peak[0] == workers
         assert len(callers) <= workers + 1
 

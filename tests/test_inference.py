@@ -75,6 +75,23 @@ class TestWhiten:
         ms = moment_set(assemble_model([1.0, 1.0, 1.0]).traces, 5, -2.0)
         with pytest.raises(DegenerateCovarianceError):
             whiten(3.0, 4.0, ms)
+        with pytest.raises(DegenerateCovarianceError):
+            whiten(np.array([3.0, 2.5]), np.array([4.0, 3.5]), ms)
+
+    def test_array_matches_scalar_calls(self):
+        # one call over arrays of replications equals one call per replication, bit for bit
+        ms = moment_set(assemble_model([2.0, 0.7, 1.1]).traces, 9, 1.5)
+        rng = np.random.default_rng(4)
+        t1 = ms.e_t1 + rng.normal(size=1000) * ms.psi11**0.5
+        t2 = ms.e_t2 + rng.normal(size=1000) * ms.psi22**0.5
+        got = whiten(t1, t2, ms)
+        assert got.shape == (1000,)
+        assert got.tolist() == [whiten(float(a), float(b), ms) for a, b in zip(t1, t2)]
+        # and the closed form in Python floats, the order of operations kept
+        for a, b, ts in zip(t1.tolist(), t2.tolist(), got.tolist()):
+            d1, d2 = a - ms.e_t1, b - ms.e_t2
+            q = ms.psi22 * d1 * d1 - 2.0 * ms.psi12 * d1 * d2 + ms.psi11 * d2 * d2
+            assert ts == max(q / ms.det_psi, 0.0)
 
     def test_scale_equivariance(self):
         # transforming the model by c scales (t1, t2) by (c, c^2) and the
@@ -198,6 +215,5 @@ class TestMarginalNormalCheck:
             master_seed=33, max_power=3,
         )
         model = build_experiment_model(cfg)
-        rows = run_replications(model, cfg, workers=1)
-        t3 = np.array([r.t[2] for r in rows])
-        assert marginal_normal_check(t3).ks <= 0.05
+        t, _ = run_replications(model, cfg, workers=1)
+        assert marginal_normal_check(t[:, 2]).ks <= 0.05

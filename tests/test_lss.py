@@ -4,20 +4,21 @@ import pytest
 from covlss.innovations import rademacher, sample_block, standard_normal
 from covlss.lss import (
     ReplicationInvariantError,
-    SampleConfig,
     _check_invariants,
+    _draw_x,
     _trace_stats,
     run_replication,
 )
 from covlss.population import assemble_model, haar_orthogonal
 from covlss.seeding import REPLICATION_STREAM, derive_seed
 
+SEED = 1234
 
-def make_cfg(eigs, dist, n, rep=0, seed=1234, u=None, **kw):
+
+def replicate(eigs, dist, n, rep=0, u=None, max_power=2, centered=False):
+    """Replication ``rep``'s (t, tc), drawn and computed as the harness does."""
     model = assemble_model(eigs, u)
-    return SampleConfig(
-        model=model, dist=dist, n=n, replication_index=rep, master_seed=seed, **kw
-    )
+    return run_replication(model, _draw_x(dist, model.p, n, SEED, rep), rep, max_power, centered)
 
 
 def symmetric_half(eigs, u=None):
@@ -34,16 +35,16 @@ def dense_sigma(eigs, u=None):
     return half @ half
 
 
-def replication_x(cfg):
-    seed = derive_seed(cfg.master_seed, REPLICATION_STREAM, cfg.replication_index)
-    return sample_block(cfg.dist, seed, cfg.model.p * cfg.n).reshape(cfg.model.p, cfg.n)
+def replication_x(dist, p, n, rep):
+    seed = derive_seed(SEED, REPLICATION_STREAM, rep)
+    return sample_block(dist, seed, p * n).reshape(p, n)
 
 
-def direct_pxp(cfg, half):
+def direct_pxp(x, half):
     """T_1..T_4 of B and (T_1^0, T_2^0) of B - ybar ybar', built the p x p way
-    from Y = half X for a square root ``half`` of Sigma."""
-    y = half @ replication_x(cfg)
-    b = (y @ y.T) / cfg.n
+    from Y = half x for a square root ``half`` of Sigma."""
+    y = half @ x
+    b = (y @ y.T) / x.shape[1]
     ybar = y.mean(axis=1)
     b0 = b - np.outer(ybar, ybar)
     t = [float(np.trace(np.linalg.matrix_power(b, k))) for k in range(1, 5)]
@@ -56,22 +57,20 @@ class TestGenerateGram:
     def test_rademacher_single_column_identity(self):
         # x'x = p for any +-1 column, so the 1x1 Gram (p > n side) is always (2)
         for rep in range(5):
-            cfg = make_cfg([1.0, 1.0], rademacher(), n=1, rep=rep, max_power=4)
-            assert run_replication(cfg).t == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-12)
+            t, _ = replicate([1.0, 1.0], rademacher(), n=1, rep=rep, max_power=4)
+            assert t == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-12)
 
     def test_scalar_population_rank_one(self):
         # p = 1: B = 4 |x|^2 / n is a scalar, so T_k = T_1^k
-        cfg = make_cfg([4.0], standard_normal(), n=3, rep=1, max_power=4)
-        x = replication_x(cfg)
-        t = run_replication(cfg).t
+        x = replication_x(standard_normal(), 1, 3, rep=1)
+        t, _ = replicate([4.0], standard_normal(), n=3, rep=1, max_power=4)
         assert t[0] == pytest.approx(4.0 * float(x[0] @ x[0]) / 3, rel=1e-12)
         for k in range(2, 5):
             assert t[k - 1] == pytest.approx(t[0] ** k, rel=1e-12)
 
     def test_matches_naive_triple_loop(self):
         u = haar_orthogonal(3, 7)
-        cfg = make_cfg([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=u, max_power=4)
-        x = replication_x(cfg)
+        x = replication_x(standard_normal(), 3, 2, rep=3)
         sig = dense_sigma([2.0, 1.0, 0.5], u)
         naive = np.zeros((2, 2))
         for i in range(2):
@@ -80,14 +79,15 @@ class TestGenerateGram:
                     x[a, i] * sig[a, b] * x[b, j] for a in range(3) for b in range(3)
                 )
         want = [np.trace(np.linalg.matrix_power(naive, k)) / 2**k for k in range(1, 5)]
-        assert run_replication(cfg).t == pytest.approx(want, rel=1e-12)
+        t, _ = replicate([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=u, max_power=4)
+        assert t == pytest.approx(want, rel=1e-12)
 
     def test_gram_is_psd(self):
         # power sums of nonnegative eigenvalues: T_k >= 0 and T_2^2 <= T_1 T_3
         for n in (1, 2, 4):
             for rep in range(5):
-                cfg = make_cfg([3.0, 1.0], standard_normal(), n=n, rep=rep, max_power=4)
-                t1, t2, t3, t4 = run_replication(cfg).t
+                t, _ = replicate([3.0, 1.0], standard_normal(), n=n, rep=rep, max_power=4)
+                t1, t2, t3, t4 = t
                 assert min(t1, t2, t3, t4) >= 0.0
                 assert t2 * t2 <= t1 * t3 * (1 + 1e-12)
 
@@ -109,9 +109,10 @@ class TestLssTraces:
             p, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
             eigs = list(rng.uniform(0.2, 4.0, p))
             u = haar_orthogonal(p, trial) if p > 1 else None
-            cfg = make_cfg(eigs, standard_normal(), n=n, rep=trial, u=u, max_power=4)
-            want, _ = direct_pxp(cfg, symmetric_half(eigs, u))
-            assert run_replication(cfg).t == pytest.approx(want, rel=1e-10, abs=1e-12)
+            want, _ = direct_pxp(replication_x(standard_normal(), p, n, trial),
+                                 symmetric_half(eigs, u))
+            t, _ = replicate(eigs, standard_normal(), n=n, rep=trial, u=u, max_power=4)
+            assert t == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 class TestCenteredLss:
@@ -147,28 +148,21 @@ class TestCenteredLss:
             assert t1c == pytest.approx(float(np.trace(b0)), rel=1e-10)
             assert t2c == pytest.approx(float(np.sum(b0 * b0)), rel=1e-10)
 
-    def test_needs_two_columns(self):
-        model = assemble_model([1.0])
-        with pytest.raises(ValueError):
-            SampleConfig(model=model, dist=standard_normal(), n=1,
-                         replication_index=0, master_seed=0, centered=True)
-
 
 class TestRunReplication:
     def test_agrees_with_gram_route(self):
         # the n x n route X' Sigma X, built here, on both sides of p = n
         for p, n in ((3, 5), (5, 3)):
             eigs = list(np.linspace(0.5, 2.0, p))
-            cfg = make_cfg(eigs, standard_normal(), n=n, rep=4, max_power=4, centered=True)
-            res = run_replication(cfg)
-            x = replication_x(cfg)
+            t, tc = replicate(eigs, standard_normal(), n=n, rep=4, max_power=4, centered=True)
+            x = replication_x(standard_normal(), p, n, rep=4)
             a = x.T @ dense_sigma(eigs) @ x
             want = [np.trace(np.linalg.matrix_power(a, k)) / n**k for k in range(1, 5)]
-            assert res.t == pytest.approx(want, rel=1e-10)
+            assert t == pytest.approx(want, rel=1e-10)
             rowsum = a.sum(axis=1)
             yy = rowsum.sum() / n**2
             want_c = (want[0] - yy, want[1] - 2.0 * (rowsum @ rowsum) / n**3 + yy * yy)
-            assert res.t_centered == pytest.approx(want_c, rel=1e-9, abs=1e-12)
+            assert tc == pytest.approx(want_c, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("rotated", [False, True])
     @pytest.mark.parametrize(
@@ -182,33 +176,32 @@ class TestRunReplication:
         u = haar_orthogonal(p, 17) if rotated else None
         half = symmetric_half(eigs, u)
         for rep in range(3):
-            cfg = make_cfg(eigs, standard_normal(), n=n, rep=rep, u=u,
-                           max_power=4, centered=True)
-            res = run_replication(cfg)
-            want, want_c = direct_pxp(cfg, half)
-            assert res.t == pytest.approx(want, rel=1e-12)
-            assert res.t_centered == pytest.approx(want_c, rel=1e-12)
+            t, tc = replicate(eigs, standard_normal(), n=n, rep=rep, u=u,
+                              max_power=4, centered=True)
+            want, want_c = direct_pxp(replication_x(standard_normal(), p, n, rep), half)
+            assert t == pytest.approx(want, rel=1e-12)
+            assert tc == pytest.approx(want_c, rel=1e-12)
 
     def test_deterministic_per_index(self):
-        cfg = make_cfg([1.0, 2.0], standard_normal(), n=6, rep=9)
-        assert run_replication(cfg) == run_replication(cfg)
+        def again():
+            return replicate([1.0, 2.0], standard_normal(), n=6, rep=9)
+
+        assert again() == again()
 
     def test_rademacher_identity_t1_is_exactly_p(self):
         # sharpest end-to-end check: every x_ij^2 = 1, so T1 = p exactly
         for rep in range(20):
-            cfg = make_cfg([1.0] * 4, rademacher(), n=5, rep=rep)
-            res = run_replication(cfg)
-            assert res.t[0] == 4.0
+            t, _ = replicate([1.0] * 4, rademacher(), n=5, rep=rep)
+            assert t[0] == 4.0
 
     def test_psd_ordering_invariants(self):
         for rep in range(30):
-            cfg = make_cfg([3.0, 1.0, 0.4], standard_normal(), n=6, rep=rep, centered=True)
-            res = run_replication(cfg)
-            t1, t2 = res.t
+            (t1, t2), tc = replicate([3.0, 1.0, 0.4], standard_normal(), n=6, rep=rep,
+                                     centered=True)
             assert t1 >= 0 and t2 >= 0
             assert t2 <= t1 * t1 * (1 + 1e-9)
             assert t2 >= t1 * t1 / 3 * (1 - 1e-9)
-            assert res.t_centered[0] <= t1 + 1e-12
+            assert tc[0] <= t1 + 1e-12
 
     @pytest.mark.parametrize(
         "t,tc", [([np.nan, 1.0], None), ([1.0, np.inf], None), ([2.0, 3.0], (1.0, np.nan))]
@@ -216,11 +209,3 @@ class TestRunReplication:
     def test_non_finite_statistics_rejected(self, t, tc):
         with pytest.raises(ReplicationInvariantError, match="not finite"):
             _check_invariants(t, tc, 2, 0)
-
-    def test_max_power_one(self):
-        cfg = make_cfg([1.0, 1.0], standard_normal(), n=3, rep=0, max_power=1)
-        assert len(run_replication(cfg).t) == 1
-
-    def test_bad_max_power_rejected(self):
-        with pytest.raises(ValueError):
-            make_cfg([1.0], standard_normal(), n=3, rep=0, max_power=5)
