@@ -10,13 +10,24 @@ then wait for a kernel slot.  Where OpenBLAS cannot be pinned, the caller
 runs the same loop alone and ``workers`` has no effect.  Each replication
 writes its row of two arrays, (T_1..T_max_power) and the centered pair,
 and each array is whitened in one call.
+
+``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
+indent=2, sort_keys=True, allow_nan=False)`` plus a newline, streamed to
+the file (``indent`` itself would select the pure-Python encoder).  The C
+encoder writes every container that holds no container (a Q-Q array, the
+config, up to 256 ``verify`` rows at once), its item separator carrying
+the newline and indentation; only the nesting above those is walked in
+Python.  A report is written to a temporary file that replaces it once
+whole, so a refused value leaves no partial report.
 """
 
 from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -90,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
+        if not 0 <= self.master_seed < 2**64:  # seeding keeps only 64 bits
+            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.reps < 1:
             raise ConfigError(f"reps must be a positive integer, got {self.reps}")
         if not 2 <= self.max_power <= 4:  # the whitened statistic needs T_2
@@ -268,6 +281,111 @@ class ExperimentResult:
     files: list[str]
 
 
+_CONTAINERS = (dict, list, tuple)
+# exact types that are never containers: most items pass on this set alone
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# items of a list encoded by one C call when none of them holds a container
+_ROWS_PER_CALL = 256
+
+
+@functools.cache
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """C encoder of a container at ``level`` that holds no container: its
+    item separator carries the newline and the indentation of ``indent=2``."""
+    return json.JSONEncoder(
+        sort_keys=True, allow_nan=False, separators=(",\n" + "  " * (level + 1), ": ")
+    )
+
+
+def _flat_rows(rows, level: int) -> str | None:
+    """The indented texts of ``rows``, containers at ``level``, joined as
+    items of one list, from one C encoder call; None unless all rows are
+    non-empty dicts, or all non-empty lists and tuples, that hold no
+    container."""
+    if all(map(isinstance, rows, itertools.repeat(dict))):
+        for key in itertools.filterfalse(str.__instancecheck__, itertools.chain(*rows)):
+            # the stdlib would write an int, float, bool or None key as a str
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        opening, closing = "{", "}"
+        items = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    elif all(map(isinstance, rows, itertools.repeat((list, tuple)))):
+        opening, closing = "[", "]"
+        items = list(itertools.chain.from_iterable(rows))
+    else:
+        return None
+    if not all(rows) or (
+        not _SCALARS.issuperset(map(type, items))
+        and any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
+    ):
+        return None
+    encoder = _flat_encoder(level)
+    # The encoder writes "[" row separator row ... "]" with every row's items
+    # split by the same separator.  Strings escape their newlines and no
+    # scalar ends in a bracket, so closing-separator-opening occurs exactly
+    # between two rows.
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    text = encoder.encode(rows)[2:-2].replace(
+        closing + encoder.item_separator + opening,
+        outer + closing + "," + outer + opening + inner,
+    )
+    return opening + inner + text + outer + closing
+
+
+def _json_chunks(value, level: int = 0):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` in pieces: one per run of rows that hold no
+    container, one per item of any other nested container."""
+    if not isinstance(value, _CONTAINERS):
+        yield _flat_encoder(level).encode(value)
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    text = _flat_rows([value], level)
+    if text is not None:
+        yield text
+        return
+    inner = "\n" + "  " * (level + 1)
+    separator = ("{" if isinstance(value, dict) else "[") + inner
+    if isinstance(value, dict):
+        encode = _flat_encoder(level).encode
+        for key in sorted(value):
+            yield separator + encode(key) + ": "
+            yield from _json_chunks(value[key], level + 1)
+            separator = "," + inner
+        yield "\n" + "  " * level + "}"
+        return
+    for start in range(0, len(value), _ROWS_PER_CALL):
+        rows = value[start : start + _ROWS_PER_CALL]
+        text = _flat_rows(rows, level + 1)
+        if text is not None:
+            yield separator + text
+            separator = "," + inner
+            continue
+        for item in rows:
+            yield separator
+            yield from _json_chunks(item, level + 1)
+            separator = "," + inner
+    yield "\n" + "  " * level + "]"
+
+
+def _write_json(path: Path, value) -> None:
+    """Write ``value`` as indented, key-sorted JSON and a newline, streamed.
+
+    The text goes to a temporary file in the same directory that replaces
+    ``path`` only once it is whole, so a value the encoder refuses part way
+    leaves ``path`` as it was and no temporary file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as out:
+            out.writelines(_json_chunks(value))
+            out.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _fmt17(v: float) -> str:
     return f"{v:.17g}"
 
@@ -354,7 +472,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if qq_centered is not None:
             summary["qq_centered"] = _qq_arrays(qq_centered)
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_json(summary_path, summary)
     files.append(str(summary_path))
 
     return ExperimentResult(
@@ -374,8 +492,7 @@ class VerificationSummary:
     files: list[str]
 
 
-def _symmetric_stack(mats: list[np.ndarray]) -> SymMatrix:
-    a = np.stack(mats)
+def _symmetric_stack(a: np.ndarray) -> SymMatrix:
     return SymMatrix(0.5 * (a + a.transpose(0, 2, 1)))
 
 
@@ -407,15 +524,15 @@ def _identity_reports(
     """Draw the random cases one at a time, check each (dimension, law)
     group as one stack, and return the reports in case order."""
     dists = _verification_dists()
-    groups: dict[tuple[int, int], tuple[list[int], list, list]] = {}
+    groups: dict[tuple[int, int], tuple[list[int], list]] = {}
     for i in range(cases):
         dim = int(rng.integers(1, max_dim + 1))
-        members, a, b = groups.setdefault((dim, i % len(dists)), ([], [], []))
+        members, pairs = groups.setdefault((dim, i % len(dists)), ([], []))
         members.append(i)
-        a.append(rng.uniform(-1.0, 1.0, size=(dim, dim)))
-        b.append(rng.uniform(-1.0, 1.0, size=(dim, dim)))
+        pairs.append(rng.uniform(-1.0, 1.0, size=(2, dim, dim)))  # the case's A and B
     by_case: list = [None] * cases
-    for (_, law), (members, a_mats, b_mats) in groups.items():
+    for (_, law), (members, pairs) in groups.items():
+        a_mats, b_mats = np.stack(pairs, axis=1)
         a, b, dist = _symmetric_stack(a_mats), _symmetric_stack(b_mats), dists[law]
         checks = zip(
             verify_quadratic_covariance(a, b, dist),
@@ -472,7 +589,7 @@ def run_verification_suite(
             "cases": rows,
         }
         path = out_dir / "verify.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _write_json(path, payload)
         files.append(str(path))
 
     return VerificationSummary(

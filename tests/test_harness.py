@@ -91,6 +91,13 @@ class TestConfig:
             "a8cde1988723c05c875c16d6c8bfa8a9d8b9f1adb96227abe99d63999a545308"
         )
 
+    def test_master_seed_within_64_bits(self):
+        # seeding keeps the low 64 bits, so -1 would replay 2**64 - 1 under another digest
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="master_seed"):
+                ExperimentConfig(p=2, n=10, master_seed=seed).validate()
+        ExperimentConfig(p=2, n=10, master_seed=2**64 - 1).validate()
+
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.delenv("COVLSS_WORKERS", raising=False)
         assert resolve_workers(None) == 1
@@ -497,6 +504,106 @@ class TestVerificationSuite:
             run_verification_suite(2, 3, seed=-1)
 
 
+def _stdlib_dump(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\n\t\"\\", "\u2028\u00e9\U0001f600", "\x7f/", "},\n  {"]),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+_json_rows = st.one_of(
+    st.dictionaries(st.text(max_size=4), _json_leaves, max_size=4),
+    st.lists(_json_leaves, max_size=4),
+    st.lists(_json_leaves, max_size=4).map(tuple),
+    _json_trees,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_trees)
+    def test_chunks_equal_stdlib_dump(self, value):
+        assert "".join(harness._json_chunks(value)) == _stdlib_dump(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(_json_rows, min_size=1, max_size=6))
+    def test_long_lists_equal_stdlib_dump(self, rows):
+        # runs of rows that hold no container are encoded many to a call
+        value = {"cases": rows * (harness._ROWS_PER_CALL // len(rows) + 2)}
+        assert "".join(harness._json_chunks(value)) == _stdlib_dump(value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("place", [
+        lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": [v]}, "c": []},
+        lambda v: [{"a": 1}, ({"b": v},)], lambda v: [{"a": 1.0}] * 300 + [{"a": v}],
+    ])
+    def test_non_finite_refused_like_stdlib(self, bad, place):
+        with pytest.raises(ValueError):
+            _stdlib_dump(place(bad))
+        with pytest.raises(ValueError):
+            "".join(harness._json_chunks(place(bad)))
+
+    @pytest.mark.parametrize("value", [
+        {1: 2}, {"a": {None: 1}}, {"a": [{"b": 1, 2.5: [3]}]}, [{True: "x"}],
+        [{"a": 1}] * 300 + [{"a": 1, 2: 3}],
+    ])
+    def test_non_str_key_refused(self, value):
+        with pytest.raises(TypeError, match="keys must be str"):
+            "".join(harness._json_chunks(value))
+
+    def test_refused_report_leaves_no_file(self, tmp_path):
+        # far more than one write buffer of rows precede the NaN
+        row = {"abs_err": 0.0, "dims": 3, "dist": "rademacher", "lemma": "x", "lhs": 0.1}
+        rows = [dict(row, rhs=0.1 * i) for i in range(500)] + [dict(row, rhs=float("nan"))]
+        fresh = tmp_path / "fresh" / "verify.json"
+        fresh.parent.mkdir()
+        with pytest.raises(ValueError):
+            harness._write_json(fresh, {"cases": rows, "ok": True})
+        assert list(fresh.parent.iterdir()) == []
+        kept = tmp_path / "kept" / "verify.json"
+        kept.parent.mkdir()
+        harness._write_json(kept, {"cases": rows[:3], "ok": True})
+        before = kept.read_bytes()
+        with pytest.raises(ValueError):
+            harness._write_json(kept, {"cases": rows, "ok": True})
+        assert kept.read_bytes() == before
+        assert list(kept.parent.iterdir()) == [kept]
+
+    @pytest.mark.parametrize("run", ["verify", "simulate_both", "simulate_json"])
+    def test_reports_equal_stdlib_dump(self, tmp_path, monkeypatch, run):
+        written = {}
+
+        def recording(path, value):
+            written[path.name] = value
+            write_json(path, value)
+
+        write_json = harness._write_json
+        monkeypatch.setattr(harness, "_write_json", recording)
+        if run == "verify":
+            run_verification_suite(3, 40, seed=2, output_dir=str(tmp_path))
+        else:
+            fmt = run.removeprefix("simulate_")
+            run_experiment(tiny_cfg(tmp_path, centered=True, format=fmt, output_dir=str(tmp_path)))
+        assert written
+        for name, value in written.items():
+            assert (tmp_path / name).read_text() == _stdlib_dump(value) + "\n"
+
+
 class TestCli:
     def test_simulate_and_exit_zero(self, tmp_path, capsys):
         out = str(tmp_path / "cli_out")
@@ -530,6 +637,15 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: seed must be non-negative")
         assert not (out / "verify.json").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_out_of_range_exit_one(self, tmp_path, capsys, seed):
+        out = tmp_path / "s"
+        rc = main(["simulate", "--p", "4", "--n", "6", "--reps", "5",
+                   "--master-seed", str(seed), "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: master_seed must lie in")
+        assert not (out / "summary.json").exists()
 
     def test_degenerate_exit_one(self, tmp_path, capsys):
         rc = main([
@@ -625,11 +741,11 @@ class TestCli:
         assert summary["config"]["n"] == 500
         assert summary["reps"] == 10
 
-    def test_console_entry_point(self, tmp_path):
+    def test_console_entry_point(self, tmp_path, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "covlss.cli", "simulate", "--p", "4", "--n", "6",
              "--reps", "10", "--output-dir", str(tmp_path / "sp")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -31,7 +31,7 @@ def test_every_public_name_is_used_in_the_package():
     assert public - used == ONLY_TESTS_CALL
 
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_loads_no_process_pool(child_env):
     # replications run on threads in one process; a process pool would load
     # multiprocessing (about 1.3 MB) into every run
     code = (
@@ -39,6 +39,6 @@ def test_cli_import_loads_no_process_pool():
         "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process') "
         "if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
