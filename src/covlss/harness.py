@@ -282,8 +282,6 @@ class ExperimentResult:
 
 
 _CONTAINERS = (dict, list, tuple)
-# exact types that are never containers: most items pass on this set alone
-_SCALARS = frozenset({str, int, float, bool, type(None)})
 # items of a list encoded by one C call when none of them holds a container
 _ROWS_PER_CALL = 256
 
@@ -307,16 +305,13 @@ def _flat_rows(rows, level: int) -> str | None:
             # the stdlib would write an int, float, bool or None key as a str
             raise TypeError(f"keys must be str, not {type(key).__name__}")
         opening, closing = "{", "}"
-        items = list(itertools.chain.from_iterable(map(dict.values, rows)))
+        items = itertools.chain.from_iterable(map(dict.values, rows))
     elif all(map(isinstance, rows, itertools.repeat((list, tuple)))):
         opening, closing = "[", "]"
-        items = list(itertools.chain.from_iterable(rows))
+        items = itertools.chain.from_iterable(rows)
     else:
         return None
-    if not all(rows) or (
-        not _SCALARS.issuperset(map(type, items))
-        and any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
-    ):
+    if not all(rows) or any(map(isinstance, items, itertools.repeat(_CONTAINERS))):
         return None
     encoder = _flat_encoder(level)
     # The encoder writes "[" row separator row ... "]" with every row's items
