@@ -16,6 +16,7 @@ from .enumeration import EnumerationGuardError
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    NonFiniteReportError,
     run_experiment,
     run_verification_suite,
 )
@@ -172,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     # OSError: a config file or output directory that is missing or not usable
     except (ConfigError, DegenerateCovarianceError, EnumerationGuardError,
-            ConsistencyError, OSError) as exc:
+            ConsistencyError, NonFiniteReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -181,31 +181,6 @@ def _flat_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1).sum(axis=1)
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityReport:
-    """Enumerated LHS vs closed-form RHS of one moment identity."""
-
-    identity: str
-    dims: int
-    dist: str
-    lhs: float
-    rhs: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    def as_dict(self) -> dict:
-        return {
-            "lemma": self.identity,
-            "dims": self.dims,
-            "dist": self.dist,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-        }
-
-
 def _check_identity_dims(*mats: SymMatrix) -> int:
     shapes = {m.array.shape for m in mats}
     if len(shapes) != 1:
@@ -218,22 +193,12 @@ def _check_identity_dims(*mats: SymMatrix) -> int:
     return dim
 
 
-def _reports(
-    identity: str, dim: int, dist: InnovationDist, task: EnumerationTask, rhs: np.ndarray
-) -> list[IdentityReport]:
-    """Enumerate ``task`` and pair each case's LHS with its closed-form RHS."""
-    lhs, selector = exact_expectation(task), dist.selector
-    return [
-        IdentityReport(identity, dim, selector, left, right)
-        for left, right in zip(lhs.tolist(), rhs.tolist())
-    ]
-
-
 def verify_quadratic_covariance(
     a: SymMatrix, b: SymMatrix, dist: InnovationDist
-) -> list[IdentityReport]:
-    """E[(x'Ax - trA)(x'Bx - trB)] == nu4 tr(A∘B) + tr(AB') + tr(AB),
-    one report per case of the stacks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """E[(x'Ax - trA)(x'Bx - trB)] == nu4 tr(A∘B) + tr(AB') + tr(AB):
+    the enumerated LHS and the closed-form RHS of every case of the
+    stacks, two ``(cases,)`` arrays.
 
     The fourth-moment coefficient multiplies tr(A∘B): the mixed diagonal
     product, symmetric in the two operands, is what enumeration confirms.
@@ -250,12 +215,14 @@ def verify_quadratic_covariance(
     tr_ab_hadamard = (da * db).sum(axis=1)
     rhs = dist.profile.nu4 * tr_ab_hadamard + 2.0 * _flat_sum(aa * ba)
     task = EnumerationTask(dim, dist, statistic, len(aa))
-    return _reports("quadratic_covariance", dim, dist, task, rhs)
+    return exact_expectation(task), rhs
 
 
-def verify_fourth_moment(a: SymMatrix, dist: InnovationDist) -> list[IdentityReport]:
-    """E sum_i (A x)_i^4 == 3 tr(A'A ∘ A'A) + nu4 tr((A'∘A')(A∘A)),
-    one report per case of the stack."""
+def verify_fourth_moment(
+    a: SymMatrix, dist: InnovationDist
+) -> tuple[np.ndarray, np.ndarray]:
+    """E sum_i (A x)_i^4 == 3 tr(A'A ∘ A'A) + nu4 tr((A'∘A')(A∘A)):
+    (lhs, rhs) of every case of the stack, two ``(cases,)`` arrays."""
     dim = _check_identity_dims(a)
     aa = a.array
     at = aa.transpose(0, 2, 1)
@@ -266,14 +233,14 @@ def verify_fourth_moment(a: SymMatrix, dist: InnovationDist) -> list[IdentityRep
     a2 = aa @ aa
     rhs = 3.0 * (_diagonals(a2) ** 2).sum(axis=1) + dist.profile.nu4 * _flat_sum(aa**4)
     task = EnumerationTask(dim, dist, statistic, len(aa))
-    return _reports("fourth_moment", dim, dist, task, rhs)
+    return exact_expectation(task), rhs
 
 
 def verify_triple_product(
     t: SymMatrix, w: SymMatrix, dist: InnovationDist
-) -> list[IdentityReport]:
-    """E[(x'Tx)^2 (x'Wx)] against its eleven-term closed form, one report
-    per case of the stacks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """E[(x'Tx)^2 (x'Wx)] against its eleven-term closed form: (lhs, rhs)
+    of every case of the stacks, two ``(cases,)`` arrays.
 
     The closed form mixes plain traces, Hadamard traces, diagonal
     interaction scalars and the moments mu3, mu4, mu6 of the innovation
@@ -316,7 +283,7 @@ def verify_triple_product(
         + (prof.mu6 - 15.0 * prof.mu4 - 10.0 * prof.mu3**2 + 30.0) * tr_ttw_diag
     )
     task = EnumerationTask(dim, dist, statistic, len(ta))
-    return _reports("triple_product", dim, dist, task, rhs)
+    return exact_expectation(task), rhs
 
 
 @dataclass(frozen=True)
@@ -340,12 +307,9 @@ class FiniteMomentReport:
 
     @property
     def exact_abs_err(self) -> float:
-        return max(
-            abs(self.e_t1[0] - self.e_t1[1]),
-            abs(self.var_t1[0] - self.var_t1[1]),
-            abs(self.e_t2[0] - self.e_t2[1]),
-            abs(self.e_t1_centered[0] - self.e_t1_centered[1]),
-        )
+        """The largest error of the exact rows; NaN if any of them is NaN."""
+        pairs = np.array([self.e_t1, self.var_t1, self.e_t2, self.e_t1_centered])
+        return float(np.abs(pairs[:, 0] - pairs[:, 1]).max())
 
     def as_dict(self) -> dict:
         return {

@@ -12,20 +12,22 @@ writes its row of two arrays, (T_1..T_max_power) and the centered pair,
 and each array is whitened in one call.
 
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
-indent=2, sort_keys=True, allow_nan=False)`` plus a newline, streamed to
-the file (``indent`` itself would select the pure-Python encoder).  The C
-encoder writes every container that holds no container (a Q-Q array, the
-config, up to 256 ``verify`` rows at once), its item separator carrying
-the newline and indentation; only the nesting above those is walked in
-Python.  A report is written to a temporary file that replaces it once
-whole, so a refused value leaves no partial report.
+indent=2, sort_keys=True, allow_nan=False)`` plus a newline.  The
+verification suite works on columns from the enumeration to the file: the
+identity checks of each (dimension, law) group fill rows of ``(cases, 3)``
+lhs and rhs arrays, and the errors, maxima and ``ok`` are array
+reductions.  Each identity row of ``verify.json`` is streamed from one
+fixed ``%``-format string, keys sorted and indented, floats by ``%r`` (the
+``float.__repr__`` that ``json`` writes); the header and the finite-n rows
+come from ``json.dumps``.  Every value is checked finite before the file is
+opened.  A report is written to a temporary file that replaces it once
+whole, so a failed write leaves no partial report.
 """
 
 from __future__ import annotations
 
 import ctypes
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -42,7 +44,6 @@ from . import VERSION_STRING
 from .enumeration import (
     EnumerationGuardError,
     FiniteMomentReport,
-    IdentityReport,
     SymMatrix,
     verify_finite_n_moments,
     verify_fourth_moment,
@@ -73,6 +74,10 @@ _UNDIGESTED = ("output_dir", "format", "workers")
 
 class ConfigError(ValueError):
     """An experiment configuration field is missing or malformed."""
+
+
+class NonFiniteReportError(ValueError):
+    """A report value is NaN or infinite, so the report is not written."""
 
 
 @dataclass
@@ -281,104 +286,22 @@ class ExperimentResult:
     files: list[str]
 
 
-_CONTAINERS = (dict, list, tuple)
-# items of a list encoded by one C call when none of them holds a container
-_ROWS_PER_CALL = 256
-
-
-@functools.cache
-def _flat_encoder(level: int) -> json.JSONEncoder:
-    """C encoder of a container at ``level`` that holds no container: its
-    item separator carries the newline and the indentation of ``indent=2``."""
-    return json.JSONEncoder(
-        sort_keys=True, allow_nan=False, separators=(",\n" + "  " * (level + 1), ": ")
-    )
-
-
-def _flat_rows(rows, level: int) -> str | None:
-    """The indented texts of ``rows``, containers at ``level``, joined as
-    items of one list, from one C encoder call; None unless all rows are
-    non-empty dicts, or all non-empty lists and tuples, that hold no
-    container."""
-    if all(map(isinstance, rows, itertools.repeat(dict))):
-        for key in itertools.filterfalse(str.__instancecheck__, itertools.chain(*rows)):
-            # the stdlib would write an int, float, bool or None key as a str
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        opening, closing = "{", "}"
-        items = itertools.chain.from_iterable(map(dict.values, rows))
-    elif all(map(isinstance, rows, itertools.repeat((list, tuple)))):
-        opening, closing = "[", "]"
-        items = itertools.chain.from_iterable(rows)
-    else:
-        return None
-    if not all(rows) or any(map(isinstance, items, itertools.repeat(_CONTAINERS))):
-        return None
-    encoder = _flat_encoder(level)
-    # The encoder writes "[" row separator row ... "]" with every row's items
-    # split by the same separator.  Strings escape their newlines and no
-    # scalar ends in a bracket, so closing-separator-opening occurs exactly
-    # between two rows.
-    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    text = encoder.encode(rows)[2:-2].replace(
-        closing + encoder.item_separator + opening,
-        outer + closing + "," + outer + opening + inner,
-    )
-    return opening + inner + text + outer + closing
-
-
-def _json_chunks(value, level: int = 0):
-    """The text of ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` in pieces: one per run of rows that hold no
-    container, one per item of any other nested container."""
-    if not isinstance(value, _CONTAINERS):
-        yield _flat_encoder(level).encode(value)
-        return
-    if not value:
-        yield "{}" if isinstance(value, dict) else "[]"
-        return
-    text = _flat_rows([value], level)
-    if text is not None:
-        yield text
-        return
-    inner = "\n" + "  " * (level + 1)
-    separator = ("{" if isinstance(value, dict) else "[") + inner
-    if isinstance(value, dict):
-        encode = _flat_encoder(level).encode
-        for key in sorted(value):
-            yield separator + encode(key) + ": "
-            yield from _json_chunks(value[key], level + 1)
-            separator = "," + inner
-        yield "\n" + "  " * level + "}"
-        return
-    for start in range(0, len(value), _ROWS_PER_CALL):
-        rows = value[start : start + _ROWS_PER_CALL]
-        text = _flat_rows(rows, level + 1)
-        if text is not None:
-            yield separator + text
-            separator = "," + inner
-            continue
-        for item in rows:
-            yield separator
-            yield from _json_chunks(item, level + 1)
-            separator = "," + inner
-    yield "\n" + "  " * level + "]"
-
-
-def _write_json(path: Path, value) -> None:
-    """Write ``value`` as indented, key-sorted JSON and a newline, streamed.
-
-    The text goes to a temporary file in the same directory that replaces
-    ``path`` only once it is whole, so a value the encoder refuses part way
-    leaves ``path`` as it was and no temporary file behind."""
+def _write_text(path: Path, chunks) -> None:
+    """Write the text ``chunks`` to a temporary file in the same directory
+    that replaces ``path`` only once it is whole, so a write that fails part
+    way leaves ``path`` as it was and no temporary file behind."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as out:
-            out.writelines(_json_chunks(value))
-            out.write("\n")
+            out.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _dump(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _fmt17(v: float) -> str:
@@ -467,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if qq_centered is not None:
             summary["qq_centered"] = _qq_arrays(qq_centered)
     summary_path = out_dir / "summary.json"
-    _write_json(summary_path, summary)
+    _write_text(summary_path, (_dump(summary), "\n"))
     files.append(str(summary_path))
 
     return ExperimentResult(
@@ -485,6 +408,15 @@ class VerificationSummary:
     threshold: float
     ok: bool
     files: list[str]
+
+
+_LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
+# one verify.json identity row as json.dumps(indent=2, sort_keys=True) writes
+# it inside "cases", and the separator that a finite-n row always follows
+_IDENTITY_ROW = (
+    '    {\n      "abs_err": %r,\n      "dims": %d,\n      "dist": %s,\n'
+    '      "lemma": %s,\n      "lhs": %r,\n      "rhs": %r\n    },\n'
+)
 
 
 def _symmetric_stack(a: np.ndarray) -> SymMatrix:
@@ -513,30 +445,64 @@ def _finite_moment_grid() -> list[tuple[PopulationModel, int]]:
     return models
 
 
-def _identity_reports(
+def _identity_columns(
     rng: np.random.Generator, max_dim: int, cases: int
-) -> list[IdentityReport]:
-    """Draw the random cases one at a time, check each (dimension, law)
-    group as one stack, and return the reports in case order."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Draw the random cases one at a time and check each (dimension, law)
+    group as one stack.  Returns the enumerated and closed-form sides as
+    ``(cases, 3)`` arrays, a column per lemma of ``_LEMMAS``, and each
+    case's dimension; case ``i`` is drawn under law ``i % 3``."""
     dists = _verification_dists()
+    dims: list[int] = []
     groups: dict[tuple[int, int], tuple[list[int], list]] = {}
     for i in range(cases):
         dim = int(rng.integers(1, max_dim + 1))
-        members, pairs = groups.setdefault((dim, i % len(dists)), ([], []))
+        dims.append(dim)
+        members, draws = groups.setdefault((dim, i % len(dists)), ([], []))
         members.append(i)
-        pairs.append(rng.uniform(-1.0, 1.0, size=(2, dim, dim)))  # the case's A and B
-    by_case: list = [None] * cases
-    for (_, law), (members, pairs) in groups.items():
-        a_mats, b_mats = np.stack(pairs, axis=1)
-        a, b, dist = _symmetric_stack(a_mats), _symmetric_stack(b_mats), dists[law]
-        checks = zip(
+        draws.append(rng.random((2, dim, dim)))  # the case's A and B, on [0, 1)
+    lhs, rhs = np.empty((cases, 3)), np.empty((cases, 3))
+    for (_, law), (members, draws) in groups.items():
+        # uniform(-1, 1) is -1 + 2 u of the same doubles u
+        a, b = map(_symmetric_stack, -1.0 + 2.0 * np.stack(draws, axis=1))
+        dist = dists[law]
+        checks = (
             verify_quadratic_covariance(a, b, dist),
             verify_fourth_moment(a, dist),
             verify_triple_product(a, b, dist),
         )
-        for i, case in zip(members, checks):
-            by_case[i] = case
-    return [r for case in by_case for r in case]
+        lhs[members], rhs[members] = np.array(checks).transpose(1, 2, 0)
+    return lhs, rhs, dims
+
+
+def _write_verify_json(path: Path, header: dict, identity: tuple, finite_rows: list[dict]) -> None:
+    """Write verify.json: the bytes of ``_dump`` of ``header`` with the
+    identity and finite-n rows as its "cases", and a newline.
+
+    ``identity`` holds the identity rows' lhs, rhs, abs_err and dims as
+    lists in row order, then the selectors that their laws cycle through.
+    Every value is checked finite before the file is opened.
+    """
+    lhs, rhs, abs_err, dims, selectors = identity
+    finite = np.isfinite(abs_err)  # False also where lhs or rhs is not finite
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteReportError(
+            f"{_LEMMAS[k % 3]} of case {k // 3} is not finite: lhs {lhs[k]!r}, rhs {rhs[k]!r}"
+        )
+    finite_texts = []
+    for row in finite_rows:
+        try:
+            finite_texts.append("    " + _dump(row).replace("\n", "\n    "))
+        except ValueError as exc:
+            raise NonFiniteReportError(
+                f"finite_n_moments of case {row['dims']}, {row['dist']} is not finite: {exc}"
+            ) from None
+    tail = ",\n".join(finite_texts) + "\n  ]," + _dump(header)[1:] + "\n"
+    encoded = [list(map(json.dumps, names)) for names in (selectors, _LEMMAS)]
+    rows = zip(abs_err, dims, *map(itertools.cycle, encoded), lhs, rhs)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_text(path, itertools.chain(['{\n  "cases": [\n'], map(_IDENTITY_ROW.__mod__, rows), [tail]))
 
 
 def run_verification_suite(
@@ -547,8 +513,10 @@ def run_verification_suite(
     ``cases`` random (matrix, distribution) draws are checked per
     identity at dimensions 1..max_dim; a report row is emitted per check,
     in case order, and the suite passes only if every exact comparison
-    stays within ``VERIFY_THRESHOLD``.  The cases of one (dimension, law)
-    group are checked together, one enumeration per identity and group.
+    stays within ``VERIFY_THRESHOLD`` (a NaN never does).  The cases of one
+    (dimension, law) group are checked together, one enumeration per
+    identity and group.  With ``output_dir`` a NaN or infinite value raises
+    :class:`NonFiniteReportError` and no verify.json is written.
     """
     if max_dim > 4:
         raise EnumerationGuardError(f"max_dim is capped at 4, got {max_dim}")
@@ -559,36 +527,42 @@ def run_verification_suite(
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    reports: list[IdentityReport | FiniteMomentReport] = _identity_reports(
-        np.random.default_rng(seed), max_dim, cases
-    )
-    for model, n in _finite_moment_grid():
-        for dist in (rademacher(), two_point(0.2)):
-            reports.append(verify_finite_n_moments(model, n, dist))
-
-    rows = [r.as_dict() for r in reports]
-    max_err: dict[str, float] = {}
-    for row in rows:
-        max_err[row["lemma"]] = max(max_err.get(row["lemma"], 0.0), row["abs_err"])
+    lhs, rhs, dims = _identity_columns(np.random.default_rng(seed), max_dim, cases)
+    abs_err = np.abs(lhs - rhs)
+    finite_rows = [
+        verify_finite_n_moments(model, n, dist).as_dict()
+        for model, n in _finite_moment_grid()
+        for dist in (rademacher(), two_point(0.2))
+    ]
+    max_err = dict(zip(_LEMMAS, abs_err.max(axis=0).tolist()))  # NaN propagates
+    max_err["finite_n_moments"] = float(np.max([row["abs_err"] for row in finite_rows]))
     ok = all(v <= VERIFY_THRESHOLD for v in max_err.values())
+
+    # row k is lemma k % 3 of case k // 3, whose law is case % 3
+    selectors = [dist.selector for dist in _verification_dists() for _ in _LEMMAS]
+    row_dims = np.repeat(dims, len(_LEMMAS)).tolist()
+    flat = [column.ravel().tolist() for column in (lhs, rhs, abs_err)]
+    rows = [
+        {"lemma": lemma, "dims": dim, "dist": dist, "lhs": left, "rhs": right, "abs_err": err}
+        for lemma, dim, dist, left, right, err in zip(
+            itertools.cycle(_LEMMAS), row_dims, itertools.cycle(selectors), *flat
+        )
+    ]
 
     files: list[str] = []
     if output_dir is not None:
-        out_dir = Path(output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
+        header = {
             "version": VERSION_STRING,
             "threshold": VERIFY_THRESHOLD,
             "max_abs_err": max_err,
             "ok": ok,
-            "cases": rows,
         }
-        path = out_dir / "verify.json"
-        _write_json(path, payload)
+        path = Path(output_dir) / "verify.json"
+        _write_verify_json(path, header, (*flat, row_dims, selectors), finite_rows)
         files.append(str(path))
 
     return VerificationSummary(
-        cases=rows,
+        cases=rows + finite_rows,
         max_abs_err=max_err,
         threshold=VERIFY_THRESHOLD,
         ok=ok,

@@ -273,17 +273,17 @@ class TestLoopOracle:
         aa, ba = a.array[0], b.array[0]
         tr_a, tr_b = np.trace(aa), np.trace(ba)
 
-        quad = verify_quadratic_covariance(a, b, dist)[0].lhs
+        (quad,), _ = verify_quadratic_covariance(a, b, dist)
         want = loop_expectation(
             dist, dim, lambda x: (x @ aa @ x - tr_a) * (x @ ba @ x - tr_b)
         )
         assert quad == pytest.approx(want, rel=1e-12)
 
-        fourth = verify_fourth_moment(a, dist)[0].lhs
+        (fourth,), _ = verify_fourth_moment(a, dist)
         want = loop_expectation(dist, dim, lambda x: np.sum((aa @ x) ** 4))
         assert fourth == pytest.approx(want, rel=1e-12)
 
-        triple = verify_triple_product(a, b, dist)[0].lhs
+        (triple,), _ = verify_triple_product(a, b, dist)
         want = loop_expectation(dist, dim, lambda x: (x @ aa @ x) ** 2 * (x @ ba @ x))
         assert triple == pytest.approx(want, rel=1e-12)
 
@@ -317,22 +317,22 @@ class TestLoopOracle:
 
 class TestQuadraticCovariance:
     def test_identity_rademacher_degenerate(self):
-        (r,) = verify_quadratic_covariance(identity(2), identity(2), rademacher())
-        assert r.lhs == 0.0 and r.rhs == 0.0
+        (lhs,), (rhs,) = verify_quadratic_covariance(identity(2), identity(2), rademacher())
+        assert lhs == 0.0 and rhs == 0.0
 
     def test_zero_matrix(self):
         z = SymMatrix(np.zeros((1, 2, 2)))
-        (r,) = verify_quadratic_covariance(identity(2), z, rademacher())
-        assert r.lhs == 0.0 and r.rhs == 0.0
+        (lhs,), (rhs,) = verify_quadratic_covariance(identity(2), z, rademacher())
+        assert lhs == 0.0 and rhs == 0.0
 
     def test_random_grid(self):
         rng = np.random.default_rng(9)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (r,) = verify_quadratic_covariance(
+            (lhs,), (rhs,) = verify_quadratic_covariance(
                 random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
             )
-            assert r.abs_err <= 1e-12
+            assert abs(lhs - rhs) <= 1e-12
 
     def test_dim_guard(self):
         with pytest.raises(EnumerationGuardError):
@@ -347,48 +347,57 @@ class TestQuadraticCovariance:
 
 class TestFourthMoment:
     def test_identity_rademacher(self):
-        (r,) = verify_fourth_moment(identity(2), rademacher())
-        assert r.lhs == pytest.approx(2.0, abs=1e-14)
-        assert r.rhs == pytest.approx(2.0, abs=1e-14)
+        (lhs,), (rhs,) = verify_fourth_moment(identity(2), rademacher())
+        assert lhs == pytest.approx(2.0, abs=1e-14)
+        assert rhs == pytest.approx(2.0, abs=1e-14)
 
     def test_zero_matrix(self):
-        (r,) = verify_fourth_moment(SymMatrix(np.zeros((1, 3, 3))), two_point(0.4))
-        assert r.lhs == 0.0 and r.rhs == 0.0
+        (lhs,), (rhs,) = verify_fourth_moment(SymMatrix(np.zeros((1, 3, 3))), two_point(0.4))
+        assert lhs == 0.0 and rhs == 0.0
 
     def test_random_grid(self):
         rng = np.random.default_rng(10)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (r,) = verify_fourth_moment(random_sym(rng, dim), two_point(0.35))
-            assert r.abs_err <= 1e-12
+            (lhs,), (rhs,) = verify_fourth_moment(random_sym(rng, dim), two_point(0.35))
+            assert abs(lhs - rhs) <= 1e-12
 
 
 class TestTripleProduct:
     def test_identity_rademacher_cube(self):
         # x'x is identically 2, so E (x'x)^3 = 8
-        (r,) = verify_triple_product(identity(2), identity(2), rademacher())
-        assert r.lhs == pytest.approx(8.0, abs=1e-14)
-        assert r.rhs == pytest.approx(8.0, abs=1e-14)
+        (lhs,), (rhs,) = verify_triple_product(identity(2), identity(2), rademacher())
+        assert lhs == pytest.approx(8.0, abs=1e-14)
+        assert rhs == pytest.approx(8.0, abs=1e-14)
 
     def test_zero_weight_matrix(self):
         z = SymMatrix(np.zeros((1, 2, 2)))
-        (r,) = verify_triple_product(identity(2), z, two_point(0.2))
-        assert r.lhs == 0.0 and r.rhs == 0.0
+        (lhs,), (rhs,) = verify_triple_product(identity(2), z, two_point(0.2))
+        assert lhs == 0.0 and rhs == 0.0
 
     def test_random_grid_with_skewed_innovations(self):
         rng = np.random.default_rng(11)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (r,) = verify_triple_product(
+            (lhs,), (rhs,) = verify_triple_product(
                 random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
             )
-            assert r.abs_err <= 1e-10
+            assert abs(lhs - rhs) <= 1e-10
 
     def test_report_dict_shape(self):
-        (r,) = verify_triple_product(identity(2), identity(2), rademacher())
-        d = r.as_dict()
-        assert set(d) == {"lemma", "dims", "dist", "lhs", "rhs", "abs_err"}
-        assert d["lemma"] == "triple_product"
+        # a check reports (lhs, rhs) as two float columns, one entry per case
+        t = SymMatrix(symmetric_stack(np.random.default_rng(12), 5, 3))
+        lhs, rhs = verify_triple_product(t, t, two_point(0.2))
+        for side in (lhs, rhs):
+            assert isinstance(side, np.ndarray)
+            assert side.dtype == np.float64 and side.shape == (5,)
+        for case in range(5):
+            (alone_lhs,), (alone_rhs,) = verify_triple_product(
+                SymMatrix(t.array[case : case + 1]), SymMatrix(t.array[case : case + 1]),
+                two_point(0.2),
+            )
+            assert alone_lhs == lhs[case]
+            assert alone_rhs == pytest.approx(rhs[case], rel=1e-14, abs=0.0)
 
 
 class TestFiniteNMoments:

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -25,9 +27,11 @@ from covlss.enumeration import (
     verify_quadratic_covariance,
     verify_triple_product,
 )
+from covlss import VERSION_STRING
 from covlss.harness import (
     ConfigError,
     ExperimentConfig,
+    NonFiniteReportError,
     build_experiment_model,
     resolve_workers,
     run_experiment,
@@ -39,6 +43,9 @@ from covlss.innovations import parse_dist, rademacher, two_point
 from covlss.lss import ReplicationInvariantError, _draw_x, run_replication
 from covlss.population import assemble_model, haar_orthogonal
 from covlss.seeding import REPLICATION_STREAM, derive_seed
+
+
+LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
 
 
 def tiny_cfg(tmp_path, **kw):
@@ -478,18 +485,16 @@ class TestVerificationSuite:
             a, b = (SymMatrix((0.5 * (m + m.T))[None]) for m in (a, b))
             dist = laws[i % 3]
             groups.add((dim, dist.selector))
-            alone = [
-                *verify_quadratic_covariance(a, b, dist),
-                *verify_fourth_moment(a, dist),
-                *verify_triple_product(a, b, dist),
-            ]
-            for got, want in zip(summary.cases[3 * i : 3 * i + 3], alone):
-                want = want.as_dict()
-                assert (got["lemma"], got["dims"], got["dist"]) == (
-                    want["lemma"], want["dims"], want["dist"]
-                )
-                assert got["lhs"] == want["lhs"]
-                assert got["rhs"] == pytest.approx(want["rhs"], rel=1e-14, abs=0.0)
+            alone = (
+                verify_quadratic_covariance(a, b, dist),
+                verify_fourth_moment(a, dist),
+                verify_triple_product(a, b, dist),
+            )
+            for got, lemma, ((lhs,), (rhs,)) in zip(summary.cases[3 * i : 3 * i + 3], LEMMAS, alone):
+                assert (got["lemma"], got["dims"], got["dist"]) == (lemma, dim, dist.selector)
+                assert got["lhs"] == lhs
+                assert got["rhs"] == pytest.approx(rhs, rel=1e-14, abs=0.0)
+                assert got["abs_err"] == abs(got["lhs"] - got["rhs"])
         assert len(groups) == 12
         assert summary.cases[3 * cases]["lemma"] == "finite_n_moments"
 
@@ -503,105 +508,142 @@ class TestVerificationSuite:
         with pytest.raises(ConfigError, match="seed"):
             run_verification_suite(2, 3, seed=-1)
 
+    def test_draw_and_rows_pinned(self):
+        # sha256 of the rows as the per-case report objects wrote them before
+        # the suite worked on columns; "version" is not part of the rows
+        summary = run_verification_suite(4, 300, 1)
+        blob = json.dumps(summary.cases, sort_keys=True).encode()
+        assert len(summary.cases) == 3 * 300 + 16
+        assert hashlib.sha256(blob).hexdigest() == (
+            "8602b2f5e078d7e3ec380a407ef98bd684e90629ecf673ce2b04c2b1c567c2e8"
+        )
+
+    def test_nan_check_fails_the_suite(self, monkeypatch):
+        # NaN in the lhs of the last case of every (dimension, law) group
+        _patch_check(monkeypatch, "verify_fourth_moment", lambda out: _with_value(out, 0, -1, np.nan))
+        summary = run_verification_suite(2, 30, 1)
+        nan_rows = [row for row in summary.cases if math.isnan(row["abs_err"])]
+        assert len(nan_rows) == 6  # one per group at max_dim 2
+        assert all(row["lemma"] == "fourth_moment" and math.isnan(row["lhs"]) for row in nan_rows)
+        assert math.isnan(summary.max_abs_err["fourth_moment"])
+        assert not summary.ok
+        others = set(summary.max_abs_err) - {"fourth_moment"}
+        assert all(summary.max_abs_err[name] <= 1e-12 for name in others)
+
 
 def _stdlib_dump(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
-_json_leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**70), 2**70),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
-    st.text(),
-    st.sampled_from(["", "\x00\x1f\n\t\"\\", "\u2028\u00e9\U0001f600", "\x7f/", "},\n  {"]),
-)
-_json_trees = st.recursive(
-    _json_leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.text(max_size=4), children, max_size=5),
-    ),
-    max_leaves=30,
-)
-_json_rows = st.one_of(
-    st.dictionaries(st.text(max_size=4), _json_leaves, max_size=4),
-    st.lists(_json_leaves, max_size=4),
-    st.lists(_json_leaves, max_size=4).map(tuple),
-    _json_trees,
-)
+def _verify_payload(summary) -> dict:
+    """The value whose dump verify.json must be, rebuilt from the summary."""
+    return {
+        "version": VERSION_STRING,
+        "threshold": summary.threshold,
+        "max_abs_err": summary.max_abs_err,
+        "ok": summary.ok,
+        "cases": summary.cases,
+    }
+
+
+def _with_value(out, side, case, v):
+    """An identity check's (lhs, rhs) with ``v`` at ``case`` of one side."""
+    sides = [np.array(column) for column in out]
+    sides[side][case] = v
+    return tuple(sides)
+
+
+def _patch_check(monkeypatch, name, corrupt):
+    check = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: corrupt(check(*args)))
+
+
+# a NaN or infinity in either side of each identity, or in a finite-n row:
+# each lambda maps the value to the check it goes through and how
+_NON_FINITE_PLACES = [
+    lambda v: ("verify_quadratic_covariance", lambda out: _with_value(out, 0, 0, v)),
+    lambda v: ("verify_fourth_moment", lambda out: _with_value(out, 1, -1, v)),
+    lambda v: ("verify_triple_product", lambda out: _with_value(out, 0, -1, v)),
+    lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
+        rep, var_t1=(v, rep.var_t1[1]))),
+    # e_t2_centered is reported but is not an exact identity, so ok stays True
+    lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
+        rep, e_t2_centered=(rep.e_t2_centered[0], v))),
+]
 
 
 class TestReportWriter:
-    @settings(max_examples=300, deadline=None)
-    @given(value=_json_trees)
-    def test_chunks_equal_stdlib_dump(self, value):
-        assert "".join(harness._json_chunks(value)) == _stdlib_dump(value)
-
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(_json_rows, min_size=1, max_size=6))
-    def test_long_lists_equal_stdlib_dump(self, rows):
-        # runs of rows that hold no container are encoded many to a call
-        value = {"cases": rows * (harness._ROWS_PER_CALL // len(rows) + 2)}
-        assert "".join(harness._json_chunks(value)) == _stdlib_dump(value)
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("place", [
-        lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": [v]}, "c": []},
-        lambda v: [{"a": 1}, ({"b": v},)], lambda v: [{"a": 1.0}] * 300 + [{"a": v}],
-    ])
-    def test_non_finite_refused_like_stdlib(self, bad, place):
+    @pytest.mark.parametrize("place", _NON_FINITE_PLACES)
+    def test_non_finite_refused_like_stdlib(self, tmp_path, monkeypatch, bad, place):
+        _patch_check(monkeypatch, *place(bad))
+        summary = run_verification_suite(2, 30, 1)
         with pytest.raises(ValueError):
-            _stdlib_dump(place(bad))
-        with pytest.raises(ValueError):
-            "".join(harness._json_chunks(place(bad)))
+            _stdlib_dump(_verify_payload(summary))
+        out = tmp_path / "v"
+        with pytest.raises(NonFiniteReportError, match="is not finite"):
+            run_verification_suite(2, 30, 1, str(out))
+        assert not out.exists() or list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("value", [
-        {1: 2}, {"a": {None: 1}}, {"a": [{"b": 1, 2.5: [3]}]}, [{True: "x"}],
-        [{"a": 1}] * 300 + [{"a": 1, 2: 3}],
-    ])
-    def test_non_str_key_refused(self, value):
-        with pytest.raises(TypeError, match="keys must be str"):
-            "".join(harness._json_chunks(value))
-
-    def test_refused_report_leaves_no_file(self, tmp_path):
-        # far more than one write buffer of rows precede the NaN
-        row = {"abs_err": 0.0, "dims": 3, "dist": "rademacher", "lemma": "x", "lhs": 0.1}
-        rows = [dict(row, rhs=0.1 * i) for i in range(500)] + [dict(row, rhs=float("nan"))]
-        fresh = tmp_path / "fresh" / "verify.json"
-        fresh.parent.mkdir()
-        with pytest.raises(ValueError):
-            harness._write_json(fresh, {"cases": rows, "ok": True})
-        assert list(fresh.parent.iterdir()) == []
-        kept = tmp_path / "kept" / "verify.json"
-        kept.parent.mkdir()
-        harness._write_json(kept, {"cases": rows[:3], "ok": True})
+    def test_refused_report_leaves_no_file(self, tmp_path, monkeypatch):
+        run_verification_suite(2, 30, 1, str(tmp_path))
+        kept = tmp_path / "verify.json"
         before = kept.read_bytes()
-        with pytest.raises(ValueError):
-            harness._write_json(kept, {"cases": rows, "ok": True})
+        with monkeypatch.context() as patched:
+            _patch_check(patched, *_NON_FINITE_PLACES[1](float("nan")))
+            with pytest.raises(NonFiniteReportError):
+                run_verification_suite(2, 30, 1, str(tmp_path))
         assert kept.read_bytes() == before
-        assert list(kept.parent.iterdir()) == [kept]
+        assert list(tmp_path.iterdir()) == [kept]
+
+        # a write that fails part way, after more than a write buffer of text
+        def chunks():
+            yield "x" * (1 << 20)
+            raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space"):
+            harness._write_text(kept, chunks())
+        assert kept.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [kept]
+
+        # a NaN in summary.json is refused before the file is opened
+        cfg = tiny_cfg(tmp_path, output_dir=str(tmp_path / "sim"))
+        run_experiment(cfg)
+        summary = tmp_path / "sim" / "summary.json"
+        before = summary.read_bytes()
+        qq_report = harness.qq_report
+        monkeypatch.setattr(
+            harness, "qq_report",
+            lambda *args: dataclasses.replace(qq_report(*args), ks=float("nan")),
+        )
+        with pytest.raises(ValueError):
+            run_experiment(cfg)
+        assert summary.read_bytes() == before
+        assert not list(summary.parent.glob(".*"))
 
     @pytest.mark.parametrize("run", ["verify", "simulate_both", "simulate_json"])
     def test_reports_equal_stdlib_dump(self, tmp_path, monkeypatch, run):
-        written = {}
-
-        def recording(path, value):
-            written[path.name] = value
-            write_json(path, value)
-
-        write_json = harness._write_json
-        monkeypatch.setattr(harness, "_write_json", recording)
         if run == "verify":
-            run_verification_suite(3, 40, seed=2, output_dir=str(tmp_path))
-        else:
-            fmt = run.removeprefix("simulate_")
-            run_experiment(tiny_cfg(tmp_path, centered=True, format=fmt, output_dir=str(tmp_path)))
-        assert written
-        for name, value in written.items():
-            assert (tmp_path / name).read_text() == _stdlib_dump(value) + "\n"
+            for max_dim in (1, 2, 3, 4):
+                for seed in (2, 20211):
+                    out = tmp_path / f"{max_dim}-{seed}"
+                    summary = run_verification_suite(max_dim, 40, seed, str(out))
+                    text = (out / "verify.json").read_text()
+                    assert text == _stdlib_dump(_verify_payload(summary)) + "\n"
+            return
+        dumped = []
+
+        def recording(value):
+            dumped.append(value)
+            return dump(value)
+
+        dump = harness._dump
+        monkeypatch.setattr(harness, "_dump", recording)
+        fmt = run.removeprefix("simulate_")
+        run_experiment(tiny_cfg(tmp_path, centered=True, format=fmt, output_dir=str(tmp_path)))
+        (value,) = dumped
+        assert ("qq" in value) and ("qq_centered" in value)
+        assert (tmp_path / "summary.json").read_text() == _stdlib_dump(value) + "\n"
 
 
 class TestCli:
@@ -629,6 +671,22 @@ class TestCli:
         rc = main(["verify", "--max-dim", "5", "--cases", "2",
                    "--output-dir", str(tmp_path)])
         assert rc == 1
+
+    def test_verify_nan_exits_one_without_report(self, tmp_path, monkeypatch, capsys):
+        _patch_check(monkeypatch, "verify_fourth_moment", lambda out: _with_value(out, 0, -1, np.nan))
+        first = next(
+            i for i, row in enumerate(run_verification_suite(2, 30, 1).cases)
+            if math.isnan(row["abs_err"])
+        )
+        out = tmp_path / "v"
+        rc = main(["verify", "--max-dim", "2", "--cases", "30", "--seed", "1",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fourth_moment of case {first // 3} is not finite: lhs nan")
+        assert "Traceback" not in err
+        assert not (out / "verify.json").exists()
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_verify_negative_seed_exit_one(self, tmp_path, capsys):
         out = tmp_path / "v"
