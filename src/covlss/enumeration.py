@@ -308,8 +308,9 @@ class FiniteMomentReport:
     @property
     def exact_abs_err(self) -> float:
         """The largest error of the exact rows; NaN if any of them is NaN."""
-        pairs = np.array([self.e_t1, self.var_t1, self.e_t2, self.e_t1_centered])
-        return float(np.abs(pairs[:, 0] - pairs[:, 1]).max())
+        pairs = (self.e_t1, self.var_t1, self.e_t2, self.e_t1_centered)
+        errs = [abs(enumerated - formula) for enumerated, formula in pairs]
+        return math.nan if any(map(math.isnan, errs)) else max(errs)
 
     def as_dict(self) -> dict:
         return {

@@ -43,7 +43,6 @@ import numpy as np
 from . import VERSION_STRING
 from .enumeration import (
     EnumerationGuardError,
-    FiniteMomentReport,
     SymMatrix,
     verify_finite_n_moments,
     verify_fourth_moment,
@@ -447,11 +446,11 @@ def _finite_moment_grid() -> list[tuple[PopulationModel, int]]:
 
 def _identity_columns(
     rng: np.random.Generator, max_dim: int, cases: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int], list[str]]:
     """Draw the random cases one at a time and check each (dimension, law)
     group as one stack.  Returns the enumerated and closed-form sides as
-    ``(cases, 3)`` arrays, a column per lemma of ``_LEMMAS``, and each
-    case's dimension; case ``i`` is drawn under law ``i % 3``."""
+    ``(cases, 3)`` arrays in case order, a column per lemma of ``_LEMMAS``,
+    and each case's dimension and law."""
     dists = _verification_dists()
     dims: list[int] = []
     groups: dict[tuple[int, int], tuple[list[int], list]] = {}
@@ -472,23 +471,26 @@ def _identity_columns(
             verify_triple_product(a, b, dist),
         )
         lhs[members], rhs[members] = np.array(checks).transpose(1, 2, 0)
-    return lhs, rhs, dims
+    laws = [dists[i % len(dists)].selector for i in range(cases)]
+    return lhs, rhs, dims, laws
 
 
-def _write_verify_json(path: Path, header: dict, identity: tuple, finite_rows: list[dict]) -> None:
+def _write_verify_json(
+    path: Path, header: dict, identity: dict[str, list], finite_rows: list[dict]
+) -> None:
     """Write verify.json: the bytes of ``_dump`` of ``header`` with the
     identity and finite-n rows as its "cases", and a newline.
 
-    ``identity`` holds the identity rows' lhs, rhs, abs_err and dims as
-    lists in row order, then the selectors that their laws cycle through.
+    ``identity`` maps each key of an identity row but "lemma" to its values
+    in row order; row ``k`` checks ``_LEMMAS[k % 3]`` on case ``k // 3``.
     Every value is checked finite before the file is opened.
     """
-    lhs, rhs, abs_err, dims, selectors = identity
-    finite = np.isfinite(abs_err)  # False also where lhs or rhs is not finite
+    finite = np.isfinite(identity["abs_err"])  # False also where lhs or rhs is not finite
     if not finite.all():
         k = int(np.argmin(finite))
         raise NonFiniteReportError(
-            f"{_LEMMAS[k % 3]} of case {k // 3} is not finite: lhs {lhs[k]!r}, rhs {rhs[k]!r}"
+            f"{_LEMMAS[k % 3]} of case {k // 3} is not finite: "
+            f"lhs {identity['lhs'][k]!r}, rhs {identity['rhs'][k]!r}"
         )
     finite_texts = []
     for row in finite_rows:
@@ -499,10 +501,18 @@ def _write_verify_json(path: Path, header: dict, identity: tuple, finite_rows: l
                 f"finite_n_moments of case {row['dims']}, {row['dist']} is not finite: {exc}"
             ) from None
     tail = ",\n".join(finite_texts) + "\n  ]," + _dump(header)[1:] + "\n"
-    encoded = [list(map(json.dumps, names)) for names in (selectors, _LEMMAS)]
-    rows = zip(abs_err, dims, *map(itertools.cycle, encoded), lhs, rhs)
+    encoded = {dist: json.dumps(dist) for dist in set(identity["dist"])}
+    rows = zip(
+        identity["abs_err"],
+        identity["dims"],
+        map(encoded.__getitem__, identity["dist"]),
+        itertools.cycle(map(json.dumps, _LEMMAS)),
+        identity["lhs"],
+        identity["rhs"],
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(path, itertools.chain(['{\n  "cases": [\n'], map(_IDENTITY_ROW.__mod__, rows), [tail]))
+    head = '{\n  "cases": [\n'
+    _write_text(path, itertools.chain([head], map(_IDENTITY_ROW.__mod__, rows), [tail]))
 
 
 def run_verification_suite(
@@ -527,7 +537,7 @@ def run_verification_suite(
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    lhs, rhs, dims = _identity_columns(np.random.default_rng(seed), max_dim, cases)
+    lhs, rhs, dims, laws = _identity_columns(np.random.default_rng(seed), max_dim, cases)
     abs_err = np.abs(lhs - rhs)
     finite_rows = [
         verify_finite_n_moments(model, n, dist).as_dict()
@@ -537,15 +547,18 @@ def run_verification_suite(
     max_err = dict(zip(_LEMMAS, abs_err.max(axis=0).tolist()))  # NaN propagates
     max_err["finite_n_moments"] = float(np.max([row["abs_err"] for row in finite_rows]))
     ok = all(v <= VERIFY_THRESHOLD for v in max_err.values())
-
-    # row k is lemma k % 3 of case k // 3, whose law is case % 3
-    selectors = [dist.selector for dist in _verification_dists() for _ in _LEMMAS]
-    row_dims = np.repeat(dims, len(_LEMMAS)).tolist()
-    flat = [column.ravel().tolist() for column in (lhs, rhs, abs_err)]
+    identity = {
+        "lhs": lhs.ravel().tolist(),
+        "rhs": rhs.ravel().tolist(),
+        "abs_err": abs_err.ravel().tolist(),
+        "dims": np.repeat(dims, len(_LEMMAS)).tolist(),
+        "dist": [law for law in laws for _ in _LEMMAS],
+    }
     rows = [
         {"lemma": lemma, "dims": dim, "dist": dist, "lhs": left, "rhs": right, "abs_err": err}
         for lemma, dim, dist, left, right, err in zip(
-            itertools.cycle(_LEMMAS), row_dims, itertools.cycle(selectors), *flat
+            itertools.cycle(_LEMMAS), identity["dims"], identity["dist"],
+            identity["lhs"], identity["rhs"], identity["abs_err"],
         )
     ]
 
@@ -558,7 +571,7 @@ def run_verification_suite(
             "ok": ok,
         }
         path = Path(output_dir) / "verify.json"
-        _write_verify_json(path, header, (*flat, row_dims, selectors), finite_rows)
+        _write_verify_json(path, header, identity, finite_rows)
         files.append(str(path))
 
     return VerificationSummary(

@@ -490,7 +490,8 @@ class TestVerificationSuite:
                 verify_fourth_moment(a, dist),
                 verify_triple_product(a, b, dist),
             )
-            for got, lemma, ((lhs,), (rhs,)) in zip(summary.cases[3 * i : 3 * i + 3], LEMMAS, alone):
+            rows = summary.cases[3 * i : 3 * i + 3]
+            for got, lemma, ((lhs,), (rhs,)) in zip(rows, LEMMAS, alone):
                 assert (got["lemma"], got["dims"], got["dist"]) == (lemma, dim, dist.selector)
                 assert got["lhs"] == lhs
                 assert got["rhs"] == pytest.approx(rhs, rel=1e-14, abs=0.0)
@@ -519,8 +520,7 @@ class TestVerificationSuite:
         )
 
     def test_nan_check_fails_the_suite(self, monkeypatch):
-        # NaN in the lhs of the last case of every (dimension, law) group
-        _patch_check(monkeypatch, "verify_fourth_moment", lambda out: _with_value(out, 0, -1, np.nan))
+        _patch_check(monkeypatch, "verify_fourth_moment", _last_lhs_nan)
         summary = run_verification_suite(2, 30, 1)
         nan_rows = [row for row in summary.cases if math.isnan(row["abs_err"])]
         assert len(nan_rows) == 6  # one per group at max_dim 2
@@ -553,22 +553,27 @@ def _with_value(out, side, case, v):
     return tuple(sides)
 
 
+def _last_lhs_nan(out):
+    """NaN in the lhs of the last case of the group."""
+    return _with_value(out, 0, -1, np.nan)
+
+
 def _patch_check(monkeypatch, name, corrupt):
     check = getattr(harness, name)
     monkeypatch.setattr(harness, name, lambda *args: corrupt(check(*args)))
 
 
 # a NaN or infinity in either side of each identity, or in a finite-n row:
-# each lambda maps the value to the check it goes through and how
+# each lambda maps the value to the check it goes through, how, and whether
+# it lands in an exact comparison (e_t2_centered is reported but not one)
 _NON_FINITE_PLACES = [
-    lambda v: ("verify_quadratic_covariance", lambda out: _with_value(out, 0, 0, v)),
-    lambda v: ("verify_fourth_moment", lambda out: _with_value(out, 1, -1, v)),
-    lambda v: ("verify_triple_product", lambda out: _with_value(out, 0, -1, v)),
+    lambda v: ("verify_quadratic_covariance", lambda out: _with_value(out, 0, 0, v), True),
+    lambda v: ("verify_fourth_moment", lambda out: _with_value(out, 1, -1, v), True),
+    lambda v: ("verify_triple_product", lambda out: _with_value(out, 0, -1, v), True),
     lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
-        rep, var_t1=(v, rep.var_t1[1]))),
-    # e_t2_centered is reported but is not an exact identity, so ok stays True
+        rep, var_t1=(rep.var_t1[0], v)), True),
     lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
-        rep, e_t2_centered=(rep.e_t2_centered[0], v))),
+        rep, e_t2_centered=(rep.e_t2_centered[0], v)), False),
 ]
 
 
@@ -576,8 +581,11 @@ class TestReportWriter:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("place", _NON_FINITE_PLACES)
     def test_non_finite_refused_like_stdlib(self, tmp_path, monkeypatch, bad, place):
-        _patch_check(monkeypatch, *place(bad))
+        name, corrupt, exact = place(bad)
+        _patch_check(monkeypatch, name, corrupt)
         summary = run_verification_suite(2, 30, 1)
+        assert summary.ok is not exact
+        assert all(math.isfinite(err) for err in summary.max_abs_err.values()) is not exact
         with pytest.raises(ValueError):
             _stdlib_dump(_verify_payload(summary))
         out = tmp_path / "v"
@@ -590,7 +598,7 @@ class TestReportWriter:
         kept = tmp_path / "verify.json"
         before = kept.read_bytes()
         with monkeypatch.context() as patched:
-            _patch_check(patched, *_NON_FINITE_PLACES[1](float("nan")))
+            _patch_check(patched, *_NON_FINITE_PLACES[1](float("nan"))[:2])
             with pytest.raises(NonFiniteReportError):
                 run_verification_suite(2, 30, 1, str(tmp_path))
         assert kept.read_bytes() == before
@@ -673,7 +681,7 @@ class TestCli:
         assert rc == 1
 
     def test_verify_nan_exits_one_without_report(self, tmp_path, monkeypatch, capsys):
-        _patch_check(monkeypatch, "verify_fourth_moment", lambda out: _with_value(out, 0, -1, np.nan))
+        _patch_check(monkeypatch, "verify_fourth_moment", _last_lhs_nan)
         first = next(
             i for i, row in enumerate(run_verification_suite(2, 30, 1).cases)
             if math.isnan(row["abs_err"])
