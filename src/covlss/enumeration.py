@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .innovations import InnovationDist, NotEnumerableError
-from .moments import centered_expected_values, expected_values, psi_matrix
+from .moments import moment_set
 from .population import PopulationModel
 
 STATE_GUARD = 10**8
@@ -307,10 +307,12 @@ class FiniteMomentReport:
 
     @property
     def exact_abs_err(self) -> float:
-        """The largest error of the exact rows; NaN if any of them is NaN."""
+        """The largest error of the exact rows; NaN if any of the ten values,
+        e_t2_centered's included, is not finite."""
         pairs = (self.e_t1, self.var_t1, self.e_t2, self.e_t1_centered)
-        errs = [abs(enumerated - formula) for enumerated, formula in pairs]
-        return math.nan if any(map(math.isnan, errs)) else max(errs)
+        if not all(map(math.isfinite, itertools.chain(*pairs, self.e_t2_centered))):
+            return math.nan
+        return max(abs(enumerated - formula) for enumerated, formula in pairs)
 
     def as_dict(self) -> dict:
         return {
@@ -362,17 +364,14 @@ def verify_finite_n_moments(
     ).tolist()
     (var_t1,) = exact_variance(EnumerationTask(num_vars, dist, t1)).tolist()
 
-    nu4 = dist.profile.nu4
-    f_e_t1, f_e_t2 = expected_values(model.traces, n, nu4)
-    f_var_t1 = psi_matrix(model.traces, n, nu4)[0]
-    f_e_t1c, f_e_t2c = centered_expected_values(model.traces, n, nu4)
+    ms = moment_set(model.traces, n, dist.profile.nu4, centered=True)
     return FiniteMomentReport(
         p=p,
         n=n,
         dist=dist.selector,
-        e_t1=(e_t1, f_e_t1),
-        var_t1=(var_t1, f_var_t1),
-        e_t2=(e_t2, f_e_t2),
-        e_t1_centered=(e_t1c, f_e_t1c),
-        e_t2_centered=(e_t2c, f_e_t2c),
+        e_t1=(e_t1, ms.e_t1),
+        var_t1=(var_t1, ms.psi11),
+        e_t2=(e_t2, ms.e_t2),
+        e_t1_centered=(e_t1c, ms.e_t1_centered),
+        e_t2_centered=(e_t2c, ms.e_t2_centered),
     )

@@ -16,7 +16,7 @@ innovation's fourth cumulant excess, the implemented formulas are
 and for the mean-centered sample covariance B - ybar ybar' (divisor n),
 
   E T_1^0 = (1 - 1/n) tr S                                        (exact)
-  E T_2^0 = E T_2 - (tr^2 S + 2 n tr S^2) / n^2          (leading order),
+  E T_2^0 = E T_2 - [tr^2 S + 2 n tr S^2] / n^2          (leading order),
 
 with the covariance matrix unchanged.  The exact/leading-order split is
 verified in the test suite: exact values against exhaustive enumeration,
@@ -25,9 +25,63 @@ leading-order values against Monte Carlo.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .population import TraceSet
+
+# A formula is (k, terms), the sum of its terms over n^k.  A term is
+# (c, j, factors): c(n) nu4^j times the TraceSet entries named in factors,
+# with c a polynomial in n with integer coefficients, highest power first.
+# "tr1*tr1" and "tr2*tr2" are pairs multiplied before the term's product.
+# The terms are summed in the listed order, which fixes every rounding.
+_E_T2 = (1, (
+    ((1,), 1, ("trH11",)),
+    ((1,), 0, ("tr1*tr1",)),
+    ((1, 1), 0, ("tr2",)),
+))
+_PSI11 = (1, (
+    ((1,), 1, ("trH11",)),
+    ((2,), 0, ("tr2",)),
+))
+_PSI12 = (2, (
+    ((4,), 0, ("tr2", "tr1")),
+    ((2,), 1, ("trH11", "tr1")),
+    ((2, 0), 1, ("trH12",)),
+    ((4, 0), 0, ("tr3",)),
+))
+_PSI22 = (3, (
+    ((8,), 0, ("tr2", "tr1*tr1")),
+    ((4,), 1, ("tr1*tr1", "trH11")),
+    ((16, 0), 0, ("tr1", "tr3")),
+    ((4, 0), 0, ("tr2*tr2",)),
+    ((8, 0), 1, ("trH12", "tr1")),
+    ((4, 0, 0), 1, ("trH22",)),
+    ((8, 0, 0), 0, ("tr4",)),
+))
+# E T_2 - E T_2^0
+_CENTERED_SHIFT = (2, (
+    ((1,), 0, ("tr1*tr1",)),
+    ((2, 0), 0, ("tr2",)),
+))
+
+
+def _evaluate(formula, values: dict, n: int, nu4_powers: tuple) -> tuple[float, float]:
+    """(value, cancellation scale) of one formula: the sum of its terms and
+    the sum of their absolute values, each over n^k."""
+    k, terms = formula
+    value, scale = -0.0, 0.0  # -0.0 + x is x for every x, zeros included
+    for poly, j, factors in terms:
+        c = 0
+        for a in poly:
+            c = c * n + a
+        term = c * nu4_powers[j]
+        for name in factors:
+            term *= values[name]
+        value += term
+        scale += abs(term)
+    divisor = n**k
+    return value / divisor, scale / divisor
 
 
 @dataclass(frozen=True)
@@ -43,7 +97,7 @@ class MomentSet:
     nu4: float
     e_t1_centered: float | None = None
     e_t2_centered: float | None = None
-    # cancellation scales: the absolute-term magnitude behind psi11/psi22,
+    # cancellation scales: the sum of the absolute terms behind psi11/psi22,
     # used to tell a truly zero variance from rounding noise (e.g. a sign
     # innovation with a diagonal spectrum makes T1 constant, but the float
     # cancellation nu4 tr(S∘S) + 2 tr S^2 rarely lands on exactly 0.0)
@@ -58,97 +112,41 @@ class MomentSet:
         """The same covariance around the centered means (for whitening T^0)."""
         if self.e_t1_centered is None or self.e_t2_centered is None:
             raise ValueError("centered expectations were not computed for this MomentSet")
-        return MomentSet(
-            e_t1=self.e_t1_centered,
-            e_t2=self.e_t2_centered,
-            psi11=self.psi11,
-            psi12=self.psi12,
-            psi22=self.psi22,
-            n=self.n,
-            nu4=self.nu4,
-            psi11_scale=self.psi11_scale,
-            psi22_scale=self.psi22_scale,
+        return dataclasses.replace(
+            self, e_t1=self.e_t1_centered, e_t2=self.e_t2_centered,
+            e_t1_centered=None, e_t2_centered=None,
         )
 
     def as_dict(self) -> dict:
-        return {
-            "e_t1": self.e_t1,
-            "e_t2": self.e_t2,
-            "psi11": self.psi11,
-            "psi12": self.psi12,
-            "psi22": self.psi22,
-            "n": self.n,
-            "nu4": self.nu4,
-            "e_t1_centered": self.e_t1_centered,
-            "e_t2_centered": self.e_t2_centered,
-        }
-
-
-def expected_values(traces: TraceSet, n: int, nu4: float) -> tuple[float, float]:
-    """(E T_1, E T_2); both are exact at finite n."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    e_t1 = traces.tr1
-    e_t2 = (nu4 * traces.trH11 + traces.tr1 * traces.tr1 + (n + 1) * traces.tr2) / n
-    return e_t1, e_t2
-
-
-def psi_matrix(traces: TraceSet, n: int, nu4: float) -> tuple[float, float, float]:
-    """(psi11, psi12, psi22); psi11 is exact, the others leading order."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    psi11 = (nu4 * traces.trH11 + 2.0 * traces.tr2) / n
-    psi12 = (
-        4.0 * traces.tr2 * traces.tr1
-        + 2.0 * nu4 * traces.trH11 * traces.tr1
-        + 2.0 * nu4 * n * traces.trH12
-        + 4.0 * n * traces.tr3
-    ) / n**2
-    psi22 = (
-        8.0 * traces.tr2 * (traces.tr1 * traces.tr1)
-        + 4.0 * nu4 * (traces.tr1 * traces.tr1) * traces.trH11
-        + 16.0 * n * traces.tr1 * traces.tr3
-        + 4.0 * n * (traces.tr2 * traces.tr2)
-        + 8.0 * nu4 * n * traces.trH12 * traces.tr1
-        + 4.0 * nu4 * n**2 * traces.trH22
-        + 8.0 * n**2 * traces.tr4
-    ) / n**3
-    return psi11, psi12, psi22
-
-
-def centered_expected_values(traces: TraceSet, n: int, nu4: float) -> tuple[float, float]:
-    """(E T_1^0, E T_2^0) for the divisor-n centered sample covariance.
-
-    E T_1^0 = (1 - 1/n) tr S follows from E ybar'ybar = tr S / n and is
-    exact; the enumeration engine confirms it.  E T_2^0 subtracts the
-    leading-order shift (tr^2 S + 2 n tr S^2) / n^2.
-    """
-    if n < 2:
-        raise ValueError("centered statistics need n >= 2")
-    e_t1, e_t2 = expected_values(traces, n, nu4)
-    e_t1_centered = traces.tr1 * (1.0 - 1.0 / n)
-    e_t2_centered = e_t2 - (traces.tr1 * traces.tr1 + 2.0 * n * traces.tr2) / n**2
-    return e_t1_centered, e_t2_centered
+        """The fields but the two cancellation scales."""
+        fields = dict(vars(self))
+        del fields["psi11_scale"], fields["psi22_scale"]
+        return fields
 
 
 def moment_set(traces: TraceSet, n: int, nu4: float, centered: bool = False) -> MomentSet:
-    e_t1, e_t2 = expected_values(traces, n, nu4)
-    psi11, psi12, psi22 = psi_matrix(traces, n, nu4)
-    scale11 = (abs(nu4) * traces.trH11 + 2.0 * traces.tr2) / n
-    scale22 = (
-        8.0 * traces.tr2 * (traces.tr1 * traces.tr1)
-        + 4.0 * abs(nu4) * (traces.tr1 * traces.tr1) * traces.trH11
-        + 16.0 * n * abs(traces.tr1 * traces.tr3)
-        + 4.0 * n * (traces.tr2 * traces.tr2)
-        + 8.0 * abs(nu4) * n * abs(traces.trH12 * traces.tr1)
-        + 4.0 * abs(nu4) * n**2 * traces.trH22
-        + 8.0 * n**2 * traces.tr4
-    ) / n**3
+    """The moments of (T_1, T_2) at sample size n; with ``centered`` also
+    the means of the pair from the centered sample covariance, which need
+    n >= 2."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if centered and n < 2:
+        raise ValueError("centered statistics need n >= 2")
+    # the entries of traces and the pre-multiplied pairs the tables name
+    values = dict(vars(traces))
+    values["tr1*tr1"] = traces.tr1 * traces.tr1
+    values["tr2*tr2"] = traces.tr2 * traces.tr2
+    nu4_powers = (1.0, nu4)
+    e_t2 = _evaluate(_E_T2, values, n, nu4_powers)[0]
+    psi11, psi11_scale = _evaluate(_PSI11, values, n, nu4_powers)
+    psi12 = _evaluate(_PSI12, values, n, nu4_powers)[0]
+    psi22, psi22_scale = _evaluate(_PSI22, values, n, nu4_powers)
     e_t1c = e_t2c = None
     if centered:
-        e_t1c, e_t2c = centered_expected_values(traces, n, nu4)
+        e_t1c = traces.tr1 * (1.0 - 1.0 / n)
+        e_t2c = e_t2 - _evaluate(_CENTERED_SHIFT, values, n, nu4_powers)[0]
     return MomentSet(
-        e_t1=e_t1,
+        e_t1=traces.tr1,
         e_t2=e_t2,
         psi11=psi11,
         psi12=psi12,
@@ -157,8 +155,8 @@ def moment_set(traces: TraceSet, n: int, nu4: float, centered: bool = False) -> 
         nu4=nu4,
         e_t1_centered=e_t1c,
         e_t2_centered=e_t2c,
-        psi11_scale=scale11,
-        psi22_scale=scale22,
+        psi11_scale=psi11_scale,
+        psi22_scale=psi22_scale,
     )
 
 
@@ -174,7 +172,7 @@ class SpikeCaseResult:
     case 3: tau1^4 / p -> infinity; the spike dominates and the statistic
             is rescaled by sqrt(n) / tau1^2.
 
-    At a finite p the reference is psi22 from psi_matrix of the spectrum
+    At a finite p the reference is psi22 from moment_set of the spectrum
     itself; at tau1 = 5, p = n = 500 it is 51.02 against the case-1 limit 36.
     """
 
@@ -190,7 +188,7 @@ def single_spike_variance(
 
     c = p / n and nu4 is the innovations' excess kurtosis; delta sets the
     case-2 spike tau1 = delta * p^{1/4}.  Case 1 applies only when
-    tau1^4 / p is small.  For the variance at a finite p use psi_matrix.
+    tau1^4 / p is small.  For the variance at a finite p use moment_set.
     """
     if c <= 0:
         raise ValueError("the dimension ratio c must be positive")

@@ -17,7 +17,7 @@ from covlss.harness import (
     run_verification_suite,
 )
 from covlss.innovations import rademacher, two_point
-from covlss.moments import psi_matrix, single_spike_variance
+from covlss.moments import moment_set, single_spike_variance
 from covlss.population import TraceSet, assemble_model
 
 
@@ -93,7 +93,8 @@ def test_criterion_3_leading_order_covariance_entries():
     )
     model = build_experiment_model(cfg)
     t1, t2 = monte_carlo_t_pairs(model, 500, "normal", 10**4, 31)
-    _, p12, p22 = psi_matrix(model.traces, 500, 0.0)
+    ms = moment_set(model.traces, 500, 0.0)
+    p12, p22 = ms.psi12, ms.psi22
     cov = np.cov(t1, t2, ddof=1)
     err12 = abs(cov[0, 1] / p12 - 1.0)
     err22 = abs(cov[1, 1] / p22 - 1.0)
@@ -142,14 +143,14 @@ def test_criterion_5_weak_spike_variance():
     # standard error of the sample variance from the fourth central moment
     m4 = float(np.mean((t2 - t2.mean()) ** 4))
     se = np.sqrt((m4 - var_emp**2 * (reps - 3) / (reps - 1)) / reps)
-    p22 = psi_matrix(model.traces, n, 0.0)[2]
+    p22 = moment_set(model.traces, n, 0.0).psi22
     limit = single_spike_variance(1, 1.0, 0.0).variance
     case2 = single_spike_variance(2, 1.0, 0.0, delta=tau1 / p**0.25).variance
     rel = abs(var_emp / p22 - 1.0)
 
     # fixed tau1, p = n growing: psi22 falls monotonically to the limit 36
     path = [
-        psi_matrix(single_spike_traces(tau1, m), m, 0.0)[2]
+        moment_set(single_spike_traces(tau1, m), m, 0.0).psi22
         for m in (500, 5000, 50000, 10**6)
     ]
     gaps = [abs(v - limit) for v in path]

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from covlss.moments import (
-    MomentSet,
-    centered_expected_values,
-    expected_values,
-    moment_set,
-    psi_matrix,
-    single_spike_variance,
-)
-from covlss.population import assemble_model
+from covlss import moments
+from covlss.moments import MomentSet, moment_set, single_spike_variance
+from covlss.population import TraceSet, assemble_model
 
 
 def traces_of_diag(values):
@@ -20,27 +14,28 @@ class TestExpectedValues:
     def test_identity_population(self):
         p, n = 6, 11
         ts = traces_of_diag([1.0] * p)
-        e1, e2 = expected_values(ts, n, nu4=0.0)
-        assert e1 == p
-        assert e2 == pytest.approx((p**2 + (n + 1) * p) / n, rel=1e-14)
+        ms = moment_set(ts, n, nu4=0.0)
+        assert ms.e_t1 == p
+        assert ms.e_t2 == pytest.approx((p**2 + (n + 1) * p) / n, rel=1e-14)
 
     def test_single_spike_worked_example(self):
         # diag(4, 1), n = 2, gaussian: E T1 = 5, E T2 = (25 + 3*17)/2 = 38
         ts = traces_of_diag([4.0, 1.0])
-        e1, e2 = expected_values(ts, 2, nu4=0.0)
-        assert e1 == 5.0
-        assert e2 == pytest.approx(38.0, rel=1e-14)
+        ms = moment_set(ts, 2, nu4=0.0)
+        assert ms.e_t1 == 5.0
+        assert ms.e_t2 == pytest.approx(38.0, rel=1e-14)
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            expected_values(traces_of_diag([1.0]), 0, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            moment_set(traces_of_diag([1.0]), 0, 0.0)
 
 
 class TestPsiMatrix:
     def test_identity_population_gaussian(self):
         p, n = 5, 9
         ts = traces_of_diag([1.0] * p)
-        p11, p12, p22 = psi_matrix(ts, n, nu4=0.0)
+        ms = moment_set(ts, n, nu4=0.0)
+        p11, p12, p22 = ms.psi11, ms.psi12, ms.psi22
         assert p11 == pytest.approx(2 * p / n, rel=1e-14)
         assert p12 == pytest.approx((4 * p**2 + 4 * n * p) / n**2, rel=1e-14)
         assert p22 == pytest.approx(
@@ -50,14 +45,13 @@ class TestPsiMatrix:
     def test_rademacher_identity_degenerates(self):
         # T1 is constant when every x^2 = 1 and the spectrum is flat
         ts = traces_of_diag([1.0] * 4)
-        p11, _, _ = psi_matrix(ts, 7, nu4=-2.0)
-        assert p11 == 0.0
+        assert moment_set(ts, 7, nu4=-2.0).psi11 == 0.0
 
     def test_psi11_linear_in_nu4_with_exact_slope(self):
         ts = traces_of_diag([2.0, 0.7, 1.3])
         n = 5
-        a = psi_matrix(ts, n, nu4=0.0)[0]
-        b = psi_matrix(ts, n, nu4=1.0)[0]
+        a = moment_set(ts, n, nu4=0.0).psi11
+        b = moment_set(ts, n, nu4=1.0).psi11
         assert b - a == pytest.approx(ts.trH11 / n, rel=1e-14)
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
@@ -67,43 +61,39 @@ class TestPsiMatrix:
         n, nu4 = 13, 1.5
         base_tr = traces_of_diag(vals)
         scaled_tr = traces_of_diag(c * vals)
-        e1, e2 = expected_values(base_tr, n, nu4)
-        s1, s2 = expected_values(scaled_tr, n, nu4)
-        assert s1 == pytest.approx(c * e1, rel=1e-10)
-        assert s2 == pytest.approx(c**2 * e2, rel=1e-10)
-        p11, p12, p22 = psi_matrix(base_tr, n, nu4)
-        q11, q12, q22 = psi_matrix(scaled_tr, n, nu4)
-        assert q11 == pytest.approx(c**2 * p11, rel=1e-10)
-        assert q12 == pytest.approx(c**3 * p12, rel=1e-10)
-        assert q22 == pytest.approx(c**4 * p22, rel=1e-10)
+        base = moment_set(base_tr, n, nu4)
+        scaled = moment_set(scaled_tr, n, nu4)
+        assert scaled.e_t1 == pytest.approx(c * base.e_t1, rel=1e-10)
+        assert scaled.e_t2 == pytest.approx(c**2 * base.e_t2, rel=1e-10)
+        assert scaled.psi11 == pytest.approx(c**2 * base.psi11, rel=1e-10)
+        assert scaled.psi12 == pytest.approx(c**3 * base.psi12, rel=1e-10)
+        assert scaled.psi22 == pytest.approx(c**4 * base.psi22, rel=1e-10)
 
     def test_psi11_positive_for_nondegenerate_nu4(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             vals = rng.uniform(0.1, 5.0, int(rng.integers(1, 8)))
             nu4 = rng.uniform(-1.99, 3.0)
-            p11 = psi_matrix(traces_of_diag(vals), 7, nu4)[0]
-            assert p11 > 0
+            assert moment_set(traces_of_diag(vals), 7, nu4).psi11 > 0
 
 
 class TestCenteredExpectedValues:
     def test_identity_population(self):
         p, n = 4, 8
         ts = traces_of_diag([1.0] * p)
-        e1c, e2c = centered_expected_values(ts, n, nu4=0.0)
-        _, e2 = expected_values(ts, n, nu4=0.0)
-        assert e1c == pytest.approx(p * (1 - 1 / n), rel=1e-14)
-        assert e2c == pytest.approx(e2 - (p**2 + 2 * n * p) / n**2, rel=1e-14)
+        ms = moment_set(ts, n, nu4=0.0, centered=True)
+        assert ms.e_t1_centered == pytest.approx(p * (1 - 1 / n), rel=1e-14)
+        assert ms.e_t2_centered == pytest.approx(ms.e_t2 - (p**2 + 2 * n * p) / n**2, rel=1e-14)
 
     def test_scalar_analytic_case(self):
         # p=1, sigma=1, n=2: E tr(B - ybar ybar') = (1 - 1/n) = 0.5
         ts = traces_of_diag([1.0])
-        e1c, _ = centered_expected_values(ts, 2, nu4=0.0)
-        assert e1c == 0.5
+        assert moment_set(ts, 2, nu4=0.0, centered=True).e_t1_centered == 0.5
 
     def test_needs_n_at_least_two(self):
-        with pytest.raises(ValueError):
-            centered_expected_values(traces_of_diag([1.0]), 1, 0.0)
+        with pytest.raises(ValueError, match="n >= 2"):
+            moment_set(traces_of_diag([1.0]), 1, 0.0, centered=True)
+        assert moment_set(traces_of_diag([1.0]), 1, 0.0).e_t1_centered is None
 
 
 class TestSingleSpikeVariance:
@@ -146,16 +136,16 @@ class TestSpikeDominanceOfPsi22:
 
         def ratio(tau1, dim):
             ts = traces_of_diag([tau1] + [1.0] * (dim - 1))
-            return n * psi_matrix(ts, n, nu4)[2] / tau1**4
+            return n * moment_set(ts, n, nu4).psi22 / tau1**4
 
         limit = ratio(1e6, 1)  # pure spike at the same n
         assert abs(ratio(1e3, p) / limit - 1.0) <= 0.01
         assert abs(ratio(1e4, p) / limit - 1.0) <= 1e-4
-        big_n_value = 500 * psi_matrix(traces_of_diag([1e6]), 500, nu4)[2] / 1e24
+        big_n_value = 500 * moment_set(traces_of_diag([1e6]), 500, nu4).psi22 / 1e24
         assert big_n_value == pytest.approx(limit, rel=1e-9)
         # the same-n limit approaches the asymptotic constant as n grows
         huge_n = 10**6
-        asymptotic = huge_n * psi_matrix(traces_of_diag([1e8]), huge_n, nu4)[2] / 1e32
+        asymptotic = huge_n * moment_set(traces_of_diag([1e8]), huge_n, nu4).psi22 / 1e32
         assert abs(asymptotic / (8.0 + 4.0 * nu4) - 1.0) <= 3e-5
 
 
@@ -201,11 +191,87 @@ class TestMonteCarloAgreement:
             g = y @ y.T
             t1s[r] = np.trace(g) / n
             t2s[r] = np.sum(g * g) / n**2
-        e1, e2 = expected_values(model.traces, n, 0.0)
-        p11, p12, p22 = psi_matrix(model.traces, n, 0.0)
-        assert t1s.mean() == pytest.approx(e1, rel=0.01)
-        assert t2s.mean() == pytest.approx(e2, rel=0.01)
+        ms = moment_set(model.traces, n, 0.0)
+        assert t1s.mean() == pytest.approx(ms.e_t1, rel=0.01)
+        assert t2s.mean() == pytest.approx(ms.e_t2, rel=0.01)
         cov = np.cov(t1s, t2s, ddof=1)
-        assert cov[0, 0] == pytest.approx(p11, rel=0.15)
-        assert cov[0, 1] == pytest.approx(p12, rel=0.15)
-        assert cov[1, 1] == pytest.approx(p22, rel=0.15)
+        assert cov[0, 0] == pytest.approx(ms.psi11, rel=0.15)
+        assert cov[0, 1] == pytest.approx(ms.psi12, rel=0.15)
+        assert cov[1, 1] == pytest.approx(ms.psi22, rel=0.15)
+
+
+_FACTOR_TEXT = {
+    "tr1": "tr S", "tr2": "tr S^2", "tr3": "tr S^3", "tr4": "tr S^4",
+    "trH11": "tr(S∘S)", "trH12": "tr(S∘S^2)", "trH22": "tr(S^2∘S^2)",
+    "tr1*tr1": "tr^2 S", "tr2*tr2": "tr^2(S^2)",
+}
+
+
+def _power(symbol, k):
+    return "" if k == 0 else symbol if k == 1 else f"{symbol}^{k}"
+
+
+def render(formula):
+    """A term table as the module docstring writes it: [nu4 tr(S∘S) + 2 tr S^2] / n."""
+    k, terms = formula
+    texts = []
+    for poly, j, factors in terms:
+        monomials = [(a, len(poly) - 1 - i) for i, a in enumerate(poly) if a]
+        if len(monomials) == 1:
+            ((a, m),) = monomials
+            words = ["" if a == 1 else str(a), _power("nu4", j), _power("n", m)]
+        else:
+            inner = "+".join(("" if a == 1 and m else str(a)) + _power("n", m) for a, m in monomials)
+            words = [f"({inner})", _power("nu4", j)]
+        texts.append(" ".join([w for w in words if w] + [_FACTOR_TEXT[f] for f in factors]))
+    return f"[{' + '.join(texts)}] / {_power('n', k)}"
+
+
+@pytest.mark.parametrize("label, formula", [
+    ("E T_2 =", moments._E_T2),
+    ("psi11 =", moments._PSI11),
+    ("psi12 =", moments._PSI12),
+    ("psi22 =", moments._PSI22),
+    ("E T_2^0 = E T_2 -", moments._CENTERED_SHIFT),
+])
+def test_docstring_writes_each_table(label, formula):
+    assert f"{label} {render(formula)}" in " ".join(moments.__doc__.split())
+
+
+# (tr1, tr2, tr3, tr4, trH11, trH12, trH22), n, nu4 and the pinned
+# (e_t2, psi11, psi12, psi22, e_t2_centered): evaluating the terms in any
+# other order moves a last bit of some value here
+_PINNED = [
+    # criterion 5: diag(5, 1, ..., 1), p = n = 500, gaussian
+    ((504.0, 524.0, 624.0, 1124.0, 524.0, 624.0, 1124.0), 500, 0.0,
+     (1033.08, 2.096, 9.217536, 51.023640576, 1029.967936)),
+    # diag(4, 1), n = 2, gaussian
+    ((5.0, 17.0, 65.0, 257.0, 17.0, 65.0, 257.0), 2, 0.0,
+     (38.0, 17.0, 215.0, 3042.0, 14.75)),
+    # rotated, p = 3, n = 10^6, sign law
+    ((4.499016425253078, 7.489285121524253, 13.674707939277104, 26.767292899031943,
+      7.059769760372787, 12.197306242151532, 21.680244996453332), 10**6, -2.0,
+     (7.489298732418649, 8.59030722302931e-07, 5.909614518088944e-06,
+      4.069671392793703e-05, 7.489283753828165)),
+    # rotated, p = 4, n = 3, nu4 = 10
+    ((101.0096546796493, 4146.595195654173, 187841.84494354733, 8707165.665512644,
+      2605.8177483815907, 106504.02180733977, 4364290.957303147), 3, 10.0,
+     (17615.836201644866, 11450.455958374752, 1731553.673493639, 270332647.46173453,
+      13717.77825581964)),
+    # diagonal, p = 6, n = 7, gamma shape 4
+    ((8.052606160512843, 12.358912475595202, 21.01818290968409, 38.22943677861481,
+      12.358912475595202, 21.01818290968409, 38.22943677861481), 7, 1.5,
+     (26.0363049277834, 6.179456237797601, 35.235533586572224, 218.35310226030398,
+      21.181830629116824)),
+    # rotated, p = 5 > n = 2, two-point law with P(b) = 0.2
+    ((5622.1557944212245, 8510700.475021169, 13772225310.486515, 23422710743910.85,
+      6680474.640235366, 10185968562.06424, 15612831379523.162), 2, 0.25,
+     (29405427.93093325, 9345759.80505059, 82634260402.72324, 807687935387916.6,
+      12992568.511726042)),
+]
+
+
+@pytest.mark.parametrize("traces, n, nu4, pinned", _PINNED)
+def test_formula_values_bit_exact(traces, n, nu4, pinned):
+    ms = moment_set(TraceSet(*traces), n, nu4, centered=True)
+    assert (ms.e_t2, ms.psi11, ms.psi12, ms.psi22, ms.e_t2_centered) == pinned
