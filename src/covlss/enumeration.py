@@ -15,7 +15,10 @@ finite-n moment formulas.
 
 The identity checks take their operands as :class:`SymMatrix`, a frozen
 stack of real symmetric matrices whose symmetry is checked once per stack,
-at construction, and enumerate each identity once per stack.
+at construction.  :func:`verify_identities` checks all three identities
+of a stack on one grid: one task whose statistic stacks the three
+identities' values, so a (dimension, law) group of ``verify`` is
+enumerated once.
 """
 
 from __future__ import annotations
@@ -139,9 +142,10 @@ def _exact_parts(terms: list[float]) -> list[float]:
     return parts
 
 
-def _exact_case_sums(cases: int, blocks: Iterator[np.ndarray]) -> np.ndarray:
-    """Exactly rounded sum of each case's terms over ``(cases, rows)`` blocks."""
-    terms: list[list[float]] = [[] for _ in range(cases)]
+def _exact_case_sums(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """Exactly rounded sum of each case's terms over ``(cases, rows)`` blocks;
+    the first block's rows are kept as they are, so one block copies nothing."""
+    terms: list[list[float]] = next(blocks).tolist()
     for block in blocks:
         for kept, row in zip(terms, block.tolist()):
             kept.extend(row)
@@ -153,16 +157,14 @@ def _exact_case_sums(cases: int, blocks: Iterator[np.ndarray]) -> np.ndarray:
 def exact_expectation(task: EnumerationTask) -> np.ndarray:
     """E s(x) of every case, each an exactly-accumulated weighted sum over
     all assignments: shape ``(cases,)``."""
-    return _exact_case_sums(task.cases, (w * s for w, s in _weighted_blocks(task)))
+    return _exact_case_sums(w * s for w, s in _weighted_blocks(task))
 
 
 def exact_variance(task: EnumerationTask) -> np.ndarray:
     """Var s(x) of every case, two-pass so the centered second moment does
     not cancel: shape ``(cases,)``."""
     mean = exact_expectation(task)[:, None]
-    return _exact_case_sums(
-        task.cases, (w * (s - mean) ** 2 for w, s in _weighted_blocks(task))
-    )
+    return _exact_case_sums(w * (s - mean) ** 2 for w, s in _weighted_blocks(task))
 
 
 def _quadratic_forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -181,85 +183,56 @@ def _flat_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1).sum(axis=1)
 
 
-def _check_identity_dims(*mats: SymMatrix) -> int:
-    shapes = {m.array.shape for m in mats}
-    if len(shapes) != 1:
-        raise ValueError(f"dimension mismatch: {sorted(shapes)}")
-    dim = mats[0].dim
-    if dim > MAX_IDENTITY_DIM:
-        raise EnumerationGuardError(
-            f"identity checks are capped at dimension {MAX_IDENTITY_DIM}, got {dim}"
-        )
-    return dim
-
-
-def verify_quadratic_covariance(
+def verify_identities(
     a: SymMatrix, b: SymMatrix, dist: InnovationDist
 ) -> tuple[np.ndarray, np.ndarray]:
-    """E[(x'Ax - trA)(x'Bx - trB)] == nu4 tr(A∘B) + tr(AB') + tr(AB):
-    the enumerated LHS and the closed-form RHS of every case of the
-    stacks, two ``(cases,)`` arrays.
+    """The enumerated LHS and the closed-form RHS of three identities for
+    every case of the stacks: two ``(cases, 3)`` arrays whose columns are,
+    in order,
 
-    The fourth-moment coefficient multiplies tr(A∘B): the mixed diagonal
-    product, symmetric in the two operands, is what enumeration confirms.
+    * the quadratic covariance, E[(x'Ax - trA)(x'Bx - trB)] ==
+      nu4 tr(A∘B) + tr(AB') + tr(AB); the fourth-moment coefficient
+      multiplies the mixed diagonal product tr(A∘B), symmetric in the two
+      operands, and that is what enumeration confirms;
+    * the fourth moment, E sum_i (A x)_i^4 == 3 tr(A'A ∘ A'A) +
+      nu4 tr((A'∘A')(A∘A));
+    * the triple product, E[(x'Ax)^2 (x'Bx)] against its eleven-term closed
+      form, with T = A and W = B.  It mixes plain traces, Hadamard traces,
+      diagonal interaction scalars and the moments mu3, mu4, mu6 of the
+      innovation law.  With d_M the diagonal of M and D_M its diagonal
+      matrix, the interaction scalars are d_T' T d_W, d_T' W d_T,
+      1'(T∘T∘W)1, tr(T D_W T), tr(W D_T T) and tr(T∘T∘W).
+
+    The three statistics share one enumeration of the 2^d (or k^d) grid:
+    x'Ax and x'Bx are formed once per block.
     """
-    dim = _check_identity_dims(a, b)
-    aa, ba = a.array, b.array
-    da, db = _diagonals(aa), _diagonals(ba)
-    tr_a, tr_b = da.sum(axis=1)[:, None], db.sum(axis=1)[:, None]
+    if a.array.shape != b.array.shape:
+        raise ValueError(f"dimension mismatch: {sorted({a.array.shape, b.array.shape})}")
+    if a.dim > MAX_IDENTITY_DIM:
+        raise EnumerationGuardError(
+            f"identity checks are capped at dimension {MAX_IDENTITY_DIM}, got {a.dim}"
+        )
+    ta, wa = a.array, b.array
+    at = ta.transpose(0, 2, 1)
+    dt, dw = _diagonals(ta), _diagonals(wa)
+    tr_t, tr_w = dt.sum(axis=1), dw.sum(axis=1)
+    cases = len(ta)
 
     def statistic(x: np.ndarray) -> np.ndarray:
-        return (_quadratic_forms(x, aa) - tr_a) * (_quadratic_forms(x, ba) - tr_b)
-
-    # tr(A∘B) = sum_i a_ii b_ii; tr(AB') == tr(AB) = sum_ij a_ij b_ij for symmetric operands
-    tr_ab_hadamard = (da * db).sum(axis=1)
-    rhs = dist.profile.nu4 * tr_ab_hadamard + 2.0 * _flat_sum(aa * ba)
-    task = EnumerationTask(dim, dist, statistic, len(aa))
-    return exact_expectation(task), rhs
-
-
-def verify_fourth_moment(
-    a: SymMatrix, dist: InnovationDist
-) -> tuple[np.ndarray, np.ndarray]:
-    """E sum_i (A x)_i^4 == 3 tr(A'A ∘ A'A) + nu4 tr((A'∘A')(A∘A)):
-    (lhs, rhs) of every case of the stack, two ``(cases,)`` arrays."""
-    dim = _check_identity_dims(a)
-    aa = a.array
-    at = aa.transpose(0, 2, 1)
-
-    def statistic(x: np.ndarray) -> np.ndarray:
-        return ((x @ at) ** 4).sum(axis=2)
-
-    a2 = aa @ aa
-    rhs = 3.0 * (_diagonals(a2) ** 2).sum(axis=1) + dist.profile.nu4 * _flat_sum(aa**4)
-    task = EnumerationTask(dim, dist, statistic, len(aa))
-    return exact_expectation(task), rhs
-
-
-def verify_triple_product(
-    t: SymMatrix, w: SymMatrix, dist: InnovationDist
-) -> tuple[np.ndarray, np.ndarray]:
-    """E[(x'Tx)^2 (x'Wx)] against its eleven-term closed form: (lhs, rhs)
-    of every case of the stacks, two ``(cases,)`` arrays.
-
-    The closed form mixes plain traces, Hadamard traces, diagonal
-    interaction scalars and the moments mu3, mu4, mu6 of the innovation
-    law.  With d_M the diagonal of M and D_M its diagonal matrix, the
-    interaction scalars are d_T' T d_W, d_T' W d_T, 1'(T∘T∘W)1,
-    tr(T D_W T), tr(W D_T T) and tr(T∘T∘W).
-    """
-    dim = _check_identity_dims(t, w)
-    ta, wa = t.array, w.array
-
-    def statistic(x: np.ndarray) -> np.ndarray:
-        qt = _quadratic_forms(x, ta)
-        return qt * qt * _quadratic_forms(x, wa)
+        qt, qw = _quadratic_forms(x, ta), _quadratic_forms(x, wa)
+        return np.concatenate([
+            (qt - tr_t[:, None]) * (qw - tr_w[:, None]),
+            ((x @ at) ** 4).sum(axis=2),
+            qt * qt * qw,
+        ])
 
     prof = dist.profile
     nu4 = prof.nu4
-    dt, dw = _diagonals(ta), _diagonals(wa)
-    tr_t, tr_w = dt.sum(axis=1), dw.sum(axis=1)
-    tr_t2, tr_tw = _flat_sum(ta * ta), _flat_sum(ta * wa)
+    # tr(A∘B) = sum_i a_ii b_ii; tr(AB') == tr(AB) = sum_ij a_ij b_ij for symmetric operands
+    tr_hadamard, tr_tw = (dt * dw).sum(axis=1), _flat_sum(ta * wa)
+    quadratic = nu4 * tr_hadamard + 2.0 * tr_tw
+    fourth = 3.0 * (_diagonals(ta @ ta) ** 2).sum(axis=1) + nu4 * _flat_sum(ta**4)
+    tr_t2 = _flat_sum(ta * ta)
     tr_ttw = _flat_sum((ta @ ta) * wa)
     tr_t_dw_t = ((ta * ta) @ dw[:, :, None])[:, :, 0].sum(axis=1)
     tr_w_dt_t = ((wa * ta) @ dt[:, :, None])[:, :, 0].sum(axis=1)
@@ -271,19 +244,20 @@ def verify_triple_product(
     # The diagonal-interaction terms carry pure fourth-cumulant coefficients
     # (4 nu4 and 8 nu4): for Gaussian innovations every basis-dependent term
     # must drop out, leaving only the Wick pairings on the first line.
-    rhs = (
+    triple = (
         tr_t**2 * tr_w
         + 2.0 * tr_t2 * tr_w
         + 4.0 * tr_t * tr_tw
         + 8.0 * tr_ttw
-        + nu4 * (2.0 * (dt * dw).sum(axis=1) * tr_t + (dt * dt).sum(axis=1) * tr_w)
+        + nu4 * (2.0 * tr_hadamard * tr_t + (dt * dt).sum(axis=1) * tr_w)
         + 4.0 * nu4 * tr_t_dw_t
         + 8.0 * nu4 * tr_w_dt_t
         + prof.mu3**2 * (4.0 * dt_t_dw + 2.0 * dt_w_dt + 4.0 * ones_ttw)
         + (prof.mu6 - 15.0 * prof.mu4 - 10.0 * prof.mu3**2 + 30.0) * tr_ttw_diag
     )
-    task = EnumerationTask(dim, dist, statistic, len(ta))
-    return exact_expectation(task), rhs
+    task = EnumerationTask(a.dim, dist, statistic, 3 * cases)
+    lhs = exact_expectation(task).reshape(3, cases).T
+    return lhs, np.stack([quadratic, fourth, triple], axis=1)
 
 
 @dataclass(frozen=True)

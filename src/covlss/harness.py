@@ -13,14 +13,16 @@ and each array is whitened in one call.
 
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
 indent=2, sort_keys=True, allow_nan=False)`` plus a newline.  The
-verification suite works on columns from the enumeration to the file: the
-identity checks of each (dimension, law) group fill rows of ``(cases, 3)``
-lhs and rhs arrays, and the errors, maxima and ``ok`` are array
-reductions.  Each identity row of ``verify.json`` is streamed from one
-fixed ``%``-format string, keys sorted and indented, floats by ``%r`` (the
-``float.__repr__`` that ``json`` writes); the header and the finite-n rows
-come from ``json.dumps``.  Every value is checked finite before the file is
-opened.  A report is written to a temporary file that replaces it once
+verification suite works on columns from the enumeration to the file: each
+(dimension, law) group is enumerated once, on one grid for its three
+identities, and fills rows of ``(cases, 3)`` lhs and rhs arrays; the
+errors, maxima and ``ok`` are array reductions.  Each identity row of
+``verify.json`` is streamed from one fixed ``%``-format string, keys sorted
+and indented, each float rendered once by ``repr`` (the ``float.__repr__``
+that ``json`` writes); the header and the finite-n rows come from
+``json.dumps``.  Every value is checked finite before the file is opened.
+Every report (``qq.csv``, ``qq_centered.csv``, ``summary.json`` and
+``verify.json``) is written to a temporary file that replaces it once
 whole, so a failed write leaves no partial report.
 """
 
@@ -45,9 +47,7 @@ from .enumeration import (
     EnumerationGuardError,
     SymMatrix,
     verify_finite_n_moments,
-    verify_fourth_moment,
-    verify_quadratic_covariance,
-    verify_triple_product,
+    verify_identities,
 )
 from .inference import QQReport, check_covariance, qq_report, whiten
 from .innovations import parse_dist, rademacher, two_point
@@ -308,10 +308,9 @@ def _fmt17(v: float) -> str:
 
 
 def _write_qq_csv(path: Path, report: QQReport) -> None:
-    lines = ["prob,q_theoretical,q_empirical"]
-    for p, qt, qe in zip(report.probs, report.q_theoretical, report.q_empirical):
-        lines.append(f"{_fmt17(p)},{_fmt17(qt)},{_fmt17(qe)}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = zip(report.probs, report.q_theoretical, report.q_empirical)
+    lines = (f"{_fmt17(p)},{_fmt17(qt)},{_fmt17(qe)}\n" for p, qt, qe in rows)
+    _write_text(path, itertools.chain(["prob,q_theoretical,q_empirical\n"], lines))
 
 
 def _qq_arrays(report: QQReport) -> dict:
@@ -413,8 +412,8 @@ _LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
 # one verify.json identity row as json.dumps(indent=2, sort_keys=True) writes
 # it inside "cases", and the separator that a finite-n row always follows
 _IDENTITY_ROW = (
-    '    {\n      "abs_err": %r,\n      "dims": %d,\n      "dist": %s,\n'
-    '      "lemma": %s,\n      "lhs": %r,\n      "rhs": %r\n    },\n'
+    '    {\n      "abs_err": %s,\n      "dims": %d,\n      "dist": %s,\n'
+    '      "lemma": %s,\n      "lhs": %s,\n      "rhs": %s\n    },\n'
 )
 
 
@@ -464,14 +463,8 @@ def _identity_columns(
     for (_, law), (members, draws) in groups.items():
         # uniform(-1, 1) is -1 + 2 u of the same doubles u
         a, b = map(_symmetric_stack, -1.0 + 2.0 * np.stack(draws, axis=1))
-        dist = dists[law]
-        checks = (
-            verify_quadratic_covariance(a, b, dist),
-            verify_fourth_moment(a, dist),
-            verify_triple_product(a, b, dist),
-        )
-        lhs[members], rhs[members] = np.array(checks).transpose(1, 2, 0)
-    laws = [dists[i % len(dists)].selector for i in range(cases)]
+        lhs[members], rhs[members] = verify_identities(a, b, dists[law])
+    laws = list(itertools.islice(itertools.cycle([d.selector for d in dists]), cases))
     return lhs, rhs, dims, laws
 
 
@@ -501,18 +494,28 @@ def _write_verify_json(
                 f"finite_n_moments of case {row['dims']}, {row['dist']} is not finite: {exc}"
             ) from None
     tail = ",\n".join(finite_texts) + "\n  ]," + _dump(header)[1:] + "\n"
-    encoded = {dist: json.dumps(dist) for dist in set(identity["dist"])}
-    rows = zip(
-        identity["abs_err"],
-        identity["dims"],
-        map(encoded.__getitem__, identity["dist"]),
-        itertools.cycle(map(json.dumps, _LEMMAS)),
-        identity["lhs"],
-        identity["rhs"],
-    )
     path.parent.mkdir(parents=True, exist_ok=True)
     head = '{\n  "cases": [\n'
-    _write_text(path, itertools.chain([head], map(_IDENTITY_ROW.__mod__, rows), [tail]))
+    _write_text(path, itertools.chain([head], _identity_rows(identity), [tail]))
+
+
+def _identity_rows(identity: dict[str, list]):
+    """verify.json's identity rows, one string at a time, each float rendered
+    by ``repr`` once: abs_err (never -0.0) through a cache of its few
+    distinct values, and rhs by lhs's text where the two are equal and not
+    zero, so that they have the same bits (0.0 == -0.0 is written apart)."""
+    errors = {err: repr(err) for err in set(identity["abs_err"])}
+    dists = {dist: json.dumps(dist) for dist in set(identity["dist"])}
+    rows = zip(
+        identity["abs_err"], identity["dims"], identity["dist"],
+        itertools.cycle(map(json.dumps, _LEMMAS)), identity["lhs"], identity["rhs"],
+    )
+    for err, dim, dist, lemma, left, right in rows:
+        text = repr(left)
+        yield _IDENTITY_ROW % (
+            errors[err], dim, dists[dist], lemma, text,
+            text if left == right != 0.0 else repr(right),
+        )
 
 
 def run_verification_suite(
@@ -524,8 +527,8 @@ def run_verification_suite(
     identity at dimensions 1..max_dim; a report row is emitted per check,
     in case order, and the suite passes only if every exact comparison
     stays within ``VERIFY_THRESHOLD`` (a NaN never does).  The cases of one
-    (dimension, law) group are checked together, one enumeration per
-    identity and group.  With ``output_dir`` a NaN or infinite value raises
+    (dimension, law) group are checked together, on one enumeration of
+    the group's grid.  With ``output_dir`` a NaN or infinite value raises
     :class:`NonFiniteReportError` and no verify.json is written.
     """
     if max_dim > 4:

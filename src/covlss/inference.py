@@ -115,10 +115,31 @@ def ks_distance(samples: np.ndarray, reference_cdf) -> float:
     return float(max((i / m - f).max(), (f - (i - 1) / m).max()))
 
 
+def _hazen_quantiles(s: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(s, probs, method="hazen")`` of a sorted sample, bit for
+    bit: numpy's virtual index, its clipping to the first and last order
+    statistic and its two-sided lerp.  np.quantile itself imports numpy.ma
+    on its first call, about 10 ms."""
+    m = s.size
+    v = m * probs + 0.5 - 1  # n q + (1/2 + q (1 - 1/2 - 1/2)) - 1, as numpy rounds it
+    lo = np.floor(v)
+    hi = lo + 1
+    lo[v >= m - 1] = hi[v >= m - 1] = -1
+    lo[v < 0] = hi[v < 0] = 0
+    a, b = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
+    g = v - lo
+    d = b - a
+    q = a + d * g
+    np.subtract(b, d * (1 - g), out=q, where=g >= 0.5)
+    if np.isnan(s[-1]):  # a NaN sorts last and makes every quantile NaN
+        q[:] = s[-1]
+    return q
+
+
 def qq_report(samples, reference: str = "chi2_df2", grid_size: int = 199) -> QQReport:
     """Q-Q table on the probability grid (i - 0.5)/grid_size plus the KS
     distance of the full sample against the reference."""
-    s = np.asarray(samples, dtype=float)
+    s = np.sort(np.asarray(samples, dtype=float))
     if s.size == 0:
         raise ValueError("samples must be nonempty")
     if grid_size < 2:
@@ -130,7 +151,7 @@ def qq_report(samples, reference: str = "chi2_df2", grid_size: int = 199) -> QQR
     q_th = np.array([quantile(float(q)) for q in probs])
     # Hazen plotting position: order statistic i sits at (i - 0.5)/m,
     # matching the probability grid above.
-    q_emp = np.quantile(s, probs, method="hazen")
+    q_emp = _hazen_quantiles(s, probs)
     return QQReport(
         probs=probs,
         q_theoretical=q_th,

@@ -13,9 +13,7 @@ from covlss.enumeration import (
     exact_expectation,
     exact_variance,
     verify_finite_n_moments,
-    verify_fourth_moment,
-    verify_quadratic_covariance,
-    verify_triple_product,
+    verify_identities,
 )
 from covlss.innovations import (
     InnovationDist,
@@ -44,6 +42,16 @@ def random_sym(rng, dim):
 def one_case(statistic):
     """A single statistic as a stack of one: shape (1, rows) per block."""
     return lambda x: statistic(x)[None]
+
+
+LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
+
+
+def check(lemma, a, b, dist):
+    """One lemma's (lhs, rhs) columns of verify_identities, each ``(cases,)``."""
+    lhs, rhs = verify_identities(a, b, dist)
+    k = LEMMAS.index(lemma)
+    return lhs[:, k], rhs[:, k]
 
 
 def loop_expectation(dist, num_vars, statistic, mean=None):
@@ -128,18 +136,18 @@ class TestSymMatrix:
         rng = np.random.default_rng(5)
         three, two = SymMatrix(symmetric_stack(rng, 3, 2)), SymMatrix(symmetric_stack(rng, 2, 2))
         wide = SymMatrix(symmetric_stack(rng, 3, 3))
-        for a, b in ((three, two), (three, wide)):
+        for a, b in ((three, two), (three, wide), (two, three), (wide, three)):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                verify_quadratic_covariance(a, b, rademacher())
+                verify_identities(a, b, rademacher())
             with pytest.raises(ValueError, match="dimension mismatch"):
-                verify_triple_product(a, b, two_point(0.2))
+                verify_identities(a, b, two_point(0.2))
 
     def test_dimension_five_stack_guarded(self):
         a = SymMatrix(symmetric_stack(np.random.default_rng(6), 3, 5))
         with pytest.raises(EnumerationGuardError):
-            verify_fourth_moment(a, rademacher())
+            verify_identities(a, a, rademacher())
         with pytest.raises(EnumerationGuardError):
-            verify_triple_product(a, a, rademacher())
+            verify_identities(a, a, two_point(0.2))
 
     def test_array_is_frozen(self):
         m = identity(3)
@@ -273,17 +281,15 @@ class TestLoopOracle:
         aa, ba = a.array[0], b.array[0]
         tr_a, tr_b = np.trace(aa), np.trace(ba)
 
-        (quad,), _ = verify_quadratic_covariance(a, b, dist)
+        ((quad, fourth, triple),), _ = verify_identities(a, b, dist)
         want = loop_expectation(
             dist, dim, lambda x: (x @ aa @ x - tr_a) * (x @ ba @ x - tr_b)
         )
         assert quad == pytest.approx(want, rel=1e-12)
 
-        (fourth,), _ = verify_fourth_moment(a, dist)
         want = loop_expectation(dist, dim, lambda x: np.sum((aa @ x) ** 4))
         assert fourth == pytest.approx(want, rel=1e-12)
 
-        (triple,), _ = verify_triple_product(a, b, dist)
         want = loop_expectation(dist, dim, lambda x: (x @ aa @ x) ** 2 * (x @ ba @ x))
         assert triple == pytest.approx(want, rel=1e-12)
 
@@ -317,86 +323,87 @@ class TestLoopOracle:
 
 class TestQuadraticCovariance:
     def test_identity_rademacher_degenerate(self):
-        (lhs,), (rhs,) = verify_quadratic_covariance(identity(2), identity(2), rademacher())
+        (lhs,), (rhs,) = check("quadratic_covariance", identity(2), identity(2), rademacher())
         assert lhs == 0.0 and rhs == 0.0
 
     def test_zero_matrix(self):
         z = SymMatrix(np.zeros((1, 2, 2)))
-        (lhs,), (rhs,) = verify_quadratic_covariance(identity(2), z, rademacher())
+        (lhs,), (rhs,) = check("quadratic_covariance", identity(2), z, rademacher())
         assert lhs == 0.0 and rhs == 0.0
 
     def test_random_grid(self):
         rng = np.random.default_rng(9)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (lhs,), (rhs,) = verify_quadratic_covariance(
-                random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
+            (lhs,), (rhs,) = check(
+                "quadratic_covariance", random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
             )
             assert abs(lhs - rhs) <= 1e-12
 
     def test_dim_guard(self):
         with pytest.raises(EnumerationGuardError):
-            verify_quadratic_covariance(identity(5), identity(5), rademacher())
+            verify_identities(identity(5), identity(5), rademacher())
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            verify_quadratic_covariance(identity(2), identity(3), rademacher())
+            verify_identities(identity(2), identity(3), rademacher())
         with pytest.raises(ValueError, match="dimension mismatch"):
-            verify_triple_product(identity(2), identity(3), two_point(0.2))
+            verify_identities(identity(3), identity(2), two_point(0.2))
 
 
 class TestFourthMoment:
     def test_identity_rademacher(self):
-        (lhs,), (rhs,) = verify_fourth_moment(identity(2), rademacher())
+        (lhs,), (rhs,) = check("fourth_moment", identity(2), identity(2), rademacher())
         assert lhs == pytest.approx(2.0, abs=1e-14)
         assert rhs == pytest.approx(2.0, abs=1e-14)
 
     def test_zero_matrix(self):
-        (lhs,), (rhs,) = verify_fourth_moment(SymMatrix(np.zeros((1, 3, 3))), two_point(0.4))
+        z = SymMatrix(np.zeros((1, 3, 3)))
+        (lhs,), (rhs,) = check("fourth_moment", z, z, two_point(0.4))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_random_grid(self):
         rng = np.random.default_rng(10)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (lhs,), (rhs,) = verify_fourth_moment(random_sym(rng, dim), two_point(0.35))
+            a = random_sym(rng, dim)
+            (lhs,), (rhs,) = check("fourth_moment", a, a, two_point(0.35))
             assert abs(lhs - rhs) <= 1e-12
 
 
 class TestTripleProduct:
     def test_identity_rademacher_cube(self):
         # x'x is identically 2, so E (x'x)^3 = 8
-        (lhs,), (rhs,) = verify_triple_product(identity(2), identity(2), rademacher())
+        (lhs,), (rhs,) = check("triple_product", identity(2), identity(2), rademacher())
         assert lhs == pytest.approx(8.0, abs=1e-14)
         assert rhs == pytest.approx(8.0, abs=1e-14)
 
     def test_zero_weight_matrix(self):
         z = SymMatrix(np.zeros((1, 2, 2)))
-        (lhs,), (rhs,) = verify_triple_product(identity(2), z, two_point(0.2))
+        (lhs,), (rhs,) = check("triple_product", identity(2), z, two_point(0.2))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_random_grid_with_skewed_innovations(self):
         rng = np.random.default_rng(11)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (lhs,), (rhs,) = verify_triple_product(
-                random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
+            (lhs,), (rhs,) = check(
+                "triple_product", random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
             )
             assert abs(lhs - rhs) <= 1e-10
 
     def test_report_dict_shape(self):
-        # a check reports (lhs, rhs) as two float columns, one entry per case
+        # the check reports (lhs, rhs) as two float arrays, a row per case
+        # and a column per lemma
         t = SymMatrix(symmetric_stack(np.random.default_rng(12), 5, 3))
-        lhs, rhs = verify_triple_product(t, t, two_point(0.2))
+        lhs, rhs = verify_identities(t, t, two_point(0.2))
         for side in (lhs, rhs):
             assert isinstance(side, np.ndarray)
-            assert side.dtype == np.float64 and side.shape == (5,)
+            assert side.dtype == np.float64 and side.shape == (5, 3)
         for case in range(5):
-            (alone_lhs,), (alone_rhs,) = verify_triple_product(
-                SymMatrix(t.array[case : case + 1]), SymMatrix(t.array[case : case + 1]),
-                two_point(0.2),
-            )
-            assert alone_lhs == lhs[case]
+            alone = SymMatrix(t.array[case : case + 1])
+            (alone_lhs,), (alone_rhs,) = verify_identities(alone, alone, two_point(0.2))
+            assert alone_lhs.tolist() == lhs[case].tolist()
             assert alone_rhs == pytest.approx(rhs[case], rel=1e-14, abs=0.0)
 
 

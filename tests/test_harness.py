@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 import covlss.harness as harness
 import covlss.lss as lss
 from covlss.cli import main, read_config_file
-from covlss.enumeration import (
-    SymMatrix,
-    verify_fourth_moment,
-    verify_quadratic_covariance,
-    verify_triple_product,
-)
+from covlss.enumeration import SymMatrix, verify_identities
 from covlss import VERSION_STRING
 from covlss.harness import (
     ConfigError,
@@ -485,13 +480,9 @@ class TestVerificationSuite:
             a, b = (SymMatrix((0.5 * (m + m.T))[None]) for m in (a, b))
             dist = laws[i % 3]
             groups.add((dim, dist.selector))
-            alone = (
-                verify_quadratic_covariance(a, b, dist),
-                verify_fourth_moment(a, dist),
-                verify_triple_product(a, b, dist),
-            )
+            (alone_lhs,), (alone_rhs,) = verify_identities(a, b, dist)
             rows = summary.cases[3 * i : 3 * i + 3]
-            for got, lemma, ((lhs,), (rhs,)) in zip(rows, LEMMAS, alone):
+            for got, lemma, lhs, rhs in zip(rows, LEMMAS, alone_lhs, alone_rhs):
                 assert (got["lemma"], got["dims"], got["dist"]) == (lemma, dim, dist.selector)
                 assert got["lhs"] == lhs
                 assert got["rhs"] == pytest.approx(rhs, rel=1e-14, abs=0.0)
@@ -520,7 +511,7 @@ class TestVerificationSuite:
         )
 
     def test_nan_check_fails_the_suite(self, monkeypatch):
-        _patch_check(monkeypatch, "verify_fourth_moment", _last_lhs_nan)
+        _patch_check(monkeypatch, "verify_identities", _last_lhs_nan)
         summary = run_verification_suite(2, 30, 1)
         nan_rows = [row for row in summary.cases if math.isnan(row["abs_err"])]
         assert len(nan_rows) == 6  # one per group at max_dim 2
@@ -546,16 +537,17 @@ def _verify_payload(summary) -> dict:
     }
 
 
-def _with_value(out, side, case, v):
-    """An identity check's (lhs, rhs) with ``v`` at ``case`` of one side."""
+def _with_value(out, lemma, side, case, v):
+    """The identity checks' (lhs, rhs) with ``v`` at ``case`` of one side of
+    the column of ``lemma``."""
     sides = [np.array(column) for column in out]
-    sides[side][case] = v
+    sides[side][case, LEMMAS.index(lemma)] = v
     return tuple(sides)
 
 
 def _last_lhs_nan(out):
-    """NaN in the lhs of the last case of the group."""
-    return _with_value(out, 0, -1, np.nan)
+    """NaN in the fourth-moment lhs of the last case of the group."""
+    return _with_value(out, "fourth_moment", 0, -1, np.nan)
 
 
 def _patch_check(monkeypatch, name, corrupt):
@@ -567,9 +559,9 @@ def _patch_check(monkeypatch, name, corrupt):
 # each lambda maps the value to the check it goes through and how.  Every
 # place fails the suite, e_t2_centered too, which is reported but not compared
 _NON_FINITE_PLACES = [
-    lambda v: ("verify_quadratic_covariance", lambda out: _with_value(out, 0, 0, v)),
-    lambda v: ("verify_fourth_moment", lambda out: _with_value(out, 1, -1, v)),
-    lambda v: ("verify_triple_product", lambda out: _with_value(out, 0, -1, v)),
+    lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[0], 0, 0, v)),
+    lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[1], 1, -1, v)),
+    lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[2], 0, -1, v)),
     lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
         rep, var_t1=(rep.var_t1[0], v))),
     lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
@@ -628,6 +620,44 @@ class TestReportWriter:
         assert summary.read_bytes() == before
         assert not list(summary.parent.glob(".*"))
 
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_FSIZE"), reason="needs a file-size limit")
+    def test_failed_qq_write_leaves_previous_csv(self, tmp_path, child_env):
+        run_experiment(tiny_cfg(tmp_path, centered=True, output_dir=str(tmp_path)))
+        kept = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        # another seed's run in a child whose files may not pass 4 KiB: the
+        # write of qq.csv (about 12 KB) fails part way, as on a full disk
+        cfg = dataclasses.asdict(tiny_cfg(tmp_path, centered=True, master_seed=12))
+        code = (
+            "import json, resource, signal, sys; "
+            "from covlss.harness import ExperimentConfig, run_experiment; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY)); "
+            "run_experiment(ExperimentConfig(**json.loads(sys.argv[1])))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(dict(cfg, output_dir=str(tmp_path)))],
+            capture_output=True, text=True, env=child_env,
+        )
+        assert proc.returncode != 0 and "File too large" in proc.stderr, proc.stderr
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == kept
+
+    def test_signed_zeros_and_equal_sides_written_apart(self, tmp_path, monkeypatch):
+        # 0.0 against -0.0 compares equal but is written apart, either way
+        # round; an equal nonzero pair shares one text
+        def signed(out):
+            lhs, rhs = (np.array(side) for side in out)
+            lhs[0, 0], rhs[0, 0] = 0.0, -0.0
+            lhs[-1, 2], rhs[-1, 2] = -0.0, 0.0
+            rhs[0, 1] = lhs[0, 1]
+            return lhs, rhs
+
+        _patch_check(monkeypatch, "verify_identities", signed)
+        summary = run_verification_suite(2, 30, 1, str(tmp_path))
+        text = (tmp_path / "verify.json").read_text()
+        assert text == _stdlib_dump(_verify_payload(summary)) + "\n"
+        assert '"lhs": 0.0,\n      "rhs": -0.0\n' in text
+        assert '"lhs": -0.0,\n      "rhs": 0.0\n' in text
+
     @pytest.mark.parametrize("run", ["verify", "simulate_both", "simulate_json"])
     def test_reports_equal_stdlib_dump(self, tmp_path, monkeypatch, run):
         if run == "verify":
@@ -680,7 +710,7 @@ class TestCli:
         assert rc == 1
 
     def test_verify_nan_exits_one_without_report(self, tmp_path, monkeypatch, capsys):
-        _patch_check(monkeypatch, "verify_fourth_moment", _last_lhs_nan)
+        _patch_check(monkeypatch, "verify_identities", _last_lhs_nan)
         first = next(
             i for i, row in enumerate(run_verification_suite(2, 30, 1).cases)
             if math.isnan(row["abs_err"])

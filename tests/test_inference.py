@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +180,30 @@ class TestQQReport:
         rep = qq_report(np.array([1.5]), "chi2_df2", grid_size=9)
         assert rep.reps == 1
         assert np.all(rep.q_empirical == 1.5)
+
+    @pytest.mark.parametrize("grid_size", [2, 9, 199, 1000])
+    def test_quantiles_equal_numpy_hazen_bits(self, grid_size):
+        rng = np.random.default_rng(grid_size)
+        probs = (np.arange(1, grid_size + 1) - 0.5) / grid_size
+        sizes = [*range(1, 61), 99, 100, 101, 199, 200, 999, 1000, 4097, 9999, 10000]
+        for size in sizes:
+            # continuous draws, heavy ties, and a NaN, which numpy gives every quantile
+            nan_last = np.append(rng.chisquare(2, size - 1), np.nan)
+            for samples in (rng.chisquare(2, size), rng.integers(0, 4, size) * 0.5, nan_last):
+                got = qq_report(samples, "chi2_df2", grid_size).q_empirical
+                want = np.quantile(samples, probs, method="hazen")
+                assert got.tobytes() == want.tobytes(), (size, samples)
+
+
+def test_qq_report_loads_no_numpy_ma(child_env):
+    # np.quantile imports numpy.ma on its first call, 9-15 ms in every run
+    code = (
+        "import sys, numpy as np; from covlss.inference import qq_report; "
+        "qq_report(np.arange(1.0, 40.0)); print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestMarginalNormalCheck:
