@@ -8,8 +8,8 @@ at once, all in this process: OpenBLAS runs on one thread, and
 ``workers + 1`` threads each draw their own replication's innovations and
 then wait for a kernel slot.  Where OpenBLAS cannot be pinned, the caller
 runs the same loop alone and ``workers`` has no effect.  Each replication
-writes its row of two arrays, (T_1..T_max_power) and the centered pair,
-and each array is whitened in one call.
+writes its row of two arrays, (T_1, T_2) and the centered pair, and each
+array is whitened in one call.
 
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
 indent=2, sort_keys=True, allow_nan=False)`` plus a newline.  The
@@ -89,7 +89,7 @@ class ExperimentConfig:
     reps: int = 10000
     master_seed: int = 0
     centered: bool = False
-    max_power: int = 2
+    max_power: int = 2  # validated and digested, but selects no computation
     diagonal_only: bool = False
     output_dir: str = "out"
     format: str = "both"
@@ -223,9 +223,9 @@ def _one_blas_thread():
 def run_replications(
     model: PopulationModel, cfg: ExperimentConfig, workers: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every replication's (T_1..T_max_power) as row ``rep`` of a (reps,
-    max_power) array, plus its centered pair as row ``rep`` of a (reps, 2)
-    array when ``cfg.centered`` (else None).
+    """Every replication's (T_1, T_2) as row ``rep`` of a (reps, 2) array,
+    plus its centered pair as row ``rep`` of a (reps, 2) array when
+    ``cfg.centered`` (else None).
 
     This thread and ``min(workers, reps)`` helpers each take the next index,
     draw that replication's innovations (numpy's generator releases the
@@ -239,7 +239,7 @@ def run_replications(
     cfg.validate()
     _retain_freed_arrays()
     dist = parse_dist(cfg.dist)
-    t = np.empty((cfg.reps, cfg.max_power))
+    t = np.empty((cfg.reps, 2))
     tc = np.empty((cfg.reps, 2)) if cfg.centered else None
     with _one_blas_thread() as pinned:
         slots = min(workers, cfg.reps) if pinned else 1
@@ -256,9 +256,7 @@ def run_replications(
                         return
                     x = _draw_x(dist, model.p, cfg.n, cfg.master_seed, i)
                     with kernels:
-                        t[i], centered_pair = run_replication(
-                            model, x, i, cfg.max_power, cfg.centered
-                        )
+                        t[i], centered_pair = run_replication(model, x, i, cfg.centered)
                     if tc is not None:
                         tc[i] = centered_pair
                     del x  # not held through the next draw

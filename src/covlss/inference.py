@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
 from .moments import MomentSet
-
-_STD_NORMAL = NormalDist()
 
 
 class DegenerateCovarianceError(RuntimeError):
@@ -78,13 +75,8 @@ def chi2_df2_quantile(q: float) -> float:
     return -2.0 * math.log1p(-q)
 
 
-def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    return np.array([_STD_NORMAL.cdf(float(v)) for v in x])
-
-
 _REFERENCES = {
     "chi2_df2": (lambda x: np.asarray(chi2_df2_cdf(x)), chi2_df2_quantile),
-    "standard_normal": (_normal_cdf_array, lambda q: _STD_NORMAL.inv_cdf(q)),
 }
 
 
@@ -159,19 +151,3 @@ def qq_report(samples, reference: str = "chi2_df2", grid_size: int = 199) -> QQR
         ks=ks_distance(s, cdf),
         reps=int(s.size),
     )
-
-
-def marginal_normal_check(tk_samples, grid_size: int = 199) -> QQReport:
-    """Standardize a T_k sample by its own mean/sd and compare to N(0, 1).
-
-    This is the desk-scale probe of asymptotic marginal normality for
-    statistics whose limiting parameters have no closed form.
-    """
-    s = np.asarray(tk_samples, dtype=float)
-    if s.size < 100:
-        raise ValueError(f"need at least 100 samples, got {s.size}")
-    sd = float(s.std(ddof=1))
-    if sd == 0.0:
-        raise ValueError("degenerate sample: zero variance")
-    z = (s - s.mean()) / sd
-    return qq_report(z, reference="standard_normal", grid_size=grid_size)

@@ -81,7 +81,10 @@ class InnovationDist:
             return rng.standard_normal(count)
         if self.kind == "gamma":
             shape = self.params[0]
-            return (rng.standard_gamma(shape, count) - shape) / math.sqrt(shape)
+            g = rng.standard_gamma(shape, count)
+            g -= shape  # the bits of (g - shape) / sqrt(shape), with no temporary
+            g /= math.sqrt(shape)
+            return g
         if self.kind == "rademacher":
             return rng.integers(0, 2, count) * 2.0 - 1.0
         if self.kind == "twopoint":

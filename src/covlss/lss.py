@@ -1,4 +1,4 @@
-"""Sample covariance trace statistics T_k = tr(B^k), B = (1/n) Y Y', Y = F X.
+"""Sample covariance trace statistics T_k = tr(B^k), k = 1, 2, B = (1/n) Y Y', Y = F X.
 
 Any factor with F'F = Sigma gives the same Y'Y = X'Sigma X, so the model's
 F serves as Sigma^{1/2}.  B, Y'Y / n and Sigma X X' / n share their nonzero
@@ -12,7 +12,7 @@ scales the rows of G by the eigenvalues when Sigma is diagonal.  Which side
 is taken depends only on (p, n), so results are reproducible for any worker
 layout.  From M,
 
-  T_1 = tr M,  T_2 = sum_ij M_ij M_ji,  T_3 = <M^2, M'>,  T_4 = <M^2, M^2'>.
+  n T_1 = tr M,  n^2 T_2 = sum_ij M_ij M_ji.
 
 The mean-centered statistics of B - ybar ybar' need only v = Sigma xbar =
 F'(F xbar), since ybar'ybar = xbar'v and Y'ybar = X'v.  Both sides take
@@ -58,10 +58,10 @@ def _half_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
 
 
 def _trace_stats(
-    model: PopulationModel, x: np.ndarray, max_power: int, centered: bool
+    model: PopulationModel, x: np.ndarray, centered: bool
 ) -> tuple[list[float], tuple[float, float] | None]:
-    """T_1, T_2 (and T_3, T_4 up to max_power) of B = (F x)(F x)' / n for the
-    innovations ``x`` (p x n, overwritten), plus the centered pair when asked."""
+    """T_1 and T_2 of B = (F x)(F x)' / n for the innovations ``x`` (p x n,
+    overwritten), plus the centered pair when asked."""
     p, n = x.shape
     if centered:  # from x, before either side writes over it
         xbar = x.mean(axis=1)
@@ -81,11 +81,6 @@ def _trace_stats(
         y = _half_times(model, x)
         m = mt = y.T @ y  # symmetric
     t = [float(np.trace(m)) / n, float(np.vdot(m, mt)) / n**2]
-    if max_power >= 3:
-        m2 = m @ m
-        t.append(float(np.vdot(m2, mt)) / n**3)
-        if max_power == 4:
-            t.append(float(np.vdot(m2, m2.T if p <= n else m2)) / n**4)
     tc = None
     if centered:
         tc = (t[0] - ybar_sq, t[1] - 2.0 * float(z @ z) / n + ybar_sq * ybar_sq)
@@ -93,11 +88,11 @@ def _trace_stats(
 
 
 def run_replication(
-    model: PopulationModel, x: np.ndarray, rep: int, max_power: int, centered: bool
+    model: PopulationModel, x: np.ndarray, rep: int, centered: bool
 ) -> tuple[list[float], tuple[float, float] | None]:
-    """(T_1..T_max_power) plus the centered pair when asked (else None) of
-    replication ``rep``, from its innovations ``x`` (overwritten), checked."""
-    t, tc = _trace_stats(model, x, max_power, centered)
+    """(T_1, T_2) plus the centered pair when asked (else None) of replication
+    ``rep``, from its innovations ``x`` (overwritten), checked."""
+    t, tc = _trace_stats(model, x, centered)
     _check_invariants(t, tc, model.p, rep)
     return t, tc
 

@@ -189,6 +189,26 @@ class TestRunExperiment:
         assert float(value) == 0.5 / 4
         assert len(value) >= 5
 
+    @pytest.mark.parametrize("p,n", [(6, 10), (12, 8)])
+    def test_max_power_selects_nothing(self, tmp_path, p, n):
+        # the field is validated and digested, but every report is the same
+        arrays, reports = {}, {}
+        out = tmp_path / "out"  # each run replaces the last one's reports
+        for max_power in (2, 3, 4):
+            cfg = tiny_cfg(tmp_path, p=p, n=n, centered=True, max_power=max_power)
+            arrays[max_power] = run_replications(build_experiment_model(cfg), cfg, 1)
+            run_experiment(cfg)
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"].pop("max_power") == max_power
+            assert summary.pop("config_digest") == cfg.digest()
+            reports[max_power] = (
+                (out / "qq.csv").read_bytes(), (out / "qq_centered.csv").read_bytes(), summary
+            )
+        for max_power in (3, 4):
+            assert all(a.shape == (40, 2) for a in arrays[max_power])
+            assert all(map(np.array_equal, arrays[max_power], arrays[2]))
+            assert reports[max_power] == reports[2]
+
     def test_model_frozen_by_master_seed(self, tmp_path):
         m1 = build_experiment_model(tiny_cfg(tmp_path))
         m2 = build_experiment_model(tiny_cfg(tmp_path))
@@ -367,10 +387,10 @@ class TestPipeline:
         monkeypatch.setattr(lss, "sample_block", original)
         want = [
             run_replication(model, _draw_x(dist, cfg.p, cfg.n, cfg.master_seed, rep), rep,
-                            max_power, centered)
+                            centered)
             for rep in range(cfg.reps)
         ]
-        assert t.shape == (cfg.reps, max_power)
+        assert t.shape == (cfg.reps, 2)
         assert t.tolist() == [stats for stats, _ in want]
         if centered:
             assert tc.tolist() == [list(pair) for _, pair in want]
@@ -401,7 +421,7 @@ class TestPipeline:
 
         monkeypatch.setattr(harness, "run_replication", counting)
         t, _ = run_replications(model, cfg, workers)
-        assert t.shape == (cfg.reps, cfg.max_power) and np.all(np.isfinite(t))
+        assert t.shape == (cfg.reps, 2) and np.all(np.isfinite(t))
         assert peak[0] == workers
         assert len(callers) <= workers + 1
 

@@ -11,7 +11,6 @@ from covlss.inference import (
     chi2_df2_cdf,
     chi2_df2_quantile,
     ks_distance,
-    marginal_normal_check,
     qq_report,
     whiten,
 )
@@ -204,42 +203,3 @@ def test_qq_report_loads_no_numpy_ma(child_env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-class TestMarginalNormalCheck:
-    def test_gaussian_sample_passes(self):
-        rng = np.random.default_rng(7)
-        rep = marginal_normal_check(rng.standard_normal(10**4))
-        assert rep.ks <= 0.022
-
-    def test_shifted_scaled_sample_standardized_away(self):
-        rng = np.random.default_rng(8)
-        rep = marginal_normal_check(5.0 + 3.0 * rng.standard_normal(5000))
-        assert rep.ks <= 0.03
-
-    def test_constant_sample_degenerate(self):
-        with pytest.raises(ValueError):
-            marginal_normal_check(np.ones(500))
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            marginal_normal_check(np.arange(50))
-
-    def test_normal_quantiles_match_scipy(self):
-        rng = np.random.default_rng(9)
-        rep = marginal_normal_check(rng.standard_normal(2000), grid_size=21)
-        want = scipy.stats.norm.ppf(rep.probs)
-        assert np.allclose(rep.q_theoretical, want, atol=1e-9)
-
-    def test_third_trace_power_is_marginally_normal(self):
-        # desk-scale probe of asymptotic normality for T_3, whose limiting
-        # parameters have no closed form here
-        from covlss.harness import ExperimentConfig, build_experiment_model, run_replications
-
-        cfg = ExperimentConfig(
-            p=100, n=1000, alpha=0.2, beta=0.1, dist="normal", reps=2000,
-            master_seed=33, max_power=3,
-        )
-        model = build_experiment_model(cfg)
-        t, _ = run_replications(model, cfg, workers=1)
-        assert marginal_normal_check(t[:, 2]).ks <= 0.05

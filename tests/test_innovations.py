@@ -152,6 +152,14 @@ class TestSampling:
             want = (rng.gamma(4.0, 0.5, 5000) - 2.0) / (0.5 * 2.0)
             assert np.array_equal(sample_block(standardized_gamma(4, 0.5), seed, 5000), want)
 
+    @pytest.mark.parametrize("shape", [4.0, 2.5])  # sqrt(2.5) is not a power of 2
+    def test_gamma_standardized_in_place_bit_for_bit(self, shape):
+        for seed in range(3):
+            want = np.random.default_rng(seed).standard_gamma(shape, 5000)
+            want = (want - shape) / math.sqrt(shape)
+            got = standardized_gamma(shape, 1.0).sample(np.random.default_rng(seed), 5000)
+            assert got.tobytes() == want.tobytes()
+
     def test_gamma_monte_carlo_bands(self):
         x = sample_block(standardized_gamma(4, 0.5), 51, 10**6)
         assert abs(x.mean()) <= 0.003  # 3 sigma, sd of the mean = 1e-3

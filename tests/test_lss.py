@@ -15,10 +15,10 @@ from covlss.seeding import REPLICATION_STREAM, derive_seed
 SEED = 1234
 
 
-def replicate(eigs, dist, n, rep=0, u=None, max_power=2, centered=False):
+def replicate(eigs, dist, n, rep=0, u=None, centered=False):
     """Replication ``rep``'s (t, tc), drawn and computed as the harness does."""
     model = assemble_model(eigs, u)
-    return run_replication(model, _draw_x(dist, model.p, n, SEED, rep), rep, max_power, centered)
+    return run_replication(model, _draw_x(dist, model.p, n, SEED, rep), rep, centered)
 
 
 def symmetric_half(eigs, u=None):
@@ -41,13 +41,13 @@ def replication_x(dist, p, n, rep):
 
 
 def direct_pxp(x, half):
-    """T_1..T_4 of B and (T_1^0, T_2^0) of B - ybar ybar', built the p x p way
+    """(T_1, T_2) of B and (T_1^0, T_2^0) of B - ybar ybar', built the p x p way
     from Y = half x for a square root ``half`` of Sigma."""
     y = half @ x
     b = (y @ y.T) / x.shape[1]
     ybar = y.mean(axis=1)
     b0 = b - np.outer(ybar, ybar)
-    t = [float(np.trace(np.linalg.matrix_power(b, k))) for k in range(1, 5)]
+    t = [float(np.trace(np.linalg.matrix_power(b, k))) for k in range(1, 3)]
     return t, (float(np.trace(b0)), float(np.trace(b0 @ b0)))
 
 
@@ -57,16 +57,15 @@ class TestGenerateGram:
     def test_rademacher_single_column_identity(self):
         # x'x = p for any +-1 column, so the 1x1 Gram (p > n side) is always (2)
         for rep in range(5):
-            t, _ = replicate([1.0, 1.0], rademacher(), n=1, rep=rep, max_power=4)
-            assert t == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-12)
+            t, _ = replicate([1.0, 1.0], rademacher(), n=1, rep=rep)
+            assert t == pytest.approx((2.0, 4.0), abs=1e-12)
 
     def test_scalar_population_rank_one(self):
-        # p = 1: B = 4 |x|^2 / n is a scalar, so T_k = T_1^k
+        # p = 1: B = 4 |x|^2 / n is a scalar, so T_2 = T_1^2
         x = replication_x(standard_normal(), 1, 3, rep=1)
-        t, _ = replicate([4.0], standard_normal(), n=3, rep=1, max_power=4)
+        t, _ = replicate([4.0], standard_normal(), n=3, rep=1)
         assert t[0] == pytest.approx(4.0 * float(x[0] @ x[0]) / 3, rel=1e-12)
-        for k in range(2, 5):
-            assert t[k - 1] == pytest.approx(t[0] ** k, rel=1e-12)
+        assert t[1] == pytest.approx(t[0] ** 2, rel=1e-12)
 
     def test_matches_naive_triple_loop(self):
         u = haar_orthogonal(3, 7)
@@ -78,30 +77,29 @@ class TestGenerateGram:
                 naive[i, j] = sum(
                     x[a, i] * sig[a, b] * x[b, j] for a in range(3) for b in range(3)
                 )
-        want = [np.trace(np.linalg.matrix_power(naive, k)) / 2**k for k in range(1, 5)]
-        t, _ = replicate([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=u, max_power=4)
+        want = [np.trace(np.linalg.matrix_power(naive, k)) / 2**k for k in range(1, 3)]
+        t, _ = replicate([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=u)
         assert t == pytest.approx(want, rel=1e-12)
 
     def test_gram_is_psd(self):
-        # power sums of nonnegative eigenvalues: T_k >= 0 and T_2^2 <= T_1 T_3
+        # power sums of nonnegative eigenvalues: T_k >= 0 and T_2 <= T_1^2
         for n in (1, 2, 4):
             for rep in range(5):
-                t, _ = replicate([3.0, 1.0], standard_normal(), n=n, rep=rep, max_power=4)
-                t1, t2, t3, t4 = t
-                assert min(t1, t2, t3, t4) >= 0.0
-                assert t2 * t2 <= t1 * t3 * (1 + 1e-12)
+                t1, t2 = replicate([3.0, 1.0], standard_normal(), n=n, rep=rep)[0]
+                assert min(t1, t2) >= 0.0
+                assert t2 <= t1 * t1 * (1 + 1e-12)
 
 
 class TestLssTraces:
     def test_scaled_identity(self):
         # Sigma = 2 I_2, X = I_2 and n = 2: M = 2 I_2, so T_k = tr(M^k) / 2^k = 2
-        t, tc = _trace_stats(assemble_model([2.0, 2.0]), np.eye(2), 2, False)
+        t, tc = _trace_stats(assemble_model([2.0, 2.0]), np.eye(2), False)
         assert t == pytest.approx([2.0, 2.0])
         assert tc is None
 
     def test_rank_one(self):
         x = np.array([[np.sqrt(2.0), 0.0], [0.0, 0.0]])
-        assert _trace_stats(assemble_model([1.0, 1.0]), x, 2, False)[0] == pytest.approx([1.0, 1.0])
+        assert _trace_stats(assemble_model([1.0, 1.0]), x, False)[0] == pytest.approx([1.0, 1.0])
 
     def test_sides_agree(self):
         rng = np.random.default_rng(31)
@@ -111,7 +109,7 @@ class TestLssTraces:
             u = haar_orthogonal(p, trial) if p > 1 else None
             want, _ = direct_pxp(replication_x(standard_normal(), p, n, trial),
                                  symmetric_half(eigs, u))
-            t, _ = replicate(eigs, standard_normal(), n=n, rep=trial, u=u, max_power=4)
+            t, _ = replicate(eigs, standard_normal(), n=n, rep=trial, u=u)
             assert t == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -121,14 +119,14 @@ class TestCenteredLss:
         for p, n in ((2, 3), (3, 2)):
             x = np.tile(np.linspace(-0.4, 1.3, p)[:, None], (1, n))
             model = assemble_model(np.linspace(0.5, 2.0, p), haar_orthogonal(p, 3))
-            _, (t1c, t2c) = _trace_stats(model, x, 2, True)
+            _, (t1c, t2c) = _trace_stats(model, x, True)
             assert t1c == pytest.approx(0.0, abs=1e-12)
             assert t2c == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetric_pair_already_centered(self):
         model = assemble_model([1.0, 2.0])
         col = np.array([[0.7], [1.1]])
-        (t1, t2), (t1c, t2c) = _trace_stats(model, np.hstack([col, -col]), 2, True)
+        (t1, t2), (t1c, t2c) = _trace_stats(model, np.hstack([col, -col]), True)
         assert t1c == pytest.approx(t1, rel=1e-12)
         assert t2c == pytest.approx(t2, rel=1e-12)
 
@@ -144,7 +142,7 @@ class TestCenteredLss:
             b = (y @ y.T) / n
             ybar = y.mean(axis=1)
             b0 = b - np.outer(ybar, ybar)
-            _, (t1c, t2c) = _trace_stats(model, x, 2, True)
+            _, (t1c, t2c) = _trace_stats(model, x, True)
             assert t1c == pytest.approx(float(np.trace(b0)), rel=1e-10)
             assert t2c == pytest.approx(float(np.sum(b0 * b0)), rel=1e-10)
 
@@ -154,10 +152,10 @@ class TestRunReplication:
         # the n x n route X' Sigma X, built here, on both sides of p = n
         for p, n in ((3, 5), (5, 3)):
             eigs = list(np.linspace(0.5, 2.0, p))
-            t, tc = replicate(eigs, standard_normal(), n=n, rep=4, max_power=4, centered=True)
+            t, tc = replicate(eigs, standard_normal(), n=n, rep=4, centered=True)
             x = replication_x(standard_normal(), p, n, rep=4)
             a = x.T @ dense_sigma(eigs) @ x
-            want = [np.trace(np.linalg.matrix_power(a, k)) / n**k for k in range(1, 5)]
+            want = [np.trace(np.linalg.matrix_power(a, k)) / n**k for k in range(1, 3)]
             assert t == pytest.approx(want, rel=1e-10)
             rowsum = a.sum(axis=1)
             yy = rowsum.sum() / n**2
@@ -176,8 +174,7 @@ class TestRunReplication:
         u = haar_orthogonal(p, 17) if rotated else None
         half = symmetric_half(eigs, u)
         for rep in range(3):
-            t, tc = replicate(eigs, standard_normal(), n=n, rep=rep, u=u,
-                              max_power=4, centered=True)
+            t, tc = replicate(eigs, standard_normal(), n=n, rep=rep, u=u, centered=True)
             want, want_c = direct_pxp(replication_x(standard_normal(), p, n, rep), half)
             assert t == pytest.approx(want, rel=1e-12)
             assert tc == pytest.approx(want_c, rel=1e-12)

@@ -8,9 +8,8 @@ import covlss
 SRC = Path(covlss.__file__).parent
 
 # public names that only tests call today, each waiting on a tracked removal:
-# marginal_normal_check on the T_3/T_4 deletion, single_spike_variance on the
-# criterion 5 reference
-ONLY_TESTS_CALL = {"marginal_normal_check", "single_spike_variance"}
+# single_spike_variance on the criterion 5 reference
+ONLY_TESTS_CALL = {"single_spike_variance"}
 
 
 def test_every_public_name_is_used_in_the_package():
