@@ -18,7 +18,10 @@ stack of real symmetric matrices whose symmetry is checked once per stack,
 at construction.  :func:`verify_identities` checks all three identities
 of a stack on one grid: one task whose statistic stacks the three
 identities' values, so a (dimension, law) group of ``verify`` is
-enumerated once.
+enumerated once.  :func:`verify_finite_n_moments` checks the finite-n
+moments of models that share one p likewise: one task for the four means
+of every model and one for Var T_1, so a (p, n, law) group takes three
+passes over its grid (the variance takes two).
 """
 
 from __future__ import annotations
@@ -260,92 +263,57 @@ def verify_identities(
     return lhs, np.stack([quadratic, fourth, triple], axis=1)
 
 
-@dataclass(frozen=True)
-class FiniteMomentReport:
-    """Enumerated vs closed-form moments of (T_1, T_2) at tiny (p, n).
-
-    e_t1, var_t1 and e_t2 are exact identities and must agree to
-    floating-point accuracy; the centered rows carry the enumerated truth
-    next to the divisor-n formula values so the residual of the
-    leading-order E T_2^0 shift is visible rather than hidden.
-    """
-
-    p: int
-    n: int
-    dist: str
-    e_t1: tuple[float, float]
-    var_t1: tuple[float, float]
-    e_t2: tuple[float, float]
-    e_t1_centered: tuple[float, float]
-    e_t2_centered: tuple[float, float]
-
-    @property
-    def exact_abs_err(self) -> float:
-        """The largest error of the exact rows; NaN if any of the ten values,
-        e_t2_centered's included, is not finite."""
-        pairs = (self.e_t1, self.var_t1, self.e_t2, self.e_t1_centered)
-        if not all(map(math.isfinite, itertools.chain(*pairs, self.e_t2_centered))):
-            return math.nan
-        return max(abs(enumerated - formula) for enumerated, formula in pairs)
-
-    def as_dict(self) -> dict:
-        return {
-            "lemma": "finite_n_moments",
-            "dims": [self.p, self.n],
-            "dist": self.dist,
-            "e_t1": list(self.e_t1),
-            "var_t1": list(self.var_t1),
-            "e_t2": list(self.e_t2),
-            "e_t1_centered": list(self.e_t1_centered),
-            "e_t2_centered": list(self.e_t2_centered),
-            "abs_err": self.exact_abs_err,
-        }
+# the columns of verify_finite_n_moments' arrays.  The first four are exact
+# identities; e_t2_centered sets the enumerated truth beside the divisor-n
+# formula, so the residual of its leading-order shift is visible, not hidden
+FINITE_N_COLUMNS = ("e_t1", "var_t1", "e_t2", "e_t1_centered", "e_t2_centered")
 
 
 def verify_finite_n_moments(
-    model: PopulationModel, n: int, dist: InnovationDist
-) -> FiniteMomentReport:
-    """Compare enumerated E T_1, Var T_1, E T_2 (exact) and the centered
-    means against the closed-form module, building B from Y = F X directly."""
-    p = model.p
+    models: list[PopulationModel], n: int, dist: InnovationDist
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerated and closed-form moments of (T_1, T_2) at tiny (p, n) for
+    models that share one p: two ``(models, 5)`` arrays, columns in the order
+    of ``FINITE_N_COLUMNS``.  B is built from Y = F X directly, with the
+    models' factors F stacked, so the four means take one enumeration of
+    the p n variables and Var T_1 one more."""
+    dims = {model.p for model in models}
+    if len(dims) != 1:
+        raise ValueError(f"the models must share one p, got p in {sorted(dims)}")
+    (p,) = dims
     if p > 4 or n > 4:
         raise EnumerationGuardError("finite-n enumeration is capped at p, n <= 4")
-    factor = np.diag(np.sqrt(model.eigenvalues)) if model.factor is None else model.factor
+    factors = np.stack([
+        np.diag(np.sqrt(model.eigenvalues)) if model.factor is None else model.factor
+        for model in models
+    ])[:, None]
 
     def sample_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Y and B = YY'/n per row, with Y = F X and F'F = Sigma
-        y = factor @ x.reshape(-1, p, n)
-        return y, (y @ y.transpose(0, 2, 1)) / n
+        # Y and B = YY'/n per model and row, with Y = F X and F'F = Sigma
+        y = factors @ x.reshape(-1, p, n)
+        return y, (y @ y.swapaxes(2, 3)) / n
 
     def t1(x: np.ndarray) -> np.ndarray:
-        return np.trace(sample_covariance(x)[1], axis1=1, axis2=2)[None]
+        return np.trace(sample_covariance(x)[1], axis1=2, axis2=3)
 
     def traces(x: np.ndarray) -> np.ndarray:
-        # (T_1, T_2, T_1^0, T_2^0) per row, with B^0 = B - ybar ybar'
+        # (T_1, T_2, T_1^0, T_2^0) of each model per row, with B^0 = B - ybar ybar'
         y, b = sample_covariance(x)
-        ybar = y.mean(axis=2)
-        b0 = b - ybar[:, :, None] * ybar[:, None, :]
-        return np.stack([
-            np.trace(b, axis1=1, axis2=2),
-            (b**2).sum(axis=(1, 2)),
-            np.trace(b0, axis1=1, axis2=2),
-            (b0**2).sum(axis=(1, 2)),
+        ybar = y.mean(axis=3)
+        b0 = b - ybar[..., :, None] * ybar[..., None, :]
+        return np.concatenate([
+            np.trace(b, axis1=2, axis2=3),
+            (b**2).sum(axis=(2, 3)),
+            np.trace(b0, axis1=2, axis2=3),
+            (b0**2).sum(axis=(2, 3)),
         ])
 
-    num_vars = p * n
     e_t1, e_t2, e_t1c, e_t2c = exact_expectation(
-        EnumerationTask(num_vars, dist, traces, 4)
-    ).tolist()
-    (var_t1,) = exact_variance(EnumerationTask(num_vars, dist, t1)).tolist()
-
-    ms = moment_set(model.traces, n, dist.profile.nu4, centered=True)
-    return FiniteMomentReport(
-        p=p,
-        n=n,
-        dist=dist.selector,
-        e_t1=(e_t1, ms.e_t1),
-        var_t1=(var_t1, ms.psi11),
-        e_t2=(e_t2, ms.e_t2),
-        e_t1_centered=(e_t1c, ms.e_t1_centered),
-        e_t2_centered=(e_t2c, ms.e_t2_centered),
-    )
+        EnumerationTask(p * n, dist, traces, 4 * len(models))
+    ).reshape(4, -1)
+    var_t1 = exact_variance(EnumerationTask(p * n, dist, t1, len(models)))
+    formula = [
+        (ms.e_t1, ms.psi11, ms.e_t2, ms.e_t1_centered, ms.e_t2_centered)
+        for ms in (moment_set(m.traces, n, dist.profile.nu4, centered=True) for m in models)
+    ]
+    return np.stack([e_t1, var_t1, e_t2, e_t1c, e_t2c], axis=1), np.array(formula)

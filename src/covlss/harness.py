@@ -4,19 +4,22 @@ Replication index, not thread, owns the RNG stream, so outputs are
 byte-identical for any worker count.  Workers are taken from the
 ``COVLSS_WORKERS`` environment variable unless set explicitly; the
 default is 1.  ``workers`` is the number of replication kernels in flight
-at once, all in this process: OpenBLAS runs on one thread, and
-``workers + 1`` threads each draw their own replication's innovations and
-then wait for a kernel slot.  Where OpenBLAS cannot be pinned, the caller
-runs the same loop alone and ``workers`` has no effect.  Each replication
-writes its row of two arrays, (T_1, T_2) and the centered pair, and each
-array is whitened in one call.
+at once, all in this process: OpenBLAS runs on one thread, as it does
+while the model is built, and ``workers + 1`` threads each draw their own
+replication's innovations and then wait for a kernel slot.  Where
+OpenBLAS cannot be pinned, the caller runs the same loop alone and
+``workers`` has no effect.  Each replication writes its row of two
+arrays, (T_1, T_2) and the centered pair, and each array is whitened in
+one call.
 
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
 indent=2, sort_keys=True, allow_nan=False)`` plus a newline.  The
 verification suite works on columns from the enumeration to the file: each
 (dimension, law) group is enumerated once, on one grid for its three
 identities, and fills rows of ``(cases, 3)`` lhs and rhs arrays; the
-errors, maxima and ``ok`` are array reductions.  Each identity row of
+errors, maxima and ``ok`` are array reductions.  The finite-n rows come
+from one grouped check per (p, n, law), 18 passes over a grid in all, whose
+``(models, 5)`` arrays become one row per model.  Each identity row of
 ``verify.json`` is streamed from one fixed ``%``-format string, keys sorted
 and indented, each float rendered once by ``repr`` (the ``float.__repr__``
 that ``json`` writes); the header and the finite-n rows come from
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -44,13 +48,14 @@ import numpy as np
 
 from . import VERSION_STRING
 from .enumeration import (
+    FINITE_N_COLUMNS,
     EnumerationGuardError,
     SymMatrix,
     verify_finite_n_moments,
     verify_identities,
 )
 from .inference import QQReport, check_covariance, qq_report, whiten
-from .innovations import parse_dist, rademacher, two_point
+from .innovations import InnovationDist, parse_dist, rademacher, two_point
 from .lss import _draw_x, run_replication
 from .moments import MomentSet, moment_set
 from .population import PopulationModel, SpectrumSpec, assemble_model, build_model
@@ -147,20 +152,22 @@ def resolve_workers(cfg_workers: int | None) -> int:
 
 
 def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
-    """The population model implied by a config, frozen by the master seed."""
-    rng = np.random.default_rng(derive_seed(cfg.master_seed, SPECTRUM_STREAM))
-    r = rng.random(cfg.p)
-    while np.any(r == 0.0):  # Uniform(0,1) draws must stay in the open interval
-        r[r == 0.0] = rng.random(int(np.sum(r == 0.0)))
-    spec = SpectrumSpec(
-        p=cfg.p,
-        n=cfg.n,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        r_values=r,
-        diagonal_only=cfg.diagonal_only,
-    )
-    return build_model(spec, derive_seed(cfg.master_seed, ROTATION_STREAM))
+    """The population model implied by a config, frozen by the master seed,
+    built on one BLAS thread so that its bits do not depend on the host."""
+    with _one_blas_thread():
+        rng = np.random.default_rng(derive_seed(cfg.master_seed, SPECTRUM_STREAM))
+        r = rng.random(cfg.p)
+        while np.any(r == 0.0):  # Uniform(0,1) draws must stay in the open interval
+            r[r == 0.0] = rng.random(int(np.sum(r == 0.0)))
+        spec = SpectrumSpec(
+            p=cfg.p,
+            n=cfg.n,
+            alpha=cfg.alpha,
+            beta=cfg.beta,
+            r_values=r,
+            diagonal_only=cfg.diagonal_only,
+        )
+        return build_model(spec, derive_seed(cfg.master_seed, ROTATION_STREAM))
 
 
 def _retain_freed_arrays() -> None:
@@ -177,15 +184,18 @@ def _retain_freed_arrays() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def _openblas_threads() -> list[tuple]:
-    """(set, get) thread-count functions of each OpenBLAS the process has loaded."""
+@functools.cache
+def _openblas_threads() -> tuple[tuple, ...]:
+    """(set, get) thread-count functions of each OpenBLAS the process has
+    loaded, looked up on the first call only.  numpy loads its OpenBLAS at
+    import, before any call here; a BLAS loaded later is not pinned."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted(
                 {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
             )
     except OSError:  # no procfs: the libraries cannot be located
-        return []
+        return ()
     controls = []
     for path in paths:
         try:
@@ -199,12 +209,12 @@ def _openblas_threads() -> list[tuple]:
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 controls.append((set_threads, get_threads))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run OpenBLAS on one thread while replicating, then restore its count.
+    """Run OpenBLAS on one thread inside the block, then restore its count.
 
     Yields whether anything was pinned: without an OpenBLAS control symbol
     the BLAS threads are left as they are.
@@ -424,21 +434,33 @@ def _verification_dists():
     return [rademacher(), two_point(0.2), two_point(0.35)]
 
 
-def _finite_moment_grid() -> list[tuple[PopulationModel, int]]:
+def _finite_moment_grid() -> list[tuple[int, list[PopulationModel]]]:
+    """The finite-n checks as (n, models) groups whose models share one p."""
     theta = np.pi / 4
     rot = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
-    models = []
-    for p, n in ((1, 2), (2, 2), (2, 3)):
-        if p == 1:
-            models.append((assemble_model([1.0]), n))
-            models.append((assemble_model([2.0]), n))
-        else:
-            models.append((assemble_model([1.0, 1.0]), n))
-            models.append((assemble_model([2.0, 1.0]), n))
-            models.append((assemble_model([2.0, 1.0], rot), n))
-    return models
+    scalars = [assemble_model([1.0]), assemble_model([2.0])]
+    pairs = [
+        assemble_model([1.0, 1.0]), assemble_model([2.0, 1.0]), assemble_model([2.0, 1.0], rot)
+    ]
+    return [(2, scalars), (2, pairs), (3, pairs)]
+
+
+def _finite_rows(n: int, models: list[PopulationModel], dist: InnovationDist) -> list[dict]:
+    """The report rows of one (p, n, law) group, a row per model: each column
+    of ``FINITE_N_COLUMNS`` as an [enumerated, formula] pair, and abs_err the
+    largest error of the four exact columns, NaN if any of the ten values is
+    not finite."""
+    enumerated, formula = verify_finite_n_moments(models, n, dist)
+    finite = np.isfinite(enumerated).all(axis=1) & np.isfinite(formula).all(axis=1)
+    errors = np.where(finite, np.abs(enumerated - formula)[:, :4].max(axis=1), np.nan)
+    return [
+        {"lemma": "finite_n_moments", "dims": [models[0].p, n], "dist": dist.selector,
+         **{column: list(pair) for column, pair in zip(FINITE_N_COLUMNS, zip(left, right))},
+         "abs_err": err}
+        for left, right, err in zip(enumerated.tolist(), formula.tolist(), errors.tolist())
+    ]
 
 
 def _identity_columns(
@@ -556,11 +578,10 @@ def run_verification_suite(
         )
     ]
     finite_laws = (rademacher(), two_point(0.2))  # built once: each costs tens of us
-    finite_rows = [
-        verify_finite_n_moments(model, n, dist).as_dict()
-        for model, n in _finite_moment_grid()
-        for dist in finite_laws
-    ]
+    finite_rows = []
+    for n, models in _finite_moment_grid():
+        by_law = [_finite_rows(n, models, dist) for dist in finite_laws]
+        finite_rows += itertools.chain.from_iterable(zip(*by_law))  # model first, then law
     max_err["finite_n_moments"] = float(np.max([row["abs_err"] for row in finite_rows]))
     ok = all(v <= VERIFY_THRESHOLD for v in max_err.values())
 

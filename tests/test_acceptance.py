@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from covlss.enumeration import verify_finite_n_moments
+from covlss.enumeration import FINITE_N_COLUMNS, verify_finite_n_moments
 from covlss.harness import (
     ExperimentConfig,
     build_experiment_model,
@@ -49,6 +49,7 @@ def test_criterion_1_exact_moment_oracle_suite():
     # population matrix; matrices repeat across (p, n) pairs otherwise
     start = time.monotonic()
     rot = rotation(np.pi / 4)
+    exact = [FINITE_N_COLUMNS.index(c) for c in ("e_t1", "var_t1", "e_t2")]
     worst = 0.0
     cells = 0
     for p, n in ((1, 2), (2, 2), (2, 3)):
@@ -60,12 +61,11 @@ def test_criterion_1_exact_moment_oracle_suite():
                 assemble_model([2.0, 1.0]),
                 assemble_model([2.0, 1.0], rot),
             ]
-        for model in models:
-            for dist in (rademacher(), two_point(0.2)):
-                rep = verify_finite_n_moments(model, n, dist)
-                for pair in (rep.e_t1, rep.var_t1, rep.e_t2):
-                    worst = max(worst, abs(pair[0] - pair[1]))
-                cells += 1
+        for dist in (rademacher(), two_point(0.2)):
+            enumerated, formula = verify_finite_n_moments(models, n, dist)
+            for left, right in zip(enumerated[:, exact].ravel(), formula[:, exact].ravel()):
+                worst = max(worst, abs(left - right))
+            cells += len(models)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 5.0
     announce(1, ok, f"{cells} cells, max abs err {worst:.3e}, {elapsed:.2f}s")
@@ -202,11 +202,12 @@ def test_criterion_7_centered_mean_shift():
     ts = model.traces
     formula_shift = -(ts.tr1**2 + 2 * n * ts.tr2) / n**2
 
-    rep_tp = verify_finite_n_moments(model, n, two_point(0.2))
-    enum_shift_tp = rep_tp.e_t2_centered[0] - rep_tp.e_t2[0]
+    e_t2, e_t2c = FINITE_N_COLUMNS.index("e_t2"), FINITE_N_COLUMNS.index("e_t2_centered")
+    (enum_tp,), _ = verify_finite_n_moments([model], n, two_point(0.2))
+    enum_shift_tp = enum_tp[e_t2c] - enum_tp[e_t2]
     ratio = enum_shift_tp / formula_shift
-    rep_rad = verify_finite_n_moments(model, n, rademacher())
-    enum_shift_rad = rep_rad.e_t2_centered[0] - rep_rad.e_t2[0]
+    (enum_rad,), _ = verify_finite_n_moments([model], n, rademacher())
+    enum_shift_rad = enum_rad[e_t2c] - enum_rad[e_t2]
 
     # Monte Carlo side: E T1^0 discriminates (1 - 1/n) tr S from (1 + 1/n) tr S
     cfg = ExperimentConfig(

@@ -6,6 +6,7 @@ import pytest
 
 from covlss.enumeration import (
     BLOCK_ROWS,
+    FINITE_N_COLUMNS,
     EnumerationGuardError,
     EnumerationTask,
     SymMatrix,
@@ -23,6 +24,7 @@ from covlss.innovations import (
     standard_normal,
     two_point,
 )
+from covlss.harness import _finite_moment_grid
 from covlss.population import assemble_model, haar_orthogonal
 
 
@@ -76,6 +78,17 @@ def finite_n_traces(half, p, n, x):
     ybar = y.mean(axis=1)
     b0 = b - np.outer(ybar, ybar)
     return np.trace(b), np.sum(b * b), np.trace(b0), np.sum(b0 * b0)
+
+
+def finite_n(model, n, dist):
+    """One model checked through the grouped call: each column of
+    FINITE_N_COLUMNS as an (enumerated, formula) pair, and the largest error
+    of the four exact columns, NaN if any of the ten values is not finite."""
+    enumerated, formula = verify_finite_n_moments([model], n, dist)
+    rep = dict(zip(FINITE_N_COLUMNS, zip(enumerated[0].tolist(), formula[0].tolist())))
+    if not all(math.isfinite(v) for pair in rep.values() for v in pair):
+        return rep, math.nan
+    return rep, max(abs(e - f) for e, f in list(rep.values())[:4])
 
 
 VERIFICATION_LAWS = [rademacher(), two_point(0.2), two_point(0.35)]
@@ -302,21 +315,23 @@ class TestLoopOracle:
         u = haar_orthogonal(p, 3) if p > 1 else None
         model = assemble_model(eigs, u)
         half = np.diag(np.sqrt(eigs)) if u is None else (u * np.sqrt(eigs)) @ u.T
-        rep = verify_finite_n_moments(model, n, dist)
+        rep, _ = finite_n(model, n, dist)
 
         def trace(i):
             return lambda x: finite_n_traces(half, p, n, x)[i]
 
         e_t1 = loop_expectation(dist, p * n, trace(0))
-        assert rep.e_t1[0] == pytest.approx(e_t1, rel=1e-12)
-        assert rep.var_t1[0] == pytest.approx(
+        assert rep["e_t1"][0] == pytest.approx(e_t1, rel=1e-12)
+        assert rep["var_t1"][0] == pytest.approx(
             loop_expectation(dist, p * n, trace(0), mean=e_t1), rel=1e-12
         )
-        assert rep.e_t2[0] == pytest.approx(loop_expectation(dist, p * n, trace(1)), rel=1e-12)
-        assert rep.e_t1_centered[0] == pytest.approx(
+        assert rep["e_t2"][0] == pytest.approx(
+            loop_expectation(dist, p * n, trace(1)), rel=1e-12
+        )
+        assert rep["e_t1_centered"][0] == pytest.approx(
             loop_expectation(dist, p * n, trace(2)), rel=1e-12
         )
-        assert rep.e_t2_centered[0] == pytest.approx(
+        assert rep["e_t2_centered"][0] == pytest.approx(
             loop_expectation(dist, p * n, trace(3)), rel=1e-12
         )
 
@@ -411,27 +426,27 @@ class TestFiniteNMoments:
     def test_degenerate_scalar_rademacher(self):
         # p=1, sigma=1: T1 is identically 1, variance exactly zero
         model = assemble_model([1.0])
-        rep = verify_finite_n_moments(model, 2, rademacher())
-        assert rep.e_t1 == (1.0, 1.0)
-        assert rep.var_t1[0] == pytest.approx(0.0, abs=1e-14)
-        assert rep.var_t1[1] == 0.0
+        rep, _ = finite_n(model, 2, rademacher())
+        assert rep["e_t1"] == (1.0, 1.0)
+        assert rep["var_t1"][0] == pytest.approx(0.0, abs=1e-14)
+        assert rep["var_t1"][1] == 0.0
 
     def test_diagonal_rademacher(self):
         model = assemble_model([1.0, 2.0])
-        rep = verify_finite_n_moments(model, 2, rademacher())
-        assert rep.exact_abs_err <= 1e-12
+        _, err = finite_n(model, 2, rademacher())
+        assert err <= 1e-12
 
     def test_rotated_two_point(self):
         model = assemble_model([2.0, 1.0], rotation(np.pi / 4))
-        rep = verify_finite_n_moments(model, 2, two_point(0.2))
-        assert rep.exact_abs_err <= 1e-10
+        _, err = finite_n(model, 2, two_point(0.2))
+        assert err <= 1e-10
 
     def test_centered_mean_confirms_divisor_n(self):
         # enumeration picks (1 - 1/n) tr S over the (1 + 1/n) tr S variant
         model = assemble_model([1.0, 2.0])
         n = 3
-        rep = verify_finite_n_moments(model, n, two_point(0.2))
-        enumerated = rep.e_t1_centered[0]
+        rep, _ = finite_n(model, n, two_point(0.2))
+        enumerated = rep["e_t1_centered"][0]
         divisor_n = 3.0 * (1 - 1 / n)
         alternative = 3.0 * (1 + 1 / n)
         assert abs(enumerated - divisor_n) <= 1e-12
@@ -440,10 +455,27 @@ class TestFiniteNMoments:
     def test_four_by_four_rotated_two_point(self):
         # 2^16 assignments: the largest grid the finite-n guard admits
         model = assemble_model([3.0, 2.0, 1.5, 0.5], haar_orthogonal(4, 7))
-        rep = verify_finite_n_moments(model, 4, two_point(0.2))
-        assert rep.exact_abs_err <= 1e-9
+        _, err = finite_n(model, 4, two_point(0.2))
+        assert err <= 1e-9
 
     def test_guard_on_large_dims(self):
         model = assemble_model([1.0] * 4)
         with pytest.raises(EnumerationGuardError):
-            verify_finite_n_moments(model, 5, rademacher())
+            verify_finite_n_moments([model], 5, rademacher())
+
+    @pytest.mark.parametrize("dist", [rademacher(), two_point(0.2)], ids=lambda d: d.selector)
+    def test_group_rows_equal_models_alone(self, dist):
+        # the suite checks each (p, n, law) group on one grid: every row has
+        # the bits of its model checked alone
+        for n, models in _finite_moment_grid():
+            enumerated, formula = verify_finite_n_moments(models, n, dist)
+            assert enumerated.shape == formula.shape == (len(models), len(FINITE_N_COLUMNS))
+            for row, model in enumerate(models):
+                alone_enumerated, alone_formula = verify_finite_n_moments([model], n, dist)
+                assert enumerated[row].tobytes() == alone_enumerated[0].tobytes()
+                assert formula[row].tobytes() == alone_formula[0].tobytes()
+
+    def test_group_of_mixed_p_refused(self):
+        models = [assemble_model([1.0]), assemble_model([2.0, 1.0])]
+        with pytest.raises(ValueError, match="share one p"):
+            verify_finite_n_moments(models, 2, rademacher())

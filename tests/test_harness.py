@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import covlss.harness as harness
 import covlss.lss as lss
 from covlss.cli import main, read_config_file
-from covlss.enumeration import SymMatrix, verify_identities
+from covlss.enumeration import FINITE_N_COLUMNS, SymMatrix, verify_identities
 from covlss import VERSION_STRING
 from covlss.harness import (
     ConfigError,
@@ -299,6 +299,32 @@ class TestPipeline:
             assert all(map(np.array_equal, runs[1], runs[2]))
         assert len(seen) == 16 and all(counts == [1] * len(ambient) for counts in seen)
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param("--p 300 --n 400", id="rotated-p300-n400"),
+        pytest.param("--p 300 --n 100 --centered", id="rotated-centered-p300-n100"),
+        pytest.param("--p 20000 --n 4 --diagonal-only", id="diagonal-p20000-n4"),
+    ])
+    def test_reports_independent_of_blas_thread_count(self, tmp_path, child_env, flags):
+        # the model's Haar QR, rotation check and trace products run on one
+        # BLAS thread too: run on two, each config's reports change bits
+        reports = {}
+        for threads in (1, 2):
+            run_dir = tmp_path / f"t{threads}"
+            run_dir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "covlss.cli", "simulate", *flags.split(),
+                 "--alpha", "0.3", "--beta", "0.3", "--reps", "8", "--grid-size", "9",
+                 "--master-seed", "5", "--output-dir", "out"],
+                cwd=run_dir, capture_output=True, text=True,
+                env=dict(child_env, OPENBLAS_NUM_THREADS=str(threads)),
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports[threads] = {
+                path.name: path.read_bytes() for path in (run_dir / "out").iterdir()
+            }
+        assert {"qq.csv", "summary.json"} <= set(reports[1])
+        assert reports[1] == reports[2]
+
     @pytest.mark.parametrize(
         "p,n,reps,fail_at,workers", _with_workers((40, 50, 12, 7), (400, 400, 6, 3))
     )
@@ -565,6 +591,15 @@ def _with_value(out, lemma, side, case, v):
     return tuple(sides)
 
 
+def _with_finite(out, column, v):
+    """A finite-n group's (enumerated, formula) with ``v`` as every model's
+    formula value of ``column``."""
+    enumerated, formula = out
+    formula = formula.copy()
+    formula[:, FINITE_N_COLUMNS.index(column)] = v
+    return enumerated, formula
+
+
 def _last_lhs_nan(out):
     """NaN in the fourth-moment lhs of the last case of the group."""
     return _with_value(out, "fourth_moment", 0, -1, np.nan)
@@ -582,10 +617,8 @@ _NON_FINITE_PLACES = [
     lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[0], 0, 0, v)),
     lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[1], 1, -1, v)),
     lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[2], 0, -1, v)),
-    lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
-        rep, var_t1=(rep.var_t1[0], v))),
-    lambda v: ("verify_finite_n_moments", lambda rep: dataclasses.replace(
-        rep, e_t2_centered=(rep.e_t2_centered[0], v))),
+    lambda v: ("verify_finite_n_moments", lambda out: _with_finite(out, "var_t1", v)),
+    lambda v: ("verify_finite_n_moments", lambda out: _with_finite(out, "e_t2_centered", v)),
 ]
 
 
