@@ -1,8 +1,8 @@
 """Command-line entry point: ``covlss simulate`` and ``covlss verify``.
 
-Config values resolve in increasing precedence: built-in defaults, a
-preset flag (``--desk-scale`` or ``--full-scale``), a ``key=value``
-config file, then explicit command-line flags.
+Config values resolve in increasing precedence: built-in defaults, the
+``--desk-scale`` preset, a ``key=value`` config file, then explicit
+command-line flags.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .inference import DegenerateCovarianceError
 from .population import ConsistencyError
 
 DESK_SCALE = {"reps": 2000, "p": 50, "n": 500}
-FULL_SCALE = {"reps": 10000}
 
 # config-file key -> caster, one per ExperimentConfig field, from its annotation
 _CASTERS = {"int": int, "float": float, "str": str, "bool": bool}
@@ -107,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", default=None, help="key=value config file; flags override it")
     sim.add_argument("--desk-scale", action="store_true",
                      help=f"CI preset: {DESK_SCALE}")
-    sim.add_argument("--full-scale", action="store_true",
-                     help=f"offline preset: {FULL_SCALE}")
 
     ver = sub.add_parser(
         "verify",
@@ -125,12 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_simulate_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     resolved: dict = {}
-    if args.desk_scale and args.full_scale:
-        parser.error("--desk-scale and --full-scale are mutually exclusive")
     if args.desk_scale:
         resolved.update(DESK_SCALE)
-    if args.full_scale:
-        resolved.update(FULL_SCALE)
     if args.config is not None:
         resolved.update(read_config_file(args.config))
     for key in _SIMULATE_KEYS:

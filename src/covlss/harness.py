@@ -58,7 +58,7 @@ from .inference import QQReport, check_covariance, qq_report, whiten
 from .innovations import InnovationDist, parse_dist, rademacher, two_point
 from .lss import _draw_x, run_replication
 from .moments import MomentSet, moment_set
-from .population import PopulationModel, SpectrumSpec, assemble_model, build_model
+from .population import PopulationModel, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
 
 WORKERS_ENV_VAR = "COVLSS_WORKERS"
@@ -159,15 +159,8 @@ def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
         r = rng.random(cfg.p)
         while np.any(r == 0.0):  # Uniform(0,1) draws must stay in the open interval
             r[r == 0.0] = rng.random(int(np.sum(r == 0.0)))
-        spec = SpectrumSpec(
-            p=cfg.p,
-            n=cfg.n,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            r_values=r,
-            diagonal_only=cfg.diagonal_only,
-        )
-        return build_model(spec, derive_seed(cfg.master_seed, ROTATION_STREAM))
+        rotation_seed = None if cfg.diagonal_only else derive_seed(cfg.master_seed, ROTATION_STREAM)
+        return build_model(r, cfg.n, cfg.alpha, cfg.beta, rotation_seed)
 
 
 def _retain_freed_arrays() -> None:
@@ -351,13 +344,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
     t, tc = run_replications(model, cfg, workers)
-    qq = qq_report(whiten(t[:, 0], t[:, 1], ms), "chi2_df2", cfg.grid_size)
+    qq = qq_report(whiten(t[:, 0], t[:, 1], ms), cfg.grid_size)
 
     qq_centered = None
     notes: list[str] = []
     if cfg.centered:
         ts0 = whiten(tc[:, 0], tc[:, 1], ms.centered_view())
-        qq_centered = qq_report(ts0, "chi2_df2", cfg.grid_size)
+        qq_centered = qq_report(ts0, cfg.grid_size)
         notes.append(
             "centered mean convention: E T1^0 = (1 - 1/n) tr(Sigma) for the "
             "divisor-n centered sample covariance, validated by enumeration"

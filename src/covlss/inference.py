@@ -75,11 +75,6 @@ def chi2_df2_quantile(q: float) -> float:
     return -2.0 * math.log1p(-q)
 
 
-_REFERENCES = {
-    "chi2_df2": (lambda x: np.asarray(chi2_df2_cdf(x)), chi2_df2_quantile),
-}
-
-
 def whiten(t1, t2, ms: MomentSet):
     """ts = d' Psi^{-1} d with d = (t1 - E T1, t2 - E T2), elementwise over
     arrays of replications.
@@ -128,19 +123,16 @@ def _hazen_quantiles(s: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return q
 
 
-def qq_report(samples, reference: str = "chi2_df2", grid_size: int = 199) -> QQReport:
+def qq_report(samples, grid_size: int = 199) -> QQReport:
     """Q-Q table on the probability grid (i - 0.5)/grid_size plus the KS
-    distance of the full sample against the reference."""
+    distance of the full sample against chi-square(2)."""
     s = np.sort(np.asarray(samples, dtype=float))
     if s.size == 0:
         raise ValueError("samples must be nonempty")
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    if reference not in _REFERENCES:
-        raise ValueError(f"unknown reference {reference!r}")
-    cdf, quantile = _REFERENCES[reference]
     probs = (np.arange(1, grid_size + 1) - 0.5) / grid_size
-    q_th = np.array([quantile(float(q)) for q in probs])
+    q_th = np.array([chi2_df2_quantile(float(q)) for q in probs])
     # Hazen plotting position: order statistic i sits at (i - 0.5)/m,
     # matching the probability grid above.
     q_emp = _hazen_quantiles(s, probs)
@@ -148,6 +140,6 @@ def qq_report(samples, reference: str = "chi2_df2", grid_size: int = 199) -> QQR
         probs=probs,
         q_theoretical=q_th,
         q_empirical=q_emp,
-        ks=ks_distance(s, cdf),
+        ks=ks_distance(s, chi2_df2_cdf),
         reps=int(s.size),
     )

@@ -1,12 +1,14 @@
 """Population covariance models whose leading eigenvalues grow with n.
 
-A spectrum is split into a spiked group of size floor(beta*p) with
-eigenvalues (2 + r_i) * n^alpha and a bulk group with eigenvalues
-2*r_i in (0, 2), for r_i in (0, 1).  The covariance is Sigma = U L U'
-for a random orthogonal U (or L itself in the diagonal-only regime), but
-the model keeps one factor F = L^{1/2} U' rather than a dense Sigma: the
-statistics see Sigma through X'Sigma X = (FX)'(FX), or through Sigma X X',
-whose dense Sigma = F'F is formed once, on first use.
+:func:`build_model` splits a spectrum into a spiked group of size
+floor(beta*p) with eigenvalues (2 + r_i) * n^alpha and a bulk group with
+eigenvalues 2*r_i in (0, 2), for r_i in (0, 1).  The covariance is
+Sigma = U L U' for a Haar orthogonal U (or L itself when no rotation seed
+is given), but the model keeps one factor F = L^{1/2} U' rather than a
+dense Sigma: the statistics see Sigma through X'Sigma X = (FX)'(FX), or
+through Sigma X X', whose dense Sigma = F'F is formed once, on first use.
+Its inputs are checked once, as an experiment config, before they get
+here; :func:`assemble_model` checks the eigenvalues and U it is given.
 
 Every moment formula reads Sigma through seven trace functionals, held in
 one :class:`TraceSet`: tr Sigma^k for k = 1..4 and the Hadamard traces
@@ -26,40 +28,6 @@ TRACE_CHECK_RTOL = 1e-8
 
 class ConsistencyError(RuntimeError):
     """Trace functionals disagree with the eigenvalue sums."""
-
-
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Declarative description of the population eigenvalue list."""
-
-    p: int
-    n: int
-    alpha: float
-    beta: float
-    r_values: np.ndarray
-    diagonal_only: bool = False
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("p must be a positive integer")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        r = np.asarray(self.r_values, dtype=float)
-        if r.shape != (self.p,):
-            raise ValueError(f"r_values must have length p = {self.p}")
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
-            raise ValueError("all r_values must lie strictly in (0, 1)")
-        r = r.copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "r_values", r)
-
-    @property
-    def spike_count(self) -> int:
-        return int(np.floor(self.beta * self.p))
 
 
 @dataclass(frozen=True)
@@ -102,24 +70,6 @@ class PopulationModel:
         sigma = np.diag(self.eigenvalues) if f is None else f.T @ f
         sigma.flags.writeable = False
         return sigma
-
-
-def build_spectrum(spec: SpectrumSpec) -> np.ndarray:
-    """Descending eigenvalue list: spikes (2+r)*n^alpha, then bulk 2r.
-
-    Raises :class:`ConsistencyError` when n^alpha overflows a double.
-    """
-    k = spec.spike_count
-    lam = np.empty(spec.p)
-    try:
-        growth = float(spec.n) ** spec.alpha
-    except OverflowError:
-        raise ConsistencyError(
-            f"spike growth n^alpha = {spec.n}^{spec.alpha:g} overflows double precision"
-        ) from None
-    lam[:k] = (2.0 + spec.r_values[:k]) * growth
-    lam[k:] = 2.0 * spec.r_values[k:]
-    return np.sort(lam)[::-1].copy()
 
 
 def haar_orthogonal(p: int, seed: int) -> np.ndarray:
@@ -187,8 +137,24 @@ def assemble_model(eigs, u: np.ndarray | None = None) -> PopulationModel:
     return PopulationModel(eigenvalues=lam, traces=traces, factor=factor)
 
 
-def build_model(spec: SpectrumSpec, rotation_seed: int) -> PopulationModel:
-    """Spectrum plus (unless diagonal-only) a Haar rotation, assembled."""
-    lam = build_spectrum(spec)
-    u = None if spec.diagonal_only else haar_orthogonal(spec.p, rotation_seed)
-    return assemble_model(lam, u)
+def build_model(r: np.ndarray, n: int, alpha: float, beta: float,
+                rotation_seed: int | None) -> PopulationModel:
+    """The model of floor(beta*p) spikes (2+r)*n^alpha and a bulk 2r, p = r.size,
+    sorted descending and rotated by a Haar U from rotation_seed (diagonal
+    when it is None).
+
+    Raises :class:`ConsistencyError` when n^alpha overflows a double.
+    """
+    p = r.size
+    k = int(np.floor(beta * p))
+    try:
+        growth = float(n) ** alpha
+    except OverflowError:
+        raise ConsistencyError(
+            f"spike growth n^alpha = {n}^{alpha:g} overflows double precision"
+        ) from None
+    lam = np.empty(p)
+    lam[:k] = (2.0 + r[:k]) * growth
+    lam[k:] = 2.0 * r[k:]
+    u = None if rotation_seed is None else haar_orthogonal(p, rotation_seed)
+    return assemble_model(np.sort(lam)[::-1], u)

@@ -141,23 +141,23 @@ class TestQQReport:
         g = 50
         probs = (np.arange(1, g + 1) - 0.5) / g
         samples = np.array([chi2_df2_quantile(float(q)) for q in probs])
-        rep = qq_report(samples, "chi2_df2", grid_size=g)
+        rep = qq_report(samples, grid_size=g)
         assert np.allclose(rep.q_empirical, rep.q_theoretical, atol=1e-9)
         # sample placed exactly at grid quantiles: ks = 1/(2 * size)
         assert rep.ks == pytest.approx(1.0 / (2 * g), abs=1e-12)
 
     def test_chi2_draws_ks_small(self):
         rng = np.random.default_rng(99)
-        rep = qq_report(rng.chisquare(2, size=10**4), "chi2_df2")
+        rep = qq_report(rng.chisquare(2, size=10**4))
         assert rep.ks <= 0.022  # 1% Kolmogorov critical value 1.63/sqrt(10^4)
 
     def test_constant_sample(self):
-        rep = qq_report(np.ones(10), "chi2_df2", grid_size=5)
+        rep = qq_report(np.ones(10), grid_size=5)
         assert rep.ks == pytest.approx(math.exp(-0.5), abs=1e-14)
 
     def test_grid_shape_and_probs(self):
         rng = np.random.default_rng(1)
-        rep = qq_report(rng.chisquare(2, 100), "chi2_df2", grid_size=199)
+        rep = qq_report(rng.chisquare(2, 100), grid_size=199)
         assert rep.probs.shape == (199,)
         assert rep.probs[0] == pytest.approx(0.5 / 199)
         assert np.all(np.diff(rep.q_theoretical) > 0)
@@ -165,18 +165,14 @@ class TestQQReport:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            qq_report(np.array([]), "chi2_df2")
+            qq_report(np.array([]))
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            qq_report(np.ones(5), "chi2_df2", grid_size=1)
-
-    def test_unknown_reference_rejected(self):
-        with pytest.raises(ValueError):
-            qq_report(np.ones(5), "uniform")
+            qq_report(np.ones(5), grid_size=1)
 
     def test_single_sample_runs(self):
-        rep = qq_report(np.array([1.5]), "chi2_df2", grid_size=9)
+        rep = qq_report(np.array([1.5]), grid_size=9)
         assert rep.reps == 1
         assert np.all(rep.q_empirical == 1.5)
 
@@ -189,7 +185,7 @@ class TestQQReport:
             # continuous draws, heavy ties, and a NaN, which numpy gives every quantile
             nan_last = np.append(rng.chisquare(2, size - 1), np.nan)
             for samples in (rng.chisquare(2, size), rng.integers(0, 4, size) * 0.5, nan_last):
-                got = qq_report(samples, "chi2_df2", grid_size).q_empirical
+                got = qq_report(samples, grid_size).q_empirical
                 want = np.quantile(samples, probs, method="hazen")
                 assert got.tobytes() == want.tobytes(), (size, samples)
 

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from covlss.lss import _half_times
 from covlss.population import (
     ConsistencyError,
-    SpectrumSpec,
     assemble_model,
     build_model,
-    build_spectrum,
     haar_orthogonal,
 )
 
@@ -51,26 +49,25 @@ def assert_traces_match(model, sigma, rel):
         assert got == pytest.approx(float(want[name]), rel=rel), name
 
 
-def spec_with(p, n, alpha, beta, r=None, diagonal_only=False):
-    if r is None:
-        r = np.full(p, 0.5)
-    return SpectrumSpec(p=p, n=n, alpha=alpha, beta=beta, r_values=np.asarray(r, float),
-                        diagonal_only=diagonal_only)
+def spectrum(p, n, alpha, beta, r=None):
+    """The eigenvalues build_model gives r (default all 0.5), unrotated."""
+    r = np.full(p, 0.5) if r is None else r
+    return build_model(r, n, alpha, beta, rotation_seed=None).eigenvalues
 
 
 class TestBuildSpectrum:
+    """The eigenvalues of build_model, read from unrotated models."""
+
     def test_no_spikes_half_r(self):
-        lam = build_spectrum(spec_with(4, 100, 0.0, 0.0))
-        assert np.allclose(lam, [1.0, 1.0, 1.0, 1.0])
+        assert np.allclose(spectrum(4, 100, 0.0, 0.0), [1.0, 1.0, 1.0, 1.0])
 
     def test_two_spikes(self):
-        lam = build_spectrum(spec_with(4, 100, 0.5, 0.5))
-        assert np.allclose(lam, [25.0, 25.0, 1.0, 1.0])
+        assert np.allclose(spectrum(4, 100, 0.5, 0.5), [25.0, 25.0, 1.0, 1.0])
 
     def test_grouped_ranges(self):
         rng = np.random.default_rng(5)
         p, n = 100, 1000
-        lam = build_spectrum(spec_with(p, n, 0.2, 0.1, r=rng.random(p)))
+        lam = spectrum(p, n, 0.2, 0.1, r=rng.random(p))
         growth = n**0.2
         spikes, bulk = lam[:10], lam[10:]
         assert len(spikes) == 10 and len(bulk) == 90
@@ -78,21 +75,14 @@ class TestBuildSpectrum:
         assert np.all(bulk > 0) and np.all(bulk < 2)
         assert np.all(np.diff(lam) <= 0)
 
-    def test_rejects_bad_r(self):
-        with pytest.raises(ValueError):
-            spec_with(2, 10, 0.0, 0.0, r=[0.5, 1.0])
-        with pytest.raises(ValueError):
-            spec_with(2, 10, 0.0, 0.0, r=[0.0, 0.5])
-
-    def test_rejects_bad_beta(self):
-        with pytest.raises(ValueError):
-            spec_with(2, 10, 0.0, 1.5)
-        with pytest.raises(ValueError):
-            spec_with(2, 10, 0.0, -0.1)
-
     def test_spike_count_floors(self):
-        assert spec_with(5, 10, 0.1, 0.5).spike_count == 2
-        assert spec_with(5, 10, 0.1, 1.0).spike_count == 5
+        # spikes are (2 + r) * 10^0.1 > 2.5, the bulk 2r = 1
+        assert np.sum(spectrum(5, 10, 0.1, 0.5) > 2.0) == 2
+        assert np.sum(spectrum(5, 10, 0.1, 1.0) > 2.0) == 5
+
+    def test_overflowing_growth_rejected(self):
+        with pytest.raises(ConsistencyError, match="spike growth n\\^alpha"):
+            spectrum(4, 1000, 1e308, 0.5)
 
 
 class TestHaarOrthogonal:
@@ -211,36 +201,27 @@ class TestAssembleModel:
 
 
 class TestBuildModel:
-    def test_diagonal_only_skips_rotation(self):
-        spec = spec_with(4, 100, 0.5, 0.5, diagonal_only=True)
-        m = build_model(spec, rotation_seed=9)
-        assert m.factor is None
-        assert_traces_match(m, np.diag(m.eigenvalues), rel=1e-14)
-
     def test_spectral_norm_tracks_n_growth(self):
         rng = np.random.default_rng(23)
         r = rng.random(10)
         alpha = 0.3
-        lam_n = build_spectrum(spec_with(10, 400, alpha, 0.2, r=r))
-        lam_2n = build_spectrum(spec_with(10, 800, alpha, 0.2, r=r))
+        lam_n = spectrum(10, 400, alpha, 0.2, r=r)
+        lam_2n = spectrum(10, 800, alpha, 0.2, r=r)
         assert lam_2n[0] / lam_n[0] == pytest.approx(2.0**alpha, rel=1e-10)
 
     def test_traces_match_eigenvalues(self):
-        spec = spec_with(20, 200, 0.4, 0.25, r=np.random.default_rng(3).random(20))
-        m = build_model(spec, rotation_seed=4)
+        m = build_model(np.random.default_rng(3).random(20), 200, 0.4, 0.25, rotation_seed=4)
         for k in (1, 2, 3, 4):
             want = float(np.sum(m.eigenvalues**k))
             got = getattr(m.traces, f"tr{k}")
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_positive_definite(self):
-        spec = spec_with(12, 300, 1.0, 0.2, r=np.random.default_rng(8).random(12))
-        m = build_model(spec, rotation_seed=1)
+        m = build_model(np.random.default_rng(8).random(12), 300, 1.0, 0.2, rotation_seed=1)
         assert np.all(np.linalg.eigvalsh(m.factor.T @ m.factor) > 0)
 
     def test_trace_set_of_sigma_matches_bundle(self):
-        spec = spec_with(6, 50, 0.2, 0.5, r=np.random.default_rng(2).random(6))
-        m = build_model(spec, rotation_seed=0)
+        m = build_model(np.random.default_rng(2).random(6), 50, 0.2, 0.5, rotation_seed=0)
         assert_traces_match(m, dense_sigma(m.eigenvalues, haar_orthogonal(6, 0)), rel=1e-12)
 
 
