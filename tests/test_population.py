@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlss.harness import ConfigError, ExperimentConfig
 from covlss.lss import _half_times
 from covlss.population import (
     ConsistencyError,
@@ -79,6 +80,15 @@ class TestBuildSpectrum:
         # spikes are (2 + r) * 10^0.1 > 2.5, the bulk 2r = 1
         assert np.sum(spectrum(5, 10, 0.1, 0.5) > 2.0) == 2
         assert np.sum(spectrum(5, 10, 0.1, 1.0) > 2.0) == 5
+
+    def test_rejects_bad_beta(self):
+        # build_model trusts beta; ExperimentConfig.validate is the one gate in front of it
+        for beta in (0.0, 1.0):
+            ExperimentConfig(p=4, n=100, beta=beta).validate()
+            assert np.sum(spectrum(4, 100, 0.5, beta) > 2.0) == int(4 * beta)
+        for beta in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match="beta"):
+                ExperimentConfig(p=4, n=100, beta=beta).validate()
 
     def test_overflowing_growth_rejected(self):
         with pytest.raises(ConsistencyError, match="spike growth n\\^alpha"):
