@@ -1,8 +1,7 @@
 """Command-line entry point: ``covlss simulate`` and ``covlss verify``.
 
-Config values resolve in increasing precedence: built-in defaults, the
-``--desk-scale`` preset, a ``key=value`` config file, then explicit
-command-line flags.
+Each ``simulate`` flag sets the one :class:`ExperimentConfig` field of the
+same name; a flag left out keeps that field's default.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from .enumeration import EnumerationGuardError
 from .harness import (
@@ -22,44 +20,6 @@ from .harness import (
 )
 from .inference import DegenerateCovarianceError
 from .population import ConsistencyError
-
-DESK_SCALE = {"reps": 2000, "p": 50, "n": 500}
-
-# config-file key -> caster, one per ExperimentConfig field, from its annotation
-_CASTERS = {"int": int, "float": float, "str": str, "bool": bool}
-_SIMULATE_KEYS = {
-    f.name: _CASTERS[f.type.removesuffix(" | None")] for f in dataclasses.fields(ExperimentConfig)
-}
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def read_config_file(path: str) -> dict:
-    """``key=value`` lines; blank lines and ``#`` comments are ignored."""
-    values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _SIMULATE_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _SIMULATE_KEYS[key]
-        try:
-            values[key] = _parse_bool(value) if caster is bool else caster(value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo replication of the whitened (T1, T2) "
         "statistic against its chi-square(2) reference.",
     )
-    sim.add_argument("--p", type=int, default=None, help="dimension (required)")
-    sim.add_argument("--n", type=int, default=None, help="sample size (required)")
+    sim.add_argument("--p", type=int, required=True, help="dimension")
+    sim.add_argument("--n", type=int, required=True, help="sample size")
     sim.add_argument("--alpha", type=float, default=None, help="spike growth exponent (default 0)")
     sim.add_argument("--beta", type=float, default=None, help="spike fraction in [0,1] (default 0)")
     sim.add_argument(
@@ -96,16 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--diagonal-only", action="store_true", default=None,
                      help="skip the random orthogonal conjugation")
     sim.add_argument("--output-dir", default=None, help="report directory (default out)")
-    sim.add_argument("--format", choices=("csv", "json", "both"), default=None,
-                     help="qq table format (default both)")
     sim.add_argument("--grid-size", type=int, default=None, help="Q-Q probability grid points (default 199)")
     sim.add_argument("--workers", type=int, default=None,
-                     help="replication kernels in flight at once (default: COVLSS_WORKERS "
-                     "or 1), each on one OpenBLAS thread; one more thread draws, all "
-                     "in this process")
-    sim.add_argument("--config", default=None, help="key=value config file; flags override it")
-    sim.add_argument("--desk-scale", action="store_true",
-                     help=f"CI preset: {DESK_SCALE}")
+                     help="replication kernels in flight at once (default 1), each on "
+                     "one OpenBLAS thread; one more thread draws, all in this process")
 
     ver = sub.add_parser(
         "verify",
@@ -120,19 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_simulate_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
-    resolved: dict = {}
-    if args.desk_scale:
-        resolved.update(DESK_SCALE)
-    if args.config is not None:
-        resolved.update(read_config_file(args.config))
-    for key in _SIMULATE_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            resolved[key] = value
-    if "p" not in resolved or "n" not in resolved:
-        parser.error("--p and --n are required (directly, via --config, or via a preset)")
-    return ExperimentConfig(**resolved)
+def _resolve_simulate_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config of the flags given; every other field keeps its default."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**{key: v for key, v in values.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -140,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg = _resolve_simulate_config(args, parser)
+            cfg = _resolve_simulate_config(args)
             result = run_experiment(cfg)
             print(f"wrote: {', '.join(result.files)}")
             print(f"ks = {result.qq.ks:.6f} over {result.qq.reps} replications")
@@ -166,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"all identities within {summary.threshold:g}")
         return 0
-    # OSError: a config file or output directory that is missing or not usable
+    # OSError: an output directory that cannot be made or written
     except (ConfigError, DegenerateCovarianceError, EnumerationGuardError,
             ConsistencyError, NonFiniteReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

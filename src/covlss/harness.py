@@ -1,17 +1,18 @@
 """Experiment orchestration: config, deterministic parallel replication, reports.
 
 Replication index, not thread, owns the RNG stream, so outputs are
-byte-identical for any worker count.  Workers are taken from the
-``COVLSS_WORKERS`` environment variable unless set explicitly; the
-default is 1.  ``workers`` is the number of replication kernels in flight
-at once, all in this process: OpenBLAS runs on one thread, as it does
-while the model is built, and ``workers + 1`` threads each draw their own
-replication's innovations and then wait for a kernel slot.  Where
-OpenBLAS cannot be pinned, the caller runs the same loop alone and
-``workers`` has no effect.  Each replication writes its row of two
-arrays, (T_1, T_2) and the centered pair, and each array is whitened in
-one call.
+byte-identical for any worker count.  ``workers`` (default 1) is the
+number of replication kernels in flight at once, all in this process:
+OpenBLAS runs on one thread, as it does while the model is built, and
+``workers + 1`` threads each draw their own replication's innovations and
+then wait for a kernel slot.  Where OpenBLAS cannot be pinned, the caller
+runs the same loop alone and ``workers`` has no effect.  Each replication
+writes its row of two arrays, (T_1, T_2) and the centered pair, and each
+array is whitened in one call.
 
+A run writes its Q-Q table to ``qq.csv``, and the centered one to
+``qq_centered.csv``; ``summary.json`` holds the config, the moments, the
+model's traces and the KS distances, but no Q-Q arrays.
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
 indent=2, sort_keys=True, allow_nan=False)`` plus a newline.  The
 verification suite works on columns from the enumeration to the file: each
@@ -61,7 +62,6 @@ from .moments import MomentSet, moment_set
 from .population import PopulationModel, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
 
-WORKERS_ENV_VAR = "COVLSS_WORKERS"
 VERIFY_THRESHOLD = 1e-9
 
 # (set, get) thread-count symbols of OpenBLAS builds, first match wins
@@ -71,9 +71,8 @@ _OPENBLAS_SYMBOLS = [
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 ]
 
-_FORMATS = ("csv", "json", "both")
 # ExperimentConfig fields that change where or how reports are written, not their numbers
-_UNDIGESTED = ("output_dir", "format", "workers")
+_UNDIGESTED = ("output_dir", "workers")
 
 
 class ConfigError(ValueError):
@@ -97,9 +96,8 @@ class ExperimentConfig:
     max_power: int = 2  # validated and digested, but selects no computation
     diagonal_only: bool = False
     output_dir: str = "out"
-    format: str = "both"
     grid_size: int = 199
-    workers: int | None = None
+    workers: int = 1
 
     def validate(self) -> None:
         if self.p < 1:
@@ -116,11 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"reps must be a positive integer, got {self.reps}")
         if not 2 <= self.max_power <= 4:  # the whitened statistic needs T_2
             raise ConfigError(f"max_power must be in 2..4, got {self.max_power}")
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers}")
         try:
             parse_dist(self.dist)
@@ -134,21 +130,6 @@ class ExperimentConfig:
             del payload[key]
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def resolve_workers(cfg_workers: int | None) -> int:
-    if cfg_workers is not None:
-        return cfg_workers
-    env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return 1
 
 
 def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
@@ -314,14 +295,6 @@ def _write_qq_csv(path: Path, report: QQReport) -> None:
     _write_text(path, itertools.chain(["prob,q_theoretical,q_empirical\n"], lines))
 
 
-def _qq_arrays(report: QQReport) -> dict:
-    return {
-        "prob": [float(v) for v in report.probs],
-        "q_theoretical": [float(v) for v in report.q_theoretical],
-        "q_empirical": [float(v) for v in report.q_empirical],
-    }
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Build the model once, replicate, whiten, and write the reports.
 
@@ -330,7 +303,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     combination yields a singular covariance of (T1, T2).
     """
     cfg.validate()
-    workers = resolve_workers(cfg.workers)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -343,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         f"beta={cfg.beta} diagonal_only={cfg.diagonal_only}",
     )
 
-    t, tc = run_replications(model, cfg, workers)
+    t, tc = run_replications(model, cfg, cfg.workers)
     qq = qq_report(whiten(t[:, 0], t[:, 1], ms), cfg.grid_size)
 
     qq_centered = None
@@ -357,21 +329,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
 
     files: list[str] = []
-    write_csv = cfg.format in ("csv", "both")
-    embed_json = cfg.format in ("json", "both")
-    if write_csv:
-        qq_path = out_dir / "qq.csv"
-        _write_qq_csv(qq_path, qq)
-        files.append(str(qq_path))
-        if qq_centered is not None:
-            qqc_path = out_dir / "qq_centered.csv"
-            _write_qq_csv(qqc_path, qq_centered)
-            files.append(str(qqc_path))
+    for name, report in (("qq.csv", qq), ("qq_centered.csv", qq_centered)):
+        if report is not None:
+            path = out_dir / name
+            _write_qq_csv(path, report)
+            files.append(str(path))
 
-    config_out = dict(dataclasses.asdict(cfg), workers=workers)
     summary = {
         "version": VERSION_STRING,
-        "config": config_out,
+        "config": dataclasses.asdict(cfg),
         "config_digest": cfg.digest(),
         "reps": cfg.reps,
         "ks": qq.ks,
@@ -384,10 +350,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "centered": None if qq_centered is None else {"ks": qq_centered.ks},
         "notes": notes,
     }
-    if embed_json:
-        summary["qq"] = _qq_arrays(qq)
-        if qq_centered is not None:
-            summary["qq_centered"] = _qq_arrays(qq_centered)
     summary_path = out_dir / "summary.json"
     _write_text(summary_path, (_dump(summary), "\n"))
     files.append(str(summary_path))

@@ -143,18 +143,19 @@ def build_model(r: np.ndarray, n: int, alpha: float, beta: float,
     sorted descending and rotated by a Haar U from rotation_seed (diagonal
     when it is None).
 
-    Raises :class:`ConsistencyError` when n^alpha overflows a double.
+    Raises :class:`ConsistencyError` when there is a spike and n^alpha
+    overflows a double.
     """
     p = r.size
     k = int(np.floor(beta * p))
-    try:
-        growth = float(n) ** alpha
-    except OverflowError:
-        raise ConsistencyError(
-            f"spike growth n^alpha = {n}^{alpha:g} overflows double precision"
-        ) from None
-    lam = np.empty(p)
-    lam[:k] = (2.0 + r[:k]) * growth
-    lam[k:] = 2.0 * r[k:]
+    lam = 2.0 * r
+    if k:  # n^alpha scales the spikes only
+        try:
+            growth = float(n) ** alpha
+        except OverflowError:
+            raise ConsistencyError(
+                f"spike growth n^alpha = {n}^{alpha:g} overflows double precision"
+            ) from None
+        lam[:k] = (2.0 + r[:k]) * growth
     u = None if rotation_seed is None else haar_orthogonal(p, rotation_seed)
     return assemble_model(np.sort(lam)[::-1], u)

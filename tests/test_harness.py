@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import covlss.harness as harness
 import covlss.lss as lss
-from covlss.cli import main, read_config_file
+from covlss.cli import _build_parser, _resolve_simulate_config, main
 from covlss.enumeration import FINITE_N_COLUMNS, SymMatrix, verify_identities
 from covlss import VERSION_STRING
 from covlss.harness import (
@@ -28,7 +29,6 @@ from covlss.harness import (
     ExperimentConfig,
     NonFiniteReportError,
     build_experiment_model,
-    resolve_workers,
     run_experiment,
     run_replications,
     run_verification_suite,
@@ -70,8 +70,8 @@ class TestConfig:
         for max_power in (1, 5):
             with pytest.raises(ConfigError, match="max_power"):
                 ExperimentConfig(p=2, n=10, max_power=max_power).validate()
-        with pytest.raises(ConfigError, match="format"):
-            ExperimentConfig(p=2, n=10, format="xml").validate()
+        with pytest.raises(ConfigError, match="workers"):
+            ExperimentConfig(p=2, n=10, workers=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(p=2, n=10, dist="cauchy").validate()
 
@@ -84,7 +84,7 @@ class TestConfig:
 
     def test_digest_pinned(self):
         # a digest names a run's statistical inputs across versions, so it must not drift
-        assert ExperimentConfig(p=3, n=10, format="json").digest() == (
+        assert ExperimentConfig(p=3, n=10).digest() == (
             "5566809f6ec1526836667cbd6a82490dfeff305da3c6a0322373b45376ac39e9"
         )
         full_panel = ExperimentConfig(
@@ -100,16 +100,6 @@ class TestConfig:
             with pytest.raises(ConfigError, match="master_seed"):
                 ExperimentConfig(p=2, n=10, master_seed=seed).validate()
         ExperimentConfig(p=2, n=10, master_seed=2**64 - 1).validate()
-
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.delenv("COVLSS_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        assert resolve_workers(3) == 3
-        monkeypatch.setenv("COVLSS_WORKERS", "2")
-        assert resolve_workers(None) == 2
-        monkeypatch.setenv("COVLSS_WORKERS", "zero")
-        with pytest.raises(ConfigError):
-            resolve_workers(None)
 
 
 # a value unlike tiny_cfg's for each digested ExperimentConfig field
@@ -140,6 +130,17 @@ def test_every_digested_field_changes_a_report(tmp_path, field):
     base = _reports(tiny_cfg(tmp_path / "base"))
     changed = _reports(tiny_cfg(tmp_path / "changed", **{field: _CHANGED_VALUE[field]}))
     assert (changed == base) == (field in NO_REPORT_CHANGE)
+
+
+def test_simulate_flags_are_the_config_fields():
+    # one flag per ExperimentConfig field and nothing else, so that no
+    # second way to set an input (a file, a preset) comes back
+    sub = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    dests = {action.dest for action in sub.choices["simulate"]._actions} - {"help"}
+    assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 class TestRunExperiment:
@@ -189,19 +190,7 @@ class TestRunExperiment:
             assert key in ms
         assert ms["e_t1_centered"] is not None
         assert summary["centered"]["ks"] == res.qq_centered.ks
-        assert summary["qq"]["prob"][0] == res.qq.probs[0]
-
-    def test_csv_only_format(self, tmp_path):
-        run_experiment(tiny_cfg(tmp_path, format="csv"))
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert "qq" not in summary
-        assert (tmp_path / "out" / "qq.csv").exists()
-
-    def test_json_only_format(self, tmp_path):
-        run_experiment(tiny_cfg(tmp_path, format="json"))
-        assert not (tmp_path / "out" / "qq.csv").exists()
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert len(summary["qq"]["prob"]) == 199
+        assert "qq" not in summary  # the Q-Q table is in qq.csv only
 
     def test_centered_writes_parallel_report(self, tmp_path):
         run_experiment(tiny_cfg(tmp_path, centered=True))
@@ -752,7 +741,7 @@ class TestReportWriter:
         assert '"lhs": 0.0,\n      "rhs": -0.0\n' in text
         assert '"lhs": -0.0,\n      "rhs": 0.0\n' in text
 
-    @pytest.mark.parametrize("run", ["verify", "simulate_both", "simulate_json"])
+    @pytest.mark.parametrize("run", ["verify", "simulate"])
     def test_reports_equal_stdlib_dump(self, tmp_path, monkeypatch, run):
         if run == "verify":
             for max_dim in (1, 2, 3, 4):
@@ -770,10 +759,8 @@ class TestReportWriter:
 
         dump = harness._dump
         monkeypatch.setattr(harness, "_dump", recording)
-        fmt = run.removeprefix("simulate_")
-        run_experiment(tiny_cfg(tmp_path, centered=True, format=fmt, output_dir=str(tmp_path)))
+        run_experiment(tiny_cfg(tmp_path, centered=True, output_dir=str(tmp_path)))
         (value,) = dumped
-        assert ("qq" in value) and ("qq_centered" in value)
         assert (tmp_path / "summary.json").read_text() == _stdlib_dump(value) + "\n"
 
 
@@ -784,6 +771,11 @@ class TestCli:
             "simulate", "--p", "5", "--n", "8", "--dist", "normal",
             "--reps", "20", "--master-seed", "3", "--output-dir", out,
         ])
+        assert rc == 0
+        assert "ks =" in capsys.readouterr().out
+        # no spike, so 1000^400 scales no eigenvalue and cannot overflow one
+        rc = main(["simulate", "--p", "4", "--n", "1000", "--alpha", "400", "--beta", "0",
+                   "--reps", "3", "--output-dir", str(tmp_path / "spike_free")])
         assert rc == 0
         assert "ks =" in capsys.readouterr().out
 
@@ -844,6 +836,14 @@ class TestCli:
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
 
+    def test_workers_below_one_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        rc = main(["simulate", "--p", "4", "--n", "6", "--reps", "5", "--workers", "0",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: workers must be a positive integer")
+        assert not (out / "summary.json").exists()
+
     def test_max_power_one_exit_one(self, tmp_path, capsys):
         rc = main(["simulate", "--p", "6", "--n", "1000", "--max-power", "1",
                    "--reps", "5", "--output-dir", str(tmp_path / "m")])
@@ -871,11 +871,10 @@ class TestCli:
         assert f"error: bad distribution selector '{dist}'" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("case", ["output_dir_is_file", "output_dir_under_file",
-                                      "config_is_directory"])
+    @pytest.mark.parametrize("case", ["output_dir_is_file", "output_dir_under_file"])
     def test_unusable_path_exit_one(self, tmp_path, capsys, case):
-        # each raised an uncaught OSError (FileExistsError, NotADirectoryError,
-        # IsADirectoryError) before any report was written
+        # each raised an uncaught OSError (FileExistsError, NotADirectoryError)
+        # before any report was written
         afile = tmp_path / "afile"
         afile.write_text("")
         sim = ["simulate", "--p", "3", "--n", "5", "--reps", "3"]
@@ -883,52 +882,12 @@ class TestCli:
             "output_dir_is_file": (afile, sim + ["--output-dir", str(afile)]),
             "output_dir_under_file": (afile / "x", ["verify", "--max-dim", "1", "--cases", "1",
                                                     "--output-dir", str(afile / "x")]),
-            "config_is_directory": (tmp_path, sim + ["--config", str(tmp_path),
-                                                     "--output-dir", str(tmp_path / "o")]),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert not list(tmp_path.rglob("summary.json"))
         assert not list(tmp_path.rglob("verify.json"))
-
-    def test_config_file_and_flag_precedence(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("p=5\nn=8\nreps=100\nmaster_seed=3\n# comment\ndist=normal\n")
-        out = str(tmp_path / "o1")
-        rc = main(["simulate", "--config", str(cfg), "--reps", "50",
-                   "--output-dir", out])
-        assert rc == 0
-        summary = json.loads((tmp_path / "o1" / "summary.json").read_text())
-        assert summary["reps"] == 50  # flag wins over file
-        assert summary["config"]["p"] == 5
-
-    def test_config_file_unknown_key(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("p=5\nn=8\nbogus=1\n")
-        assert main(["simulate", "--config", str(cfg)]) == 1
-
-    def test_config_file_bad_value(self, tmp_path):
-        cfg = tmp_path / "bad2.cfg"
-        cfg.write_text("p=five\nn=8\n")
-        assert main(["simulate", "--config", str(cfg)]) == 1
-
-    def test_read_config_file_parses_booleans(self, tmp_path):
-        cfg = tmp_path / "b.cfg"
-        cfg.write_text("p=5\nn=8\ncentered=true\ndiagonal_only=off\n")
-        values = read_config_file(str(cfg))
-        assert values["centered"] is True
-        assert values["diagonal_only"] is False
-
-    def test_desk_scale_preset_overridable(self, tmp_path, capsys):
-        out = str(tmp_path / "desk")
-        rc = main(["simulate", "--desk-scale", "--reps", "10",
-                   "--master-seed", "1", "--output-dir", out])
-        assert rc == 0
-        summary = json.loads((tmp_path / "desk" / "summary.json").read_text())
-        assert summary["config"]["p"] == 50
-        assert summary["config"]["n"] == 500
-        assert summary["reps"] == 10
 
     def test_console_entry_point(self, tmp_path, child_env):
         proc = subprocess.run(
@@ -940,14 +899,11 @@ class TestCli:
 
     def test_reference_panel_flags_resolve(self):
         # the first simulation panel's flag set parses to the expected config
-        from covlss.cli import _build_parser, _resolve_simulate_config
-
-        parser = _build_parser()
-        args = parser.parse_args(
+        args = _build_parser().parse_args(
             "simulate --p 100 --n 1000 --alpha 0.2 --beta 0.1 "
             "--dist gamma:4:0.5 --reps 10000".split()
         )
-        cfg = _resolve_simulate_config(args, parser)
+        cfg = _resolve_simulate_config(args)
         assert (cfg.p, cfg.n, cfg.alpha, cfg.beta) == (100, 1000, 0.2, 0.1)
         assert cfg.dist == "gamma:4:0.5"
         assert cfg.reps == 10000

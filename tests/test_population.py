@@ -91,8 +91,11 @@ class TestBuildSpectrum:
                 ExperimentConfig(p=4, n=100, beta=beta).validate()
 
     def test_overflowing_growth_rejected(self):
-        with pytest.raises(ConsistencyError, match="spike growth n\\^alpha"):
-            spectrum(4, 1000, 1e308, 0.5)
+        for alpha, beta in ((1e308, 0.5), (400.0, 0.3)):  # one spike is enough
+            with pytest.raises(ConsistencyError, match="spike growth n\\^alpha"):
+                spectrum(4, 1000, alpha, beta)
+        # without a spike n^alpha scales nothing, so it is never computed
+        assert np.allclose(spectrum(4, 1000, 400.0, 0.0), [1.0, 1.0, 1.0, 1.0])
 
 
 class TestHaarOrthogonal:
