@@ -50,6 +50,7 @@ import numpy as np
 from . import VERSION_STRING
 from .enumeration import (
     FINITE_N_COLUMNS,
+    MAX_IDENTITY_DIM,
     EnumerationGuardError,
     SymMatrix,
     verify_finite_n_moments,
@@ -58,7 +59,7 @@ from .enumeration import (
 from .inference import QQReport, check_covariance, qq_report, whiten
 from .innovations import InnovationDist, parse_dist, rademacher, two_point
 from .lss import _draw_x, run_replication
-from .moments import MomentSet, moment_set
+from .moments import moment_set
 from .population import PopulationModel, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
 
@@ -145,10 +146,16 @@ def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
 
 
 def _retain_freed_arrays() -> None:
-    """Fix glibc's malloc thresholds and keep every thread on one arena, so
-    that the p x n arrays a replication frees stay in the heap for the next
-    one, on either thread, instead of being faulted in again (about 1,100
-    minor faults per replication at p = 1000, n = 300)."""
+    """Keep every thread on one glibc malloc arena and fix the mmap and trim
+    thresholds, for the whole process and for good.
+
+    The one arena lowers peak RSS, since each thread reuses the p x n arrays
+    the other frees: at p = 500, n = 1000 (40 gamma replications, glibc 2.36,
+    x86-64) a fresh process peaks at 52.9 MB with the policy, 56.7 MB
+    without and 52.6 MB with the arena alone.  The thresholds keep freed
+    arrays in the heap: 100 replications at p = 1000, n = 300 fault 1,710
+    pages with the policy and 3,244 without.  Setting either threshold turns
+    off glibc's adjustment of both, so either alone makes it 44k-77k."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # not glibc
@@ -260,8 +267,6 @@ def run_replications(
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
-    moments: MomentSet
     qq: QQReport
     qq_centered: QQReport | None
     files: list[str]
@@ -354,9 +359,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     _write_text(summary_path, (_dump(summary), "\n"))
     files.append(str(summary_path))
 
-    return ExperimentResult(
-        config=cfg, moments=ms, qq=qq, qq_centered=qq_centered, files=files
-    )
+    return ExperimentResult(qq=qq, qq_centered=qq_centered, files=files)
 
 
 # --- verification suite -----------------------------------------------------
@@ -506,8 +509,8 @@ def run_verification_suite(
     the group's grid.  With ``output_dir`` a NaN or infinite value raises
     :class:`NonFiniteReportError` and no verify.json is written.
     """
-    if max_dim > 4:
-        raise EnumerationGuardError(f"max_dim is capped at 4, got {max_dim}")
+    if max_dim > MAX_IDENTITY_DIM:
+        raise EnumerationGuardError(f"max_dim is capped at {MAX_IDENTITY_DIM}, got {max_dim}")
     if max_dim < 1:
         raise ConfigError(f"max_dim must be at least 1, got {max_dim}")
     if cases < 1:

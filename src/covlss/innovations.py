@@ -40,17 +40,22 @@ class MomentProfile:
 
     mu3: float
     mu4: float
-    nu4: float
     mu6: float
     mu8: float
 
     def __post_init__(self) -> None:
+        overflowed = [f"{name} = {v}" for name, v in vars(self).items() if not math.isfinite(v)]
+        if overflowed:  # first: a NaN passes every inequality below
+            raise ValueError(f"moments not finite in double precision: {', '.join(overflowed)}")
         if self.mu4 < 1.0 - 1e-12:
             raise ValueError(f"mu4 = {self.mu4} violates E x^4 >= (E x^2)^2 = 1")
-        if abs(self.nu4 - (self.mu4 - 3.0)) > 1e-12:
-            raise ValueError("nu4 must equal mu4 - 3")
         if self.mu6 < self.mu4**2 - 1e-9:
             raise ValueError(f"mu6 = {self.mu6} violates mu6 >= mu4^2 = {self.mu4 ** 2}")
+
+    @property
+    def nu4(self) -> float:
+        """The fourth cumulant excess E x^4 - 3."""
+        return self.mu4 - 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +86,7 @@ class InnovationDist:
             return rng.standard_normal(count)
         if self.kind == "gamma":
             shape = self.params[0]
-            g = rng.standard_gamma(shape, count)
-            g -= shape  # the bits of (g - shape) / sqrt(shape), with no temporary
-            g /= math.sqrt(shape)
-            return g
+            return (rng.standard_gamma(shape, count) - shape) / math.sqrt(shape)
         if self.kind == "rademacher":
             return rng.integers(0, 2, count) * 2.0 - 1.0
         if self.kind == "twopoint":
@@ -95,7 +97,7 @@ class InnovationDist:
 
 
 def standard_normal() -> InnovationDist:
-    profile = MomentProfile(mu3=0.0, mu4=3.0, nu4=0.0, mu6=15.0, mu8=105.0)
+    profile = MomentProfile(mu3=0.0, mu4=3.0, mu6=15.0, mu8=105.0)
     return InnovationDist(kind="normal", params=(), profile=profile)
 
 
@@ -136,28 +138,24 @@ def _support_profile(support: np.ndarray, probs: np.ndarray) -> MomentProfile:
     def moment(m: int) -> float:
         return math.fsum(p * v**m for v, p in zip(support, probs))
 
-    mu4 = moment(4)
-    return MomentProfile(mu3=moment(3), mu4=mu4, nu4=mu4 - 3.0, mu6=moment(6), mu8=moment(8))
+    with np.errstate(over="ignore"):  # a power that overflows is inf, refused by the profile
+        return MomentProfile(mu3=moment(3), mu4=moment(4), mu6=moment(6), mu8=moment(8))
 
 
 def _gamma_profile(shape: float) -> MomentProfile:
-    # Standardized cumulants kappa_r = (r-1)! k^(1-r/2); kappa_1 = 0, kappa_2 = 1.
-    try:
-        k3, k4, k5, k6, k8 = (
-            math.factorial(r - 1) * shape ** (1.0 - r / 2.0) for r in (3, 4, 5, 6, 8)
-        )
-        # moments from the set partitions of r into blocks of size >= 2
-        mu4 = k4 + 3.0
-        mu6 = k6 + 15.0 * k4 + 10.0 * k3 * k3 + 15.0
-        mu8 = (k8 + 28.0 * k6 + 56.0 * k5 * k3 + 35.0 * k4 * k4 + 210.0 * k4
-               + 280.0 * k3 * k3 + 105.0)
-    except ArithmeticError:  # a power of a tiny shape overflows
-        k3 = mu4 = mu6 = mu8 = math.nan
-    if not all(map(math.isfinite, (mu4, mu6, mu8))):
-        raise ValueError(
-            f"standardized moments of gamma shape {shape:g} are not finite in double precision"
-        )
-    return MomentProfile(mu3=k3, mu4=mu4, nu4=mu4 - 3.0, mu6=mu6, mu8=mu8)
+    def cumulant(r: int) -> float:
+        # standardized cumulant kappa_r = (r-1)! k^(1-r/2); kappa_1 = 0, kappa_2 = 1
+        try:
+            return math.factorial(r - 1) * shape ** (1.0 - r / 2.0)
+        except OverflowError:  # a power of a tiny shape; inf is refused by the profile
+            return math.inf
+
+    k3, k4, k5, k6, k8 = map(cumulant, (3, 4, 5, 6, 8))
+    # moments from the set partitions of r into blocks of size >= 2
+    mu6 = k6 + 15.0 * k4 + 10.0 * k3 * k3 + 15.0
+    mu8 = (k8 + 28.0 * k6 + 56.0 * k5 * k3 + 35.0 * k4 * k4 + 210.0 * k4
+           + 280.0 * k3 * k3 + 105.0)
+    return MomentProfile(mu3=k3, mu4=k4 + 3.0, mu6=mu6, mu8=mu8)
 
 
 def sample_block(dist: InnovationDist, stream_seed: int, count: int) -> np.ndarray:

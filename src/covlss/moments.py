@@ -176,7 +176,6 @@ class SpikeCaseResult:
     itself; at tau1 = 5, p = n = 500 it is 51.02 against the case-1 limit 36.
     """
 
-    case_id: int
     variance: float
     scaling: str
 
@@ -194,15 +193,9 @@ def single_spike_variance(
         raise ValueError("the dimension ratio c must be positive")
     base = 4.0 * c * (2.0 + 5.0 * c + 2.0 * c**2) + 4.0 * c * (1.0 + 2.0 * c + c**2) * nu4
     if case_id == 1:
-        return SpikeCaseResult(case_id=1, variance=base, scaling="identity")
+        return SpikeCaseResult(variance=base, scaling="identity")
     if case_id == 2:
-        return SpikeCaseResult(
-            case_id=2,
-            variance=base + delta**4 * c * (8.0 + 4.0 * nu4),
-            scaling="identity",
-        )
+        return SpikeCaseResult(variance=base + delta**4 * c * (8.0 + 4.0 * nu4), scaling="identity")
     if case_id == 3:
-        return SpikeCaseResult(
-            case_id=3, variance=8.0 + 4.0 * nu4, scaling="sqrt(n)/tau1^2"
-        )
+        return SpikeCaseResult(variance=8.0 + 4.0 * nu4, scaling="sqrt(n)/tau1^2")
     raise ValueError(f"case_id must be 1, 2 or 3, got {case_id}")

@@ -98,7 +98,7 @@ VERIFICATION_LAWS = [rademacher(), two_point(0.2), two_point(0.35)]
 THREE_POINT = InnovationDist(
     kind="threepoint",
     params=(),
-    profile=MomentProfile(mu3=1.0, mu4=3.0, nu4=0.0, mu6=11.0, mu8=43.0),
+    profile=MomentProfile(mu3=1.0, mu4=3.0, mu6=11.0, mu8=43.0),
     support=np.array([-1.0, 0.0, 2.0]),
     probabilities=np.array([1.0 / 3.0, 0.5, 1.0 / 6.0]),
 )

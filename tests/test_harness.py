@@ -72,6 +72,10 @@ class TestConfig:
                 ExperimentConfig(p=2, n=10, max_power=max_power).validate()
         with pytest.raises(ConfigError, match="workers"):
             ExperimentConfig(p=2, n=10, workers=0).validate()
+        with pytest.raises(ConfigError, match="reps must"):
+            ExperimentConfig(p=2, n=10, reps=0).validate()
+        with pytest.raises(ConfigError, match="grid_size must"):
+            ExperimentConfig(p=2, n=10, grid_size=1).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(p=2, n=10, dist="cauchy").validate()
 
@@ -256,6 +260,30 @@ class TestRunExperiment:
         run_replications(model, cfg, 1)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / cfg.reps < 100
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+    def test_malloc_policy_lowers_peak_rss(self, child_env):
+        # what the policy buys is peak RSS: a fresh process replicating at
+        # p=500, n=1000 peaks about 4 MB lower with it than without it.  The
+        # peak is VmHWM, which exec resets: a child's ru_maxrss would carry
+        # over this process's larger peak
+        code = (
+            "import sys, tempfile\n"
+            "import covlss.harness as harness\n"
+            "if sys.argv[1] == 'off':\n"
+            "    harness._retain_freed_arrays = lambda: None\n"
+            "cfg = harness.ExperimentConfig(p=500, n=1000, reps=20, output_dir=tempfile.mkdtemp())\n"
+            "harness.run_replications(harness.build_experiment_model(cfg), cfg, 1)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n"
+        )
+        peak_kib = {}
+        for policy in ("on", "off"):
+            proc = subprocess.run([sys.executable, "-c", code, policy],
+                                  capture_output=True, text=True, env=child_env)
+            assert proc.returncode == 0, proc.stderr
+            peak_kib[policy] = int(proc.stdout)
+        assert peak_kib["off"] - peak_kib["on"] > 2048, peak_kib
 
 
 def _blas_counts():
@@ -534,8 +562,10 @@ class TestVerificationSuite:
     def test_dim_guard(self):
         from covlss.enumeration import EnumerationGuardError
 
-        with pytest.raises(EnumerationGuardError):
+        with pytest.raises(EnumerationGuardError, match="capped at 4, got 5"):
             run_verification_suite(5, 10, seed=0)
+        with pytest.raises(ConfigError, match="max_dim must"):
+            run_verification_suite(0, 10, seed=0)
 
     def test_case_rows_have_interface_fields(self):
         summary = run_verification_suite(2, 3, seed=1)
@@ -575,6 +605,8 @@ class TestVerificationSuite:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             run_verification_suite(2, 3, seed=-1)
+        with pytest.raises(ConfigError, match="cases must"):
+            run_verification_suite(2, 0, seed=0)
 
     def test_draw_and_rows_pinned(self):
         # sha256 of the rows as the per-case report objects wrote them before
@@ -633,6 +665,12 @@ def _with_finite(out, column, v):
 def _last_lhs_nan(out):
     """NaN in the fourth-moment lhs of the last case of the group."""
     return _with_value(out, "fourth_moment", 0, -1, np.nan)
+
+
+def _first_lhs_moved(out):
+    """The quadratic-covariance lhs of the first case of the group, moved by
+    a finite 1e-6, far above VERIFY_THRESHOLD."""
+    return _with_value(out, "quadratic_covariance", 0, 0, out[0][0, 0] + 1e-6)
 
 
 def _patch_check(monkeypatch, name, corrupt):
@@ -811,6 +849,18 @@ class TestCli:
         assert not (out / "verify.json").exists()
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_verify_failure_exits_one_with_report(self, tmp_path, monkeypatch, capsys):
+        # a finite error above the threshold fails the suite; unlike a NaN it
+        # is still reported, with "ok": false
+        _patch_check(monkeypatch, "verify_identities", _first_lhs_moved)
+        rc = main(["verify", "--max-dim", "2", "--cases", "30", "--seed", "1",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "FAIL: some identity exceeded 1e-09\n"
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        assert payload["ok"] is False
+        assert payload["max_abs_err"]["quadratic_covariance"] == pytest.approx(1e-6, rel=1e-6)
+
     def test_verify_negative_seed_exit_one(self, tmp_path, capsys):
         out = tmp_path / "v"
         rc = main(["verify", "--max-dim", "2", "--cases", "2", "--seed", "-1",
@@ -861,14 +911,17 @@ class TestCli:
         assert "overflow" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("dist", ["gamma:1e-300:1", "bogus"])
+    @pytest.mark.parametrize("dist", ["gamma:1e-300:1", "twopoint:1e-300", "bogus"])
     def test_bad_distribution_exit_one(self, tmp_path, capsys, dist):
-        # a gamma shape whose standardized moments overflow, and an unknown law
+        # gamma and two-point laws whose standardized moments overflow, and an
+        # unknown law: each refused at the config gate on one stderr line
         out = tmp_path / "g"
         rc = main(["simulate", "--p", "2", "--n", "3", "--dist", dist,
                    "--reps", "5", "--output-dir", str(out)])
         assert rc == 1
-        assert f"error: bad distribution selector '{dist}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad distribution selector '{dist}'")
+        assert err.count("\n") == 1
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("case", ["output_dir_is_file", "output_dir_under_file"])
