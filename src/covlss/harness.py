@@ -15,13 +15,14 @@ A run writes its Q-Q table to ``qq.csv``, and the centered one to
 model's traces and the KS distances, but no Q-Q arrays.
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
 indent=2, sort_keys=True, allow_nan=False)`` plus a newline.  The
-verification suite works on columns from the enumeration to the file: each
-(dimension, law) group is enumerated once, on one grid for its three
-identities, and fills rows of ``(cases, 3)`` lhs and rhs arrays; the
-errors, maxima and ``ok`` are array reductions.  The finite-n rows come
-from one grouped check per (p, n, law), 18 passes over a grid in all, whose
-``(models, 5)`` arrays become one row per model.  Each identity row of
-``verify.json`` is streamed from one fixed ``%``-format string, keys sorted
+verification suite works on columns up to its rows: each (dimension, law)
+group is enumerated once, on one grid for its three identities, and fills
+rows of ``(cases, 3)`` lhs and rhs arrays; the errors, maxima and ``ok``
+are array reductions.  The finite-n rows come from one grouped check per
+(p, n, law), 18 passes over a grid in all, whose ``(models, 5)`` arrays
+become one row per model.  Each row is built once, as the dict that the
+suite's summary returns and ``verify.json`` is written from.  Each
+identity row is streamed from one fixed ``%``-format string, keys sorted
 and indented, each float rendered once by ``repr`` (the ``float.__repr__``
 that ``json`` writes); the header and the finite-n rows come from
 ``json.dumps``.  Every value is checked finite before the file is opened.
@@ -38,6 +39,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +74,10 @@ _OPENBLAS_SYMBOLS = [
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 ]
 
+# peak bytes per grid point of one qq_report table: 89 measured at 10^6 points
+# (tracemalloc and VmHWM agree), most of it the theoretical quantiles' list
+_QQ_BYTES_PER_POINT = 96
+
 # ExperimentConfig fields that change where or how reports are written, not their numbers
 _UNDIGESTED = ("output_dir", "workers")
 
@@ -100,7 +106,9 @@ class ExperimentConfig:
     grid_size: int = 199
     workers: int = 1
 
-    def validate(self) -> None:
+    def validate(self) -> InnovationDist:
+        """Refuse a malformed field with :class:`ConfigError`; return the
+        innovation law that ``dist`` selects."""
         if self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
         if self.n < 2:
@@ -117,10 +125,16 @@ class ExperimentConfig:
             raise ConfigError(f"max_power must be in 2..4, got {self.max_power}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
+        qq_bytes = self.grid_size * _QQ_BYTES_PER_POINT * (1 + self.centered)
+        if qq_bytes > _physical_memory():
+            raise ConfigError(
+                f"grid_size {self.grid_size} needs about {qq_bytes / 2**30:.3g} GiB for its "
+                f"Q-Q tables, more than the {_physical_memory() / 2**30:.3g} GiB of physical memory"
+            )
         if self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers}")
         try:
-            parse_dist(self.dist)
+            return parse_dist(self.dist)
         except ValueError as exc:  # a bad selector or non-finite moments
             raise ConfigError(str(exc)) from exc
 
@@ -131,6 +145,14 @@ class ExperimentConfig:
             del payload[key]
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
 
 
 def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
@@ -153,9 +175,10 @@ def _retain_freed_arrays() -> None:
     the other frees: at p = 500, n = 1000 (40 gamma replications, glibc 2.36,
     x86-64) a fresh process peaks at 52.9 MB with the policy, 56.7 MB
     without and 52.6 MB with the arena alone.  The thresholds keep freed
-    arrays in the heap: 100 replications at p = 1000, n = 300 fault 1,710
-    pages with the policy and 3,244 without.  Setting either threshold turns
-    off glibc's adjustment of both, so either alone makes it 44k-77k."""
+    arrays in the heap: 100 replications at p = 1000, n = 300 (centered,
+    diagonal, alpha 0.5, beta 0.1) fault 1,680 pages with the policy and
+    3,210 without.  Setting either threshold turns off glibc's adjustment
+    of both, so either alone makes it 43k-77k."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # not glibc
@@ -227,9 +250,8 @@ def run_replications(
     Where OpenBLAS cannot be pinned, a many-thread kernel would contend with
     the other draws, so this thread replicates alone and ``workers`` has no
     effect."""
-    cfg.validate()
+    dist = cfg.validate()
     _retain_freed_arrays()
-    dist = parse_dist(cfg.dist)
     t = np.empty((cfg.reps, 2))
     tc = np.empty((cfg.reps, 2)) if cfg.centered else None
     with _one_blas_thread() as pinned:
@@ -307,12 +329,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     :class:`DegenerateCovarianceError` when the (dist, spectrum)
     combination yields a singular covariance of (T1, T2).
     """
-    cfg.validate()
+    dist = cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     model = build_experiment_model(cfg)
-    dist = parse_dist(cfg.dist)
     ms = moment_set(model.traces, cfg.n, dist.profile.nu4, centered=cfg.centered)
     check_covariance(
         ms,
@@ -387,11 +408,6 @@ def _symmetric_stack(a: np.ndarray) -> SymMatrix:
     return SymMatrix(0.5 * (a + a.transpose(0, 2, 1)))
 
 
-def _verification_dists():
-    # two-point members carry mu3 != 0, which the triple-product identity needs
-    return [rademacher(), two_point(0.2), two_point(0.35)]
-
-
 def _finite_moment_grid() -> list[tuple[int, list[PopulationModel]]]:
     """The finite-n checks as (n, models) groups whose models share one p."""
     theta = np.pi / 4
@@ -422,13 +438,13 @@ def _finite_rows(n: int, models: list[PopulationModel], dist: InnovationDist) ->
 
 
 def _identity_columns(
-    rng: np.random.Generator, max_dim: int, cases: int
-) -> tuple[np.ndarray, np.ndarray, list[int], list[str]]:
-    """Draw the random cases one at a time and check each (dimension, law)
-    group as one stack.  Returns the enumerated and closed-form sides as
-    ``(cases, 3)`` arrays in case order, a column per lemma of ``_LEMMAS``,
-    and each case's dimension and law."""
-    dists = _verification_dists()
+    rng: np.random.Generator, max_dim: int, cases: int, dists: list[InnovationDist]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Draw the random cases one at a time, case ``i`` under
+    ``dists[i % len(dists)]``, and check each (dimension, law) group as one
+    stack.  Returns the enumerated and closed-form sides as ``(cases, 3)``
+    arrays in case order, a column per lemma of ``_LEMMAS``, and each
+    case's dimension."""
     dims: list[int] = []
     groups: dict[tuple[int, int], tuple[list[int], list]] = {}
     for i in range(cases):
@@ -442,26 +458,23 @@ def _identity_columns(
         # uniform(-1, 1) is -1 + 2 u of the same doubles u
         a, b = map(_symmetric_stack, -1.0 + 2.0 * np.stack(draws, axis=1))
         lhs[members], rhs[members] = verify_identities(a, b, dists[law])
-    laws = list(itertools.islice(itertools.cycle([d.selector for d in dists]), cases))
-    return lhs, rhs, dims, laws
+    return lhs, rhs, dims
 
 
 def _write_verify_json(
-    path: Path, header: dict, identity: dict[str, list], finite_rows: list[dict]
+    path: Path, header: dict, identity_rows: list[dict], finite_rows: list[dict]
 ) -> None:
     """Write verify.json: the bytes of ``_dump`` of ``header`` with the
-    identity and finite-n rows as its "cases", and a newline.
-
-    ``identity`` maps each key of an identity row but "lemma" to its values
-    in row order; row ``k`` checks ``_LEMMAS[k % 3]`` on case ``k // 3``.
-    Every value is checked finite before the file is opened.
-    """
-    finite = np.isfinite(identity["abs_err"])  # False also where lhs or rhs is not finite
-    if not finite.all():
-        k = int(np.argmin(finite))
+    identity and finite-n rows as its "cases", and a newline.  Every value
+    is checked finite before the file is opened."""
+    errors = {row["abs_err"] for row in identity_rows}
+    if not all(map(math.isfinite, errors)):  # abs_err is not finite where lhs or rhs is not
+        k, row = next(
+            (k, row) for k, row in enumerate(identity_rows) if not math.isfinite(row["abs_err"])
+        )
         raise NonFiniteReportError(
-            f"{_LEMMAS[k % 3]} of case {k // 3} is not finite: "
-            f"lhs {identity['lhs'][k]!r}, rhs {identity['rhs'][k]!r}"
+            f"{row['lemma']} of case {k // 3} is not finite: "
+            f"lhs {row['lhs']!r}, rhs {row['rhs']!r}"
         )
     finite_texts = []
     for row in finite_rows:
@@ -474,25 +487,23 @@ def _write_verify_json(
     tail = ",\n".join(finite_texts) + "\n  ]," + _dump(header)[1:] + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     head = '{\n  "cases": [\n'
-    _write_text(path, itertools.chain([head], _identity_rows(identity), [tail]))
+    _write_text(path, itertools.chain([head], _identity_rows(identity_rows, errors), [tail]))
 
 
-def _identity_rows(identity: dict[str, list]):
+def _identity_rows(rows: list[dict], errors: set[float]):
     """verify.json's identity rows, one string at a time, each float rendered
     by ``repr`` once: abs_err (never -0.0) through a cache of its few
-    distinct values, and rhs by lhs's text where the two are equal and not
-    zero, so that they have the same bits (0.0 == -0.0 is written apart)."""
-    errors = {err: repr(err) for err in set(identity["abs_err"])}
-    dists = {dist: json.dumps(dist) for dist in set(identity["dist"])}
-    rows = zip(
-        identity["abs_err"], identity["dims"], identity["dist"],
-        itertools.cycle(map(json.dumps, _LEMMAS)), identity["lhs"], identity["rhs"],
-    )
-    for err, dim, dist, lemma, left, right in rows:
+    distinct values ``errors``, and rhs by lhs's text where the two are equal
+    and not zero, so that they have the same bits (0.0 == -0.0 is written
+    apart)."""
+    error_texts = {err: repr(err) for err in errors}
+    quoted = {name: json.dumps(name) for name in {*_LEMMAS, *(row["dist"] for row in rows)}}
+    for row in rows:
+        left, right = row["lhs"], row["rhs"]
         text = repr(left)
         yield _IDENTITY_ROW % (
-            errors[err], dim, dists[dist], lemma, text,
-            text if left == right != 0.0 else repr(right),
+            error_texts[row["abs_err"]], row["dims"], quoted[row["dist"]], quoted[row["lemma"]],
+            text, text if left == right != 0.0 else repr(right),
         )
 
 
@@ -518,27 +529,23 @@ def run_verification_suite(
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    lhs, rhs, dims, laws = _identity_columns(np.random.default_rng(seed), max_dim, cases)
+    # two-point members carry mu3 != 0, which the triple-product identity needs
+    dists = [rademacher(), two_point(0.2), two_point(0.35)]
+    lhs, rhs, dims = _identity_columns(np.random.default_rng(seed), max_dim, cases, dists)
     abs_err = np.abs(lhs - rhs)
     max_err = dict(zip(_LEMMAS, abs_err.max(axis=0).tolist()))  # NaN propagates
-    identity = {
-        "lhs": lhs.ravel().tolist(),
-        "rhs": rhs.ravel().tolist(),
-        "abs_err": abs_err.ravel().tolist(),
-        "dims": np.repeat(dims, len(_LEMMAS)).tolist(),
-        "dist": [law for law in laws for _ in _LEMMAS],
-    }
+    # row k checks _LEMMAS[k % 3] on case k // 3, whose law is dists[k // 3 % 3]
+    laws = [dist.selector for dist in dists for _ in _LEMMAS]
     rows = [
-        {"lemma": lemma, "dims": dim, "dist": dist, "lhs": left, "rhs": right, "abs_err": err}
-        for lemma, dim, dist, left, right, err in zip(
-            itertools.cycle(_LEMMAS), identity["dims"], identity["dist"],
-            identity["lhs"], identity["rhs"], identity["abs_err"],
+        {"lemma": lemma, "dims": dim, "dist": law, "lhs": left, "rhs": right, "abs_err": err}
+        for lemma, dim, law, left, right, err in zip(
+            itertools.cycle(_LEMMAS), np.repeat(dims, len(_LEMMAS)).tolist(), itertools.cycle(laws),
+            lhs.ravel().tolist(), rhs.ravel().tolist(), abs_err.ravel().tolist(),
         )
     ]
-    finite_laws = (rademacher(), two_point(0.2))  # built once: each costs tens of us
     finite_rows = []
-    for n, models in _finite_moment_grid():
-        by_law = [_finite_rows(n, models, dist) for dist in finite_laws]
+    for n, models in _finite_moment_grid():  # under the first two laws of the cases
+        by_law = [_finite_rows(n, models, dist) for dist in dists[:2]]
         finite_rows += itertools.chain.from_iterable(zip(*by_law))  # model first, then law
     max_err["finite_n_moments"] = float(np.max([row["abs_err"] for row in finite_rows]))
     ok = all(v <= VERIFY_THRESHOLD for v in max_err.values())
@@ -552,7 +559,7 @@ def run_verification_suite(
             "ok": ok,
         }
         path = Path(output_dir) / "verify.json"
-        _write_verify_json(path, header, identity, finite_rows)
+        _write_verify_json(path, header, rows, finite_rows)
         files.append(str(path))
 
     return VerificationSummary(

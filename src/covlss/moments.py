@@ -16,11 +16,15 @@ innovation's fourth cumulant excess, the implemented formulas are
 and for the mean-centered sample covariance B - ybar ybar' (divisor n),
 
   E T_1^0 = (1 - 1/n) tr S                                        (exact)
-  E T_2^0 = E T_2 - [tr^2 S + 2 n tr S^2] / n^2          (leading order),
+  E T_2^0 = E T_2 - [tr^2 S + 2 n tr S^2] / n^2
+                 (exact for normal innovations, else leading order),
 
-with the covariance matrix unchanged.  The exact/leading-order split is
-verified in the test suite: exact values against exhaustive enumeration,
-leading-order values against Monte Carlo.
+with the covariance matrix unchanged.  Under normal innovations n B^0 is
+Wishart W_p(n - 1, S), whose E tr W^2 = m (m + 1) tr S^2 + m tr^2 S gives
+E T_2^0 exactly; for other laws the shift lacks its nu4 terms.  The
+exact/leading-order split is verified in the test suite: exact values
+against exhaustive enumeration (normal ones under a 5-node Gauss-Hermite
+law), leading-order values against Monte Carlo.
 """
 
 from __future__ import annotations

@@ -452,6 +452,22 @@ class TestFiniteNMoments:
         assert abs(enumerated - divisor_n) <= 1e-12
         assert abs(enumerated - alternative) > 1.9
 
+    def test_centered_t2_mean_exact_for_normal_innovations(self):
+        # the 5-node Gauss-Hermite law matches N(0, 1) up to degree 9, so its
+        # enumeration gives the normal E T_2^0 (degree 4), where the table is
+        # exact: n B^0 is Wishart.  A two-point law's nu4 terms, which the
+        # shift lacks, leave a gap
+        nodes, weights = np.polynomial.hermite_e.hermegauss(5)
+        weights = weights / weights.sum()
+        profile = MomentProfile(*(math.fsum(weights * nodes**k) for k in (3, 4, 6, 8)))
+        hermite = InnovationDist("hermite5", (), profile, nodes, weights)
+        model = assemble_model([2.0, 1.0], rotation(0.7))
+        column = FINITE_N_COLUMNS.index("e_t2_centered")
+        for dist, exact in ((hermite, True), (two_point(0.2), False)):
+            enumerated, formula = verify_finite_n_moments([model], 3, dist)
+            gap = abs(enumerated[0, column] / formula[0, column] - 1.0)
+            assert (gap <= 1e-14) == exact, (dist.kind, gap)
+
     def test_four_by_four_rotated_two_point(self):
         # 2^16 assignments: the largest grid the finite-n guard admits
         model = assemble_model([3.0, 2.0, 1.5, 0.5], haar_orthogonal(4, 7))

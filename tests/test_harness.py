@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,28 @@ class TestConfig:
             ExperimentConfig(p=2, n=10, grid_size=1).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(p=2, n=10, dist="cauchy").validate()
+
+    def test_validate_returns_the_law(self):
+        law = ExperimentConfig(p=2, n=10, dist="twopoint:0.3").validate()
+        assert (law.kind, law.params) == ("twopoint", (0.3,))
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_refuses_a_qq_grid_beyond_physical_memory(self, centered):
+        # refused on any host before a table is allocated: 10^15 points
+        # would take about 96 PB
+        with pytest.raises(ConfigError, match="^grid_size 1000000000000000 needs about"):
+            ExperimentConfig(p=2, n=10, centered=centered, grid_size=10**15).validate()
+
+    def test_qq_bytes_per_point_bounds_a_measured_table(self):
+        # the guard's per-point figure against qq_report's traced peak
+        grid_size = 100_000
+        tracemalloc.start()
+        try:
+            harness.qq_report(np.linspace(0.0, 10.0, 1000), grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * harness._QQ_BYTES_PER_POINT < peak / grid_size <= harness._QQ_BYTES_PER_POINT
 
     def test_digest_tracks_statistical_fields_only(self):
         a = ExperimentConfig(p=3, n=10, output_dir="x")
@@ -233,6 +256,15 @@ class TestRunExperiment:
             assert all(map(np.array_equal, arrays[max_power], arrays[2]))
             assert reports[max_power] == reports[2]
 
+    def test_law_parsed_once_per_entry_point(self, tmp_path, monkeypatch):
+        # validate parses cfg.dist and hands the law on; run_experiment
+        # validates, and so does the run_replications it calls
+        calls = []
+        parse = harness.parse_dist
+        monkeypatch.setattr(harness, "parse_dist", lambda s: calls.append(s) or parse(s))
+        run_experiment(tiny_cfg(tmp_path, reps=3))
+        assert calls == ["gamma:4:0.5"] * 2
+
     def test_diagonal_only_skips_rotation(self, tmp_path):
         rotated = build_experiment_model(tiny_cfg(tmp_path))
         m = build_experiment_model(tiny_cfg(tmp_path, diagonal_only=True))
@@ -250,16 +282,20 @@ class TestRunExperiment:
         assert np.array_equal(m1.factor, m2.factor)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
-    def test_replications_reuse_freed_arrays(self, tmp_path):
-        # a replication frees its p x n arrays (4 MB each here); the next one
-        # must reuse that memory, not fault its 977 pages in again
-        cfg = tiny_cfg(tmp_path, p=500, n=1000, alpha=0.0, beta=0.0, dist="normal", reps=20)
-        model = build_experiment_model(cfg)
-        run_replications(model, cfg, 1)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        run_replications(model, cfg, 1)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults / cfg.reps < 100
+    def test_replications_reuse_freed_arrays(self, child_env):
+        # each replication frees its p x n arrays, and the next one must reuse
+        # that memory, not fault it in again: in a fresh process 100
+        # replications of the centered diagonal model at p=1000, n=300 fault
+        # about 1,680 pages with the policy and 3,210 with a no-op in its place
+        faults = _with_and_without_malloc_policy(child_env, (
+            "cfg = harness.ExperimentConfig(p=1000, n=300, alpha=0.5, beta=0.1, "
+            "diagonal_only=True, centered=True, reps=100)\n"
+            "model = harness.build_experiment_model(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "harness.run_replications(model, cfg, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        ))
+        assert faults["off"] - faults["on"] > 1000, faults
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
     def test_malloc_policy_lowers_peak_rss(self, child_env):
@@ -267,23 +303,31 @@ class TestRunExperiment:
         # p=500, n=1000 peaks about 4 MB lower with it than without it.  The
         # peak is VmHWM, which exec resets: a child's ru_maxrss would carry
         # over this process's larger peak
-        code = (
-            "import sys, tempfile\n"
-            "import covlss.harness as harness\n"
-            "if sys.argv[1] == 'off':\n"
-            "    harness._retain_freed_arrays = lambda: None\n"
-            "cfg = harness.ExperimentConfig(p=500, n=1000, reps=20, output_dir=tempfile.mkdtemp())\n"
+        peak_kib = _with_and_without_malloc_policy(child_env, (
+            "cfg = harness.ExperimentConfig(p=500, n=1000, reps=20)\n"
             "harness.run_replications(harness.build_experiment_model(cfg), cfg, 1)\n"
             "print(next(line.split()[1] for line in open('/proc/self/status')\n"
             "           if line.startswith('VmHWM:')))\n"
-        )
-        peak_kib = {}
-        for policy in ("on", "off"):
-            proc = subprocess.run([sys.executable, "-c", code, policy],
-                                  capture_output=True, text=True, env=child_env)
-            assert proc.returncode == 0, proc.stderr
-            peak_kib[policy] = int(proc.stdout)
+        ))
         assert peak_kib["off"] - peak_kib["on"] > 2048, peak_kib
+
+
+def _with_and_without_malloc_policy(child_env, body: str) -> dict[str, int]:
+    """The integer that ``body`` prints in a fresh interpreter, run once with
+    harness's malloc policy ("on") and once with a no-op in its place ("off")."""
+    code = (
+        "import resource, sys\n"
+        "import covlss.harness as harness\n"
+        "if sys.argv[1] == 'off':\n"
+        "    harness._retain_freed_arrays = lambda: None\n"
+    ) + body
+    printed = {}
+    for policy in ("on", "off"):
+        proc = subprocess.run([sys.executable, "-c", code, policy],
+                              capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        printed[policy] = int(proc.stdout)
+    return printed
 
 
 def _blas_counts():
@@ -910,6 +954,14 @@ class TestCli:
         assert rc == 1
         assert "overflow" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_grid_beyond_physical_memory_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        rc = main(["simulate", "--p", "4", "--n", "3", "--reps", "3",
+                   "--grid-size", str(10**15), "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: grid_size 1000000000000000 needs")
+        assert not out.exists()
 
     @pytest.mark.parametrize("dist", ["gamma:1e-300:1", "twopoint:1e-300", "bogus"])
     def test_bad_distribution_exit_one(self, tmp_path, capsys, dist):
