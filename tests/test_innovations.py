@@ -151,14 +151,22 @@ class TestSampling:
 
     def test_gamma_draw_matches_scaled_generator(self):
         # the standardized draw has the bits of (g - k theta) / (theta sqrt(k))
-        # for numpy's gamma(k, theta) draw g: theta, a power of 2 here, cancels
-        # exactly, and sqrt(2.5), unlike sqrt(4), also pins the division's rounding
-        for shape, scale in [(4.0, 0.5), (4.0, 1.0), (2.5, 1.0)]:
-            for seed in range(3):
-                g = np.random.default_rng(seed).gamma(shape, scale, 5000)
-                want = (g - shape * scale) / (scale * math.sqrt(shape))
-                got = sample_block(standardized_gamma(shape, scale), seed, 5000)
-                assert got.tobytes() == want.tobytes(), (shape, scale, seed)
+        # for numpy's gamma(k, theta) draw g when theta is a power of 2
+        for seed in range(3):
+            g = np.random.default_rng(seed).gamma(4.0, 0.5, 5000)
+            want = (g - 2.0) / (0.5 * 2.0)
+            got = sample_block(standardized_gamma(4, 0.5), seed, 5000)
+            assert got.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("shape", [4.0, 2.5])  # sqrt(2.5) is not a power of 2
+    def test_gamma_standardized_in_place_bit_for_bit(self, shape):
+        # at scale 1 the draw is (standard_gamma(k) - k) / sqrt(k) bit for bit;
+        # sqrt(2.5), unlike sqrt(4), also pins the division's rounding
+        for seed in range(3):
+            want = np.random.default_rng(seed).standard_gamma(shape, 5000)
+            want = (want - shape) / math.sqrt(shape)
+            got = standardized_gamma(shape, 1.0).sample(np.random.default_rng(seed), 5000)
+            assert got.tobytes() == want.tobytes(), seed
 
     def test_gamma_monte_carlo_bands(self):
         x = sample_block(standardized_gamma(4, 0.5), 51, 10**6)
