@@ -12,6 +12,7 @@ import sys
 
 from .enumeration import EnumerationGuardError
 from .harness import (
+    CENTERED_MEAN_NOTE,
     ConfigError,
     ExperimentConfig,
     NonFiniteReportError,
@@ -91,10 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ks = {result.qq.ks:.6f} over {result.qq.reps} replications")
             if result.qq_centered is not None:
                 print(f"ks (centered) = {result.qq_centered.ks:.6f}")
-                print(
-                    "note: centered means use E T1^0 = (1 - 1/n) tr(Sigma), the "
-                    "divisor-n convention validated by the enumeration suite"
-                )
+                print(f"note: {CENTERED_MEAN_NOTE}")
             return 0
         summary = run_verification_suite(
             max_dim=args.max_dim,

@@ -104,7 +104,7 @@ class EnumerationTask:
     cases: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dist.enumerable:
+        if self.dist.support is None:
             raise NotEnumerableError(f"{self.dist.selector} has continuous support")
         states = len(self.dist.support) ** self.num_vars
         if states > STATE_GUARD:
@@ -234,9 +234,10 @@ def verify_identities(
     # tr(A∘B) = sum_i a_ii b_ii; tr(AB') == tr(AB) = sum_ij a_ij b_ij for symmetric operands
     tr_hadamard, tr_tw = (dt * dw).sum(axis=1), _flat_sum(ta * wa)
     quadratic = nu4 * tr_hadamard + 2.0 * tr_tw
-    fourth = 3.0 * (_diagonals(ta @ ta) ** 2).sum(axis=1) + nu4 * _flat_sum(ta**4)
+    tt = ta @ ta
+    fourth = 3.0 * (_diagonals(tt) ** 2).sum(axis=1) + nu4 * _flat_sum(ta**4)
     tr_t2 = _flat_sum(ta * ta)
-    tr_ttw = _flat_sum((ta @ ta) * wa)
+    tr_ttw = _flat_sum(tt * wa)
     tr_t_dw_t = ((ta * ta) @ dw[:, :, None])[:, :, 0].sum(axis=1)
     tr_w_dt_t = ((wa * ta) @ dt[:, :, None])[:, :, 0].sum(axis=1)
     row_dt = dt[:, None, :]

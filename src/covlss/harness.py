@@ -66,6 +66,11 @@ from .population import PopulationModel, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
 
 VERIFY_THRESHOLD = 1e-9
+# the note of a centered run, in summary.json and on the command line
+CENTERED_MEAN_NOTE = (
+    "centered mean convention: E T1^0 = (1 - 1/n) tr(Sigma) for the "
+    "divisor-n centered sample covariance, validated by enumeration"
+)
 
 # (set, get) thread-count symbols of OpenBLAS builds, first match wins
 _OPENBLAS_SYMBOLS = [
@@ -77,6 +82,15 @@ _OPENBLAS_SYMBOLS = [
 # peak bytes per grid point of one qq_report table: 89 measured at 10^6 points
 # (tracemalloc and VmHWM agree), most of it the theoretical quantiles' list
 _QQ_BYTES_PER_POINT = 96
+# peak bytes per p^2 of a rotated model: 33 measured for its build at p = 1000,
+# of which F and the dense Sigma that the p <= n kernel caches keep 16
+_MODEL_BYTES_PER_P2 = 40
+# peak bytes per value drawn: 16.07 measured at 10^6 values for the largest,
+# rademacher's int64 draw and its float copy
+_DRAW_BYTES_PER_VALUE = 17
+# peak bytes per replication of its statistics, whitening and Q-Q sorts: 72
+# measured at 10^6 replications, 88 centered (16 more)
+_BYTES_PER_REP = 80
 
 # ExperimentConfig fields that change where or how reports are written, not their numbers
 _UNDIGESTED = ("output_dir", "workers")
@@ -125,14 +139,26 @@ class ExperimentConfig:
             raise ConfigError(f"max_power must be in 2..4, got {self.max_power}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
-        qq_bytes = self.grid_size * _QQ_BYTES_PER_POINT * (1 + self.centered)
-        if qq_bytes > _physical_memory():
-            raise ConfigError(
-                f"grid_size {self.grid_size} needs about {qq_bytes / 2**30:.3g} GiB for its "
-                f"Q-Q tables, more than the {_physical_memory() / 2**30:.3g} GiB of physical memory"
-            )
         if self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers}")
+        p, n, slots = self.p, self.n, min(self.workers, self.reps)
+        parts = {  # peak bytes by the field that sets them, summed as if all coexist
+            f"grid_size {self.grid_size}":
+                self.grid_size * _QQ_BYTES_PER_POINT * (1 + self.centered),
+            f"p {p}": 0 if self.diagonal_only else p * p * _MODEL_BYTES_PER_P2,
+            # each drawing thread's p x n innovations, and a Gram per kernel slot
+            f"p * n = {p} * {n}": (slots + 1) * p * n * _DRAW_BYTES_PER_VALUE
+            + slots * 8 * min(p, n) ** 2,
+            f"reps {self.reps}": self.reps * (_BYTES_PER_REP + 16 * self.centered),
+        }
+        total, memory = sum(parts.values()), _physical_memory()
+        if total > memory:
+            field = max(parts, key=parts.get)
+            raise ConfigError(
+                f"{field} needs about {parts[field] / 2**30:.3g} GiB, and the run "
+                f"{total / 2**30:.3g} GiB in all, more than the {memory / 2**30:.3g} GiB "
+                "of physical memory"
+            )
         try:
             return parse_dist(self.dist)
         except ValueError as exc:  # a bad selector or non-finite moments
@@ -312,13 +338,9 @@ def _dump(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _fmt17(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _write_qq_csv(path: Path, report: QQReport) -> None:
     rows = zip(report.probs, report.q_theoretical, report.q_empirical)
-    lines = (f"{_fmt17(p)},{_fmt17(qt)},{_fmt17(qe)}\n" for p, qt, qe in rows)
+    lines = (f"{p:.17g},{qt:.17g},{qe:.17g}\n" for p, qt, qe in rows)
     _write_text(path, itertools.chain(["prob,q_theoretical,q_empirical\n"], lines))
 
 
@@ -349,10 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.centered:
         ts0 = whiten(tc[:, 0], tc[:, 1], ms.centered_view())
         qq_centered = qq_report(ts0, cfg.grid_size)
-        notes.append(
-            "centered mean convention: E T1^0 = (1 - 1/n) tr(Sigma) for the "
-            "divisor-n centered sample covariance, validated by enumeration"
-        )
+        notes.append(CENTERED_MEAN_NOTE)
 
     files: list[str] = []
     for name, report in (("qq.csv", qq), ("qq_centered.csv", qq_centered)):
@@ -404,10 +423,6 @@ _IDENTITY_ROW = (
 )
 
 
-def _symmetric_stack(a: np.ndarray) -> SymMatrix:
-    return SymMatrix(0.5 * (a + a.transpose(0, 2, 1)))
-
-
 def _finite_moment_grid() -> list[tuple[int, list[PopulationModel]]]:
     """The finite-n checks as (n, models) groups whose models share one p."""
     theta = np.pi / 4
@@ -456,7 +471,8 @@ def _identity_columns(
     lhs, rhs = np.empty((cases, 3)), np.empty((cases, 3))
     for (_, law), (members, draws) in groups.items():
         # uniform(-1, 1) is -1 + 2 u of the same doubles u
-        a, b = map(_symmetric_stack, -1.0 + 2.0 * np.stack(draws, axis=1))
+        a, b = (SymMatrix(0.5 * (m + m.transpose(0, 2, 1)))
+                for m in -1.0 + 2.0 * np.stack(draws, axis=1))
         lhs[members], rhs[members] = verify_identities(a, b, dists[law])
     return lhs, rhs, dims
 

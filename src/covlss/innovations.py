@@ -4,7 +4,9 @@ Every distribution here has mean 0 and variance 1 by construction.  The
 moment profile (third, fourth, sixth and eighth moments, plus the fourth
 cumulant excess nu4 = E x^4 - 3) is computed in closed form, never
 estimated.  Finite-support members expose their support so expectations
-over them can be enumerated exactly.
+over them can be enumerated exactly.  A law is one record, built by one
+constructor (its selector, profile, support and sampler) and named by one
+row of the :func:`parse_dist` table.
 
 Conventions:
   * the gamma family is parameterized by (shape k, scale theta), so
@@ -19,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,45 +63,20 @@ class MomentProfile:
 
 @dataclass(frozen=True, eq=False)
 class InnovationDist:
-    """A standardized innovation law with sampling and exact moments."""
+    """A standardized innovation law: its config string, exact moments, finite
+    support (None when continuous) and ``sample(rng, count)``, which draws
+    ``count`` values from ``rng`` (None for a law that is only enumerated)."""
 
-    kind: str
-    params: tuple[float, ...]
+    selector: str
     profile: MomentProfile
     support: np.ndarray | None = field(default=None, repr=False)
     probabilities: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def enumerable(self) -> bool:
-        return self.support is not None
-
-    @property
-    def selector(self) -> str:
-        """The config-string form understood by :func:`parse_dist`."""
-        if self.kind == "gamma":
-            return f"gamma:{self.params[0]:g}:{self.params[1]:g}"
-        if self.kind == "twopoint":
-            return f"twopoint:{self.params[0]:g}"
-        return self.kind
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.kind == "normal":
-            return rng.standard_normal(count)
-        if self.kind == "gamma":
-            shape = self.params[0]
-            return (rng.standard_gamma(shape, count) - shape) / math.sqrt(shape)
-        if self.kind == "rademacher":
-            return rng.integers(0, 2, count) * 2.0 - 1.0
-        if self.kind == "twopoint":
-            prob = self.params[0]
-            lo, hi = self.support
-            return np.where(rng.random(count) < prob, hi, lo)
-        raise ValueError(f"unknown kind {self.kind!r}")
+    sample: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
 
 def standard_normal() -> InnovationDist:
     profile = MomentProfile(mu3=0.0, mu4=3.0, mu6=15.0, mu8=105.0)
-    return InnovationDist(kind="normal", params=(), profile=profile)
+    return InnovationDist("normal", profile, sample=np.random.Generator.standard_normal)
 
 
 def standardized_gamma(shape: float, scale: float) -> InnovationDist:
@@ -107,16 +85,18 @@ def standardized_gamma(shape: float, scale: float) -> InnovationDist:
     if not shape <= GAMMA_MAX_SHAPE:
         raise ValueError(f"gamma shape {shape:g} exceeds GAMMA_MAX_SHAPE = 2^53: the "
                          "standardized draw is quantized more coarsely than its skewness")
-    profile = _gamma_profile(shape)
-    return InnovationDist(kind="gamma", params=(float(shape), float(scale)), profile=profile)
+    root = math.sqrt(shape)
+    return InnovationDist(
+        f"gamma:{shape:g}:{scale:g}", _gamma_profile(shape),
+        sample=lambda rng, count: (rng.standard_gamma(shape, count) - shape) / root,
+    )
 
 
 def rademacher() -> InnovationDist:
-    support = np.array([-1.0, 1.0])
-    probs = np.array([0.5, 0.5])
-    profile = _support_profile(support, probs)
+    support, probs = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
     return InnovationDist(
-        kind="rademacher", params=(), profile=profile, support=support, probabilities=probs
+        "rademacher", _support_profile(support, probs), support, probs,
+        sample=lambda rng, count: rng.integers(0, 2, count) * 2.0 - 1.0,
     )
 
 
@@ -126,11 +106,10 @@ def two_point(prob: float) -> InnovationDist:
         raise ValueError(f"prob must lie in (0, 1), got {prob}")
     a = -math.sqrt(prob / (1.0 - prob))
     b = math.sqrt((1.0 - prob) / prob)
-    support = np.array([a, b])
-    probs = np.array([1.0 - prob, prob])
-    profile = _support_profile(support, probs)
+    support, probs = np.array([a, b]), np.array([1.0 - prob, prob])
     return InnovationDist(
-        kind="twopoint", params=(float(prob),), profile=profile, support=support, probabilities=probs
+        f"twopoint:{prob:g}", _support_profile(support, probs), support, probs,
+        sample=lambda rng, count: np.where(rng.random(count) < prob, b, a),
     )
 
 
@@ -162,8 +141,18 @@ def sample_block(dist: InnovationDist, stream_seed: int, count: int) -> np.ndarr
     """``count`` i.i.d. standardized draws, deterministic per (dist, seed, count)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = np.random.default_rng(stream_seed)
-    return dist.sample(rng, count)
+    if dist.sample is None:
+        raise ValueError(f"{dist.selector} has no sampler: it is only enumerated")
+    return dist.sample(np.random.default_rng(stream_seed), count)
+
+
+# selector head -> (number of parameters, constructor)
+_LAWS = {
+    "normal": (0, standard_normal),
+    "gamma": (2, standardized_gamma),
+    "rademacher": (0, rademacher),
+    "twopoint": (1, two_point),
+}
 
 
 def parse_dist(selector: str) -> InnovationDist:
@@ -172,19 +161,13 @@ def parse_dist(selector: str) -> InnovationDist:
     Accepted forms: ``normal``, ``gamma:<shape>:<scale>``, ``rademacher``,
     ``twopoint:<prob>``.
     """
-    parts = selector.strip().split(":")
-    kind = parts[0]
-    try:
-        if kind == "normal" and len(parts) == 1:
-            return standard_normal()
-        if kind == "rademacher" and len(parts) == 1:
-            return rademacher()
-        if kind == "gamma" and len(parts) == 3:
-            return standardized_gamma(float(parts[1]), float(parts[2]))
-        if kind == "twopoint" and len(parts) == 2:
-            return two_point(float(parts[1]))
-    except ValueError as exc:
-        raise ValueError(f"bad distribution selector {selector!r}: {exc}") from exc
+    head, *params = selector.strip().split(":")
+    arity, build = _LAWS.get(head, (None, None))
+    if len(params) == arity:
+        try:
+            return build(*map(float, params))
+        except ValueError as exc:
+            raise ValueError(f"bad distribution selector {selector!r}: {exc}") from exc
     raise ValueError(
         f"bad distribution selector {selector!r}; expected normal | gamma:k:theta "
         "| rademacher | twopoint:prob"

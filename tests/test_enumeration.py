@@ -96,8 +96,7 @@ VERIFICATION_LAWS = [rademacher(), two_point(0.2), two_point(0.35)]
 # Standardized three-point law on (-1, 0, 2) with P = (1/3, 1/2, 1/6):
 # mu3 = 1, mu4 = 3, mu6 = 11, mu8 = 43.
 THREE_POINT = InnovationDist(
-    kind="threepoint",
-    params=(),
+    selector="threepoint",
     profile=MomentProfile(mu3=1.0, mu4=3.0, mu6=11.0, mu8=43.0),
     support=np.array([-1.0, 0.0, 2.0]),
     probabilities=np.array([1.0 / 3.0, 0.5, 1.0 / 6.0]),
@@ -460,13 +459,13 @@ class TestFiniteNMoments:
         nodes, weights = np.polynomial.hermite_e.hermegauss(5)
         weights = weights / weights.sum()
         profile = MomentProfile(*(math.fsum(weights * nodes**k) for k in (3, 4, 6, 8)))
-        hermite = InnovationDist("hermite5", (), profile, nodes, weights)
+        hermite = InnovationDist("hermite5", profile, nodes, weights)
         model = assemble_model([2.0, 1.0], rotation(0.7))
         column = FINITE_N_COLUMNS.index("e_t2_centered")
         for dist, exact in ((hermite, True), (two_point(0.2), False)):
             enumerated, formula = verify_finite_n_moments([model], 3, dist)
             gap = abs(enumerated[0, column] / formula[0, column] - 1.0)
-            assert (gap <= 1e-14) == exact, (dist.kind, gap)
+            assert (gap <= 1e-14) == exact, (dist.selector, gap)
 
     def test_four_by_four_rotated_two_point(self):
         # 2^16 assignments: the largest grid the finite-n guard admits

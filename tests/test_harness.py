@@ -34,10 +34,11 @@ from covlss.harness import (
     run_replications,
     run_verification_suite,
 )
-from covlss.inference import DegenerateCovarianceError
-from covlss.innovations import parse_dist, rademacher, two_point
+from covlss.inference import DegenerateCovarianceError, whiten
+from covlss.innovations import parse_dist, rademacher, sample_block, two_point
 from covlss.lss import ReplicationInvariantError, _draw_x, run_replication
-from covlss.population import assemble_model, haar_orthogonal
+from covlss.moments import moment_set
+from covlss.population import assemble_model, build_model, haar_orthogonal
 from covlss.seeding import REPLICATION_STREAM, derive_seed
 
 
@@ -54,6 +55,30 @@ def tiny_cfg(tmp_path, **kw):
 
 
 _BLAS_SIZED = dict(centered=True, max_power=4, reps=16, grid_size=9)
+
+# a ceiling that keeps each oversized run refused on any host, so no test
+# allocates it
+_CEILING = 8.0 * 2**30
+# configs whose estimated peak exceeds the ceiling, the flags that set them
+# and the start of the error that names the field of the largest part
+_OVERSIZED_RUNS = [
+    ({"p": 100_000, "n": 3}, ["--p", "100000", "--n", "3"], "p 100000 needs about"),
+    ({"p": 200_000, "n": 100_000, "diagonal_only": True},
+     ["--p", "200000", "--n", "100000", "--diagonal-only"],
+     "p * n = 200000 * 100000 needs about"),
+    ({"p": 2, "n": 10, "reps": 10**13}, ["--p", "2", "--n", "10", "--reps", str(10**13)],
+     "reps 10000000000000 needs about"),
+]
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfig:
@@ -82,7 +107,7 @@ class TestConfig:
 
     def test_validate_returns_the_law(self):
         law = ExperimentConfig(p=2, n=10, dist="twopoint:0.3").validate()
-        assert (law.kind, law.params) == ("twopoint", (0.3,))
+        assert law.selector == "twopoint:0.3"
 
     @pytest.mark.parametrize("centered", [False, True])
     def test_refuses_a_qq_grid_beyond_physical_memory(self, centered):
@@ -94,13 +119,48 @@ class TestConfig:
     def test_qq_bytes_per_point_bounds_a_measured_table(self):
         # the guard's per-point figure against qq_report's traced peak
         grid_size = 100_000
-        tracemalloc.start()
-        try:
-            harness.qq_report(np.linspace(0.0, 10.0, 1000), grid_size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: harness.qq_report(np.linspace(0.0, 10.0, 1000), grid_size))
         assert 0.8 * harness._QQ_BYTES_PER_POINT < peak / grid_size <= harness._QQ_BYTES_PER_POINT
+
+    @pytest.mark.parametrize("fields,flags,message", _OVERSIZED_RUNS, ids=["p", "p*n", "reps"])
+    def test_refuses_a_run_beyond_physical_memory(self, monkeypatch, fields, flags, message):
+        monkeypatch.setattr(harness, "_physical_memory", lambda: _CEILING)
+        with pytest.raises(ConfigError) as refused:
+            ExperimentConfig(**fields).validate()
+        assert str(refused.value).startswith(message)
+
+    def test_model_bytes_per_p2_bounds_a_measured_build(self):
+        # a rotated build, then the dense Sigma that the p <= n kernel caches
+        p = 300
+        r = np.random.default_rng(1).random(p)
+        peak = _traced_peak(lambda: build_model(r, 1000, 0.5, 0.2, 7).sigma)
+        assert 0.8 * harness._MODEL_BYTES_PER_P2 < peak / p**2 <= harness._MODEL_BYTES_PER_P2
+
+    def test_draw_bytes_per_value_bounds_every_law(self):
+        count = 10**6
+        peaks = [_traced_peak(lambda: sample_block(parse_dist(law), 3, count))
+                 for law in ("normal", "gamma:4:0.5", "rademacher", "twopoint:0.3")]
+        assert 0.8 * harness._DRAW_BYTES_PER_VALUE < max(peaks) / count
+        assert max(peaks) / count <= harness._DRAW_BYTES_PER_VALUE
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_bytes_per_rep_bound_the_measured_statistics(self, centered):
+        # run_experiment's arrays after the replications: the rows, then each
+        # pair whitened into its Q-Q report
+        reps = 200_000
+        cfg = ExperimentConfig(p=5, n=20, centered=centered)
+        ms = moment_set(build_experiment_model(cfg).traces, cfg.n, 0.0, centered=centered)
+        rows = np.random.default_rng(0).random((reps, 2)) + [5.0, 6.0]
+
+        def statistics():
+            t, tc = rows.copy(), rows.copy() if centered else None
+            qq = harness.qq_report(whiten(t[:, 0], t[:, 1], ms), cfg.grid_size)
+            if centered:
+                harness.qq_report(whiten(tc[:, 0], tc[:, 1], ms.centered_view()), cfg.grid_size)
+            return qq
+
+        per_rep = harness._BYTES_PER_REP + 16 * centered
+        assert 0.8 * per_rep < _traced_peak(statistics) / reps <= per_rep
 
     def test_digest_tracks_statistical_fields_only(self):
         a = ExperimentConfig(p=3, n=10, output_dir="x")
@@ -954,6 +1014,17 @@ class TestCli:
         assert rc == 1
         assert "overflow" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("fields,flags,message", _OVERSIZED_RUNS, ids=["p", "p*n", "reps"])
+    def test_run_beyond_physical_memory_exit_one(
+        self, tmp_path, capsys, monkeypatch, fields, flags, message
+    ):
+        monkeypatch.setattr(harness, "_physical_memory", lambda: _CEILING)
+        out = tmp_path / "m"
+        rc = main(["simulate", *flags, "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_grid_beyond_physical_memory_exit_one(self, tmp_path, capsys):
         out = tmp_path / "g"

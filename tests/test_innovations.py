@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from covlss.enumeration import EnumerationTask
 from covlss.innovations import (
     GAMMA_MAX_SHAPE,
+    InnovationDist,
     MomentProfile,
     NotEnumerableError,
     parse_dist,
@@ -113,7 +114,7 @@ class TestEnumerateSupport:
         assert list(zip(d.support, d.probabilities)) == [(-1.0, 0.5), (1.0, 0.5)]
 
     def test_normal_not_enumerable(self):
-        assert not standard_normal().enumerable
+        assert standard_normal().support is None
         with pytest.raises(NotEnumerableError):
             EnumerationTask(1, standard_normal(), lambda x: float(x[0]))
 
@@ -181,6 +182,40 @@ class TestSampling:
         assert abs(x.mean()) <= 0.03
 
 
+# each law's draw as one generator expression, written out apart from its record
+_GENERATOR_EXPRESSIONS = {
+    "normal": lambda rng, count: rng.standard_normal(count),
+    "gamma:4:0.5": lambda rng, count: (rng.standard_gamma(4.0, count) - 4.0) / math.sqrt(4.0),
+    "gamma:2.5:1": lambda rng, count: (rng.standard_gamma(2.5, count) - 2.5) / math.sqrt(2.5),
+    "rademacher": lambda rng, count: rng.integers(0, 2, count) * 2.0 - 1.0,
+    "twopoint:0.2": lambda rng, count: np.where(
+        rng.random(count) < 0.2, math.sqrt((1.0 - 0.2) / 0.2), -math.sqrt(0.2 / (1.0 - 0.2))
+    ),
+}
+
+
+class TestRecord:
+    @pytest.mark.parametrize("selector", list(_GENERATOR_EXPRESSIONS))
+    def test_sample_block_is_the_generator_expression(self, selector):
+        d = parse_dist(selector)
+        for seed in range(3):
+            want = _GENERATOR_EXPRESSIONS[selector](np.random.default_rng(seed), 5000)
+            assert sample_block(d, seed, 5000).tobytes() == want.tobytes(), seed
+        assert parse_dist(d.selector).selector == d.selector == selector
+
+    def test_selector_is_canonical(self):
+        assert parse_dist(" gamma:4.0:0.50 ").selector == "gamma:4:0.5"
+        assert parse_dist("twopoint:.25").selector == "twopoint:0.25"
+
+    def test_law_without_sampler_refused(self):
+        law = InnovationDist(
+            "threepoint", MomentProfile(mu3=1.0, mu4=3.0, mu6=11.0, mu8=43.0),
+            np.array([-1.0, 0.0, 2.0]), np.array([1.0 / 3.0, 0.5, 1.0 / 6.0]),
+        )
+        with pytest.raises(ValueError, match="^threepoint has no sampler"):
+            sample_block(law, 1, 3)
+
+
 class TestParseDist:
     @pytest.mark.parametrize(
         "selector,kind",
@@ -193,8 +228,8 @@ class TestParseDist:
     )
     def test_round_trip(self, selector, kind):
         d = parse_dist(selector)
-        assert d.kind == kind
-        assert parse_dist(d.selector).kind == kind
+        assert d.selector.partition(":")[0] == kind
+        assert parse_dist(d.selector).selector == d.selector
 
     @pytest.mark.parametrize(
         "selector",
