@@ -94,12 +94,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"ks (centered) = {result.qq_centered.ks:.6f}")
                 print(f"note: {CENTERED_MEAN_NOTE}")
             return 0
-        summary = run_verification_suite(
-            max_dim=args.max_dim,
-            cases=args.cases,
-            seed=args.seed,
-            output_dir=args.output_dir,
-        )
+        summary = run_verification_suite(args.max_dim, args.cases, args.seed, args.output_dir)
         for name, err in sorted(summary.max_abs_err.items()):
             print(f"{name}: max abs err {err:.3e}")
         if summary.files:
@@ -113,6 +108,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DegenerateCovarianceError, EnumerationGuardError,
             ConsistencyError, NonFiniteReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the estimate's ceiling is physical, not available, memory
+        print("error: memory ran out" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -234,17 +234,17 @@ def verify_identities(
     # tr(A∘B) = sum_i a_ii b_ii; tr(AB') == tr(AB) = sum_ij a_ij b_ij for symmetric operands
     tr_hadamard, tr_tw = (dt * dw).sum(axis=1), _flat_sum(ta * wa)
     quadratic = nu4 * tr_hadamard + 2.0 * tr_tw
-    tt = ta @ ta
+    tt, t_sq, dt_sq = ta @ ta, ta * ta, dt * dt  # matrix and elementwise squares
     fourth = 3.0 * (_diagonals(tt) ** 2).sum(axis=1) + nu4 * _flat_sum(ta**4)
-    tr_t2 = _flat_sum(ta * ta)
+    tr_t2 = _flat_sum(t_sq)
     tr_ttw = _flat_sum(tt * wa)
-    tr_t_dw_t = ((ta * ta) @ dw[:, :, None])[:, :, 0].sum(axis=1)
+    tr_t_dw_t = (t_sq @ dw[:, :, None])[:, :, 0].sum(axis=1)
     tr_w_dt_t = ((wa * ta) @ dt[:, :, None])[:, :, 0].sum(axis=1)
     row_dt = dt[:, None, :]
     dt_t_dw = (row_dt @ ta @ dw[:, :, None])[:, 0, 0]
     dt_w_dt = (row_dt @ wa @ dt[:, :, None])[:, 0, 0]
-    ones_ttw = _flat_sum(ta * ta * wa)
-    tr_ttw_diag = (dt * dt * dw).sum(axis=1)
+    ones_ttw = _flat_sum(t_sq * wa)
+    tr_ttw_diag = (dt_sq * dw).sum(axis=1)
     # The diagonal-interaction terms carry pure fourth-cumulant coefficients
     # (4 nu4 and 8 nu4): for Gaussian innovations every basis-dependent term
     # must drop out, leaving only the Wick pairings on the first line.
@@ -253,7 +253,7 @@ def verify_identities(
         + 2.0 * tr_t2 * tr_w
         + 4.0 * tr_t * tr_tw
         + 8.0 * tr_ttw
-        + nu4 * (2.0 * tr_hadamard * tr_t + (dt * dt).sum(axis=1) * tr_w)
+        + nu4 * (2.0 * tr_hadamard * tr_t + dt_sq.sum(axis=1) * tr_w)
         + 4.0 * nu4 * tr_t_dw_t
         + 8.0 * nu4 * tr_w_dt_t
         + prof.mu3**2 * (4.0 * dt_t_dw + 2.0 * dt_w_dt + 4.0 * ones_ttw)

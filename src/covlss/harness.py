@@ -1,18 +1,19 @@
 """Experiment orchestration: config, deterministic parallel replication, reports.
 
-Replication index, not thread, owns the RNG stream, so outputs are
-byte-identical for any worker count.  ``workers`` (default 1) is the
-number of replication kernels in flight at once, all in this process:
-OpenBLAS runs on one thread, as it does while the model is built, and
-``workers + 1`` threads each draw their own replication's innovations and
-then wait for a kernel slot.  Where OpenBLAS cannot be pinned, the caller
-runs the same loop alone and ``workers`` has no effect.  Each replication
-writes its row of two arrays, (T_1, T_2) and the centered pair, and each
-array is whitened in one call.
+An :class:`ExperimentConfig` is checked once, when it is made.  Replication
+index, not thread, owns the RNG stream, so every report is byte-identical
+for any worker count.  ``workers`` (default 1) is the number of replication
+kernels in flight at once, all in this process: OpenBLAS runs on one thread,
+as it does while the model is built, and ``workers + 1`` threads each draw
+their own replication's innovations and then wait for a kernel slot.  Where
+OpenBLAS cannot be pinned, the caller runs the same loop alone and
+``workers`` has no effect.  Each replication writes its row of two arrays,
+(T_1, T_2) and the centered pair, and each array is whitened in one call.
 
 A run writes its Q-Q table to ``qq.csv``, and the centered one to
-``qq_centered.csv``; ``summary.json`` holds the config, the moments, the
-model's traces and the KS distances, but no Q-Q arrays.
+``qq_centered.csv``; ``summary.json`` holds the digested config fields
+(not ``output_dir`` or ``workers``), the moments, the model's traces and
+the KS distances, but no Q-Q arrays.
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
 indent=2, sort_keys=True, allow_nan=False)`` plus a newline.  The
 verification suite works on columns up to its rows: each (dimension, law)
@@ -104,8 +105,12 @@ class NonFiniteReportError(ValueError):
     """A report value is NaN or infinite, so the report is not written."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's inputs, checked when made: a malformed field, or a run above
+    physical memory, raises :class:`ConfigError`.  ``law``, an attribute and
+    not a field, is the innovation law that ``dist`` selects, parsed once."""
+
     p: int
     n: int
     alpha: float = 0.0
@@ -120,9 +125,7 @@ class ExperimentConfig:
     grid_size: int = 199
     workers: int = 1
 
-    def validate(self) -> InnovationDist:
-        """Refuse a malformed field with :class:`ConfigError`; return the
-        innovation law that ``dist`` selects."""
+    def __post_init__(self) -> None:
         if self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
         if self.n < 2:
@@ -160,17 +163,19 @@ class ExperimentConfig:
                 "of physical memory"
             )
         try:
-            return parse_dist(self.dist)
+            object.__setattr__(self, "law", parse_dist(self.dist))
         except ValueError as exc:  # a bad selector or non-finite moments
             raise ConfigError(str(exc)) from exc
 
+    def digested(self) -> dict:
+        """The fields that affect the statistical output, by name: what
+        ``summary.json`` writes as its config and :meth:`digest` hashes."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in _UNDIGESTED}
+
     def digest(self) -> str:
-        """Digest of every field that affects the statistical output."""
-        payload = dataclasses.asdict(self)
-        for key in _UNDIGESTED:
-            del payload[key]
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 of :meth:`digested`, which names a run's statistical inputs."""
+        return hashlib.sha256(json.dumps(self.digested(), sort_keys=True).encode()).hexdigest()
 
 
 def _physical_memory() -> float:
@@ -276,7 +281,6 @@ def run_replications(
     Where OpenBLAS cannot be pinned, a many-thread kernel would contend with
     the other draws, so this thread replicates alone and ``workers`` has no
     effect."""
-    dist = cfg.validate()
     _retain_freed_arrays()
     t = np.empty((cfg.reps, 2))
     tc = np.empty((cfg.reps, 2)) if cfg.centered else None
@@ -293,7 +297,7 @@ def run_replications(
                         i = next(indices, None)
                     if i is None:
                         return
-                    x = _draw_x(dist, model.p, cfg.n, cfg.master_seed, i)
+                    x = _draw_x(cfg.law, model.p, cfg.n, cfg.master_seed, i)
                     with kernels:
                         t[i], centered_pair = run_replication(model, x, i, cfg.centered)
                     if tc is not None:
@@ -347,16 +351,14 @@ def _write_qq_csv(path: Path, report: QQReport) -> None:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Build the model once, replicate, whiten, and write the reports.
 
-    Raises :class:`ConfigError` on bad input and
-    :class:`DegenerateCovarianceError` when the (dist, spectrum)
+    Raises :class:`DegenerateCovarianceError` when the (dist, spectrum)
     combination yields a singular covariance of (T1, T2).
     """
-    dist = cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     model = build_experiment_model(cfg)
-    ms = moment_set(model.traces, cfg.n, dist.profile.nu4, centered=cfg.centered)
+    ms = moment_set(model.traces, cfg.n, cfg.law.profile.nu4, centered=cfg.centered)
     check_covariance(
         ms,
         context=f"dist={cfg.dist}, spectrum p={cfg.p} alpha={cfg.alpha} "
@@ -382,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     summary = {
         "version": VERSION_STRING,
-        "config": dataclasses.asdict(cfg),
+        "config": cfg.digested(),
         "config_digest": cfg.digest(),
         "reps": cfg.reps,
         "ks": qq.ks,

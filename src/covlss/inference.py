@@ -19,13 +19,11 @@ from .moments import MomentSet
 class DegenerateCovarianceError(RuntimeError):
     """The 2x2 covariance is not positive definite; whitening is refused."""
 
-    def __init__(self, psi11: float, psi12: float, psi22: float, context: str = ""):
-        self.psi11, self.psi12, self.psi22 = psi11, psi12, psi22
-        self.det = psi11 * psi22 - psi12 * psi12
+    def __init__(self, ms: MomentSet, context: str = ""):
         suffix = f" ({context})" if context else ""
         super().__init__(
-            f"covariance of (T1, T2) is degenerate: psi11={psi11!r}, "
-            f"psi12={psi12!r}, psi22={psi22!r}, det={self.det!r}{suffix}"
+            f"covariance of (T1, T2) is degenerate: psi11={ms.psi11!r}, "
+            f"psi12={ms.psi12!r}, psi22={ms.psi22!r}, det={ms.det_psi!r}{suffix}"
         )
 
 
@@ -39,7 +37,7 @@ def check_covariance(ms: MomentSet, context: str = "") -> None:
     """Raise :class:`DegenerateCovarianceError` unless Psi is solidly PD."""
     if not all(map(math.isfinite, (ms.psi11, ms.psi12, ms.psi22, ms.det_psi))):
         context = "; ".join(filter(None, ("floating-point overflow in Psi", context)))
-        raise DegenerateCovarianceError(ms.psi11, ms.psi12, ms.psi22, context)
+        raise DegenerateCovarianceError(ms, context)
     degenerate = (
         ms.psi11 <= _DEGENERACY_RTOL * ms.psi11_scale
         or ms.psi22 <= _DEGENERACY_RTOL * ms.psi22_scale
@@ -47,7 +45,7 @@ def check_covariance(ms: MomentSet, context: str = "") -> None:
         <= _DEGENERACY_RTOL * (abs(ms.psi11 * ms.psi22) + ms.psi12 * ms.psi12)
     )
     if degenerate:
-        raise DegenerateCovarianceError(ms.psi11, ms.psi12, ms.psi22, context)
+        raise DegenerateCovarianceError(ms, context)
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,37 +84,44 @@ def _traced_peak(fn) -> int:
 class TestConfig:
     def test_validates_fields(self):
         with pytest.raises(ConfigError, match="p must"):
-            ExperimentConfig(p=0, n=10).validate()
+            ExperimentConfig(p=0, n=10)
         with pytest.raises(ConfigError, match="n must"):
-            ExperimentConfig(p=2, n=1).validate()
+            ExperimentConfig(p=2, n=1)
         for beta in (-0.1, 1.5, 2.0):
             with pytest.raises(ConfigError, match="beta"):
-                ExperimentConfig(p=2, n=10, beta=beta).validate()
+                ExperimentConfig(p=2, n=10, beta=beta)
         for alpha in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="alpha"):
-                ExperimentConfig(p=2, n=10, alpha=alpha).validate()
+                ExperimentConfig(p=2, n=10, alpha=alpha)
         for max_power in (1, 5):
             with pytest.raises(ConfigError, match="max_power"):
-                ExperimentConfig(p=2, n=10, max_power=max_power).validate()
+                ExperimentConfig(p=2, n=10, max_power=max_power)
         with pytest.raises(ConfigError, match="workers"):
-            ExperimentConfig(p=2, n=10, workers=0).validate()
+            ExperimentConfig(p=2, n=10, workers=0)
         with pytest.raises(ConfigError, match="reps must"):
-            ExperimentConfig(p=2, n=10, reps=0).validate()
+            ExperimentConfig(p=2, n=10, reps=0)
         with pytest.raises(ConfigError, match="grid_size must"):
-            ExperimentConfig(p=2, n=10, grid_size=1).validate()
+            ExperimentConfig(p=2, n=10, grid_size=1)
         with pytest.raises(ValueError):
-            ExperimentConfig(p=2, n=10, dist="cauchy").validate()
+            ExperimentConfig(p=2, n=10, dist="cauchy")
 
     def test_validate_returns_the_law(self):
-        law = ExperimentConfig(p=2, n=10, dist="twopoint:0.3").validate()
+        law = ExperimentConfig(p=2, n=10, dist="twopoint:0.3").law
         assert law.selector == "twopoint:0.3"
+
+    def test_config_is_frozen(self):
+        # checked when made, so no field may change afterwards
+        cfg = ExperimentConfig(p=2, n=10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.p = 0
+        assert cfg.p == 2
 
     @pytest.mark.parametrize("centered", [False, True])
     def test_refuses_a_qq_grid_beyond_physical_memory(self, centered):
         # refused on any host before a table is allocated: 10^15 points
         # would take about 96 PB
         with pytest.raises(ConfigError, match="^grid_size 1000000000000000 needs about"):
-            ExperimentConfig(p=2, n=10, centered=centered, grid_size=10**15).validate()
+            ExperimentConfig(p=2, n=10, centered=centered, grid_size=10**15)
 
     def test_qq_bytes_per_point_bounds_a_measured_table(self):
         # the guard's per-point figure against qq_report's traced peak
@@ -126,7 +133,7 @@ class TestConfig:
     def test_refuses_a_run_beyond_physical_memory(self, monkeypatch, fields, flags, message):
         monkeypatch.setattr(harness, "_physical_memory", lambda: _CEILING)
         with pytest.raises(ConfigError) as refused:
-            ExperimentConfig(**fields).validate()
+            ExperimentConfig(**fields)
         assert str(refused.value).startswith(message)
 
     def test_model_bytes_per_p2_bounds_a_measured_build(self):
@@ -185,8 +192,8 @@ class TestConfig:
         # seeding keeps the low 64 bits, so -1 would replay 2**64 - 1 under another digest
         for seed in (-1, 2**64):
             with pytest.raises(ConfigError, match="master_seed"):
-                ExperimentConfig(p=2, n=10, master_seed=seed).validate()
-        ExperimentConfig(p=2, n=10, master_seed=2**64 - 1).validate()
+                ExperimentConfig(p=2, n=10, master_seed=seed)
+        ExperimentConfig(p=2, n=10, master_seed=2**64 - 1)
 
 
 # a value unlike tiny_cfg's for each digested ExperimentConfig field
@@ -238,11 +245,11 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "summary.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        # summary.json too: its config leaves out output_dir
         run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "a")))
         run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "b")))
-        a = (tmp_path / "a" / "qq.csv").read_bytes()
-        b = (tmp_path / "b" / "qq.csv").read_bytes()
-        assert a == b
+        for name in ("qq.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "workers,size",
@@ -260,7 +267,7 @@ class TestRunExperiment:
             tiny_cfg(tmp_path, output_dir=str(tmp_path / "wN"), workers=workers, **size)
         )
         names = ["qq.csv", "qq_centered.csv"] if size else ["qq.csv"]
-        for name in names:
+        for name in names + ["summary.json"]:
             assert (tmp_path / "w1" / name).read_bytes() == (
                 tmp_path / "wN" / name
             ).read_bytes()
@@ -317,13 +324,13 @@ class TestRunExperiment:
             assert reports[max_power] == reports[2]
 
     def test_law_parsed_once_per_entry_point(self, tmp_path, monkeypatch):
-        # validate parses cfg.dist and hands the law on; run_experiment
-        # validates, and so does the run_replications it calls
+        # the config parses cfg.dist when it is made; run_experiment and the
+        # run_replications it calls read cfg.law
         calls = []
         parse = harness.parse_dist
         monkeypatch.setattr(harness, "parse_dist", lambda s: calls.append(s) or parse(s))
         run_experiment(tiny_cfg(tmp_path, reps=3))
-        assert calls == ["gamma:4:0.5"] * 2
+        assert calls == ["gamma:4:0.5"]
 
     def test_diagonal_only_skips_rotation(self, tmp_path):
         rotated = build_experiment_model(tiny_cfg(tmp_path))
@@ -990,6 +997,23 @@ class TestCli:
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB for an array with "
+                                         "shape (1000, 1000000) and data type float64"],
+                             ids=["bare", "numpy"])
+    def test_memory_error_exit_one(self, tmp_path, capsys, monkeypatch, message):
+        # a run below the physical-memory ceiling can still exceed the memory
+        # that is free; nothing is allocated here, the run raises at once
+        def out_of_memory(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("covlss.cli.run_experiment", out_of_memory)
+        out = tmp_path / "m"
+        rc = main(["simulate", "--p", "4", "--n", "6", "--reps", "5", "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: memory ran out{': ' * bool(message)}{message}\n"
+        assert not (out / "summary.json").exists()
+
     def test_workers_below_one_exit_one(self, tmp_path, capsys):
         out = tmp_path / "w"
         rc = main(["simulate", "--p", "4", "--n", "6", "--reps", "5", "--workers", "0",
@@ -1118,13 +1142,12 @@ def _all_finite(value):
 def test_valid_configs_end_in_reports_or_a_diagnostic(
     p, n, alpha, beta, dist, reps, seed, centered, max_power, diagonal_only, grid_size
 ):
-    # a config that passes validate writes finite reports or exits 1 with
+    # a config that can be made writes finite reports or exits 1 with
     # "error:", never a traceback and never a partial summary.json
-    cfg = ExperimentConfig(p=p, n=n, alpha=alpha, beta=beta, dist=dist, reps=reps,
-                           master_seed=seed, centered=centered, max_power=max_power,
-                           diagonal_only=diagonal_only, grid_size=grid_size)
     try:
-        cfg.validate()
+        ExperimentConfig(p=p, n=n, alpha=alpha, beta=beta, dist=dist, reps=reps,
+                         master_seed=seed, centered=centered, max_power=max_power,
+                         diagonal_only=diagonal_only, grid_size=grid_size)
     except ConfigError:
         return
     argv = ["simulate", "--p", str(p), "--n", str(n), "--alpha", repr(alpha),

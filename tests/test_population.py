@@ -82,13 +82,14 @@ class TestBuildSpectrum:
         assert np.sum(spectrum(5, 10, 0.1, 1.0) > 2.0) == 5
 
     def test_rejects_bad_beta(self):
-        # build_model trusts beta; ExperimentConfig.validate is the one gate in front of it
+        # build_model trusts beta; ExperimentConfig, checked when made, is the one
+        # gate in front of it
         for beta in (0.0, 1.0):
-            ExperimentConfig(p=4, n=100, beta=beta).validate()
+            ExperimentConfig(p=4, n=100, beta=beta)
             assert np.sum(spectrum(4, 100, 0.5, beta) > 2.0) == int(4 * beta)
         for beta in (-0.1, 1.5):
             with pytest.raises(ConfigError, match="beta"):
-                ExperimentConfig(p=4, n=100, beta=beta).validate()
+                ExperimentConfig(p=4, n=100, beta=beta)
 
     def test_overflowing_growth_rejected(self):
         for alpha, beta in ((1e308, 0.5), (400.0, 0.3)):  # one spike is enough
