@@ -20,8 +20,9 @@ of a stack on one grid: one task whose statistic stacks the three
 identities' values, so a (dimension, law) group of ``verify`` is
 enumerated once.  :func:`verify_finite_n_moments` checks the finite-n
 moments of models that share one p likewise: one task for the four means
-of every model and one for Var T_1, so a (p, n, law) group takes three
-passes over its grid (the variance takes two).
+of every model and one for the squared deviations of T_1 about its mean
+from the first, so a (p, n, law) group takes two passes over its grid.
+:func:`exact_expectation` is the engine's one entry point.
 """
 
 from __future__ import annotations
@@ -145,9 +146,11 @@ def _exact_parts(terms: list[float]) -> list[float]:
     return parts
 
 
-def _exact_case_sums(blocks: Iterator[np.ndarray]) -> np.ndarray:
-    """Exactly rounded sum of each case's terms over ``(cases, rows)`` blocks;
-    the first block's rows are kept as they are, so one block copies nothing."""
+def exact_expectation(task: EnumerationTask) -> np.ndarray:
+    """E s(x) of every case, each an exactly rounded weighted sum over all
+    assignments: shape ``(cases,)``.  The first block's terms are kept as
+    they are, so one block copies nothing."""
+    blocks = (w * s for w, s in _weighted_blocks(task))
     terms: list[list[float]] = next(blocks).tolist()
     for block in blocks:
         for kept, row in zip(terms, block.tolist()):
@@ -155,19 +158,6 @@ def _exact_case_sums(blocks: Iterator[np.ndarray]) -> np.ndarray:
             if len(kept) > BLOCK_ROWS:
                 kept[:] = _exact_parts(kept)
     return np.array([math.fsum(kept) for kept in terms])
-
-
-def exact_expectation(task: EnumerationTask) -> np.ndarray:
-    """E s(x) of every case, each an exactly-accumulated weighted sum over
-    all assignments: shape ``(cases,)``."""
-    return _exact_case_sums(w * s for w, s in _weighted_blocks(task))
-
-
-def exact_variance(task: EnumerationTask) -> np.ndarray:
-    """Var s(x) of every case, two-pass so the centered second moment does
-    not cancel: shape ``(cases,)``."""
-    mean = exact_expectation(task)[:, None]
-    return _exact_case_sums(w * (s - mean) ** 2 for w, s in _weighted_blocks(task))
 
 
 def _quadratic_forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -277,7 +267,7 @@ def verify_finite_n_moments(
     models that share one p: two ``(models, 5)`` arrays, columns in the order
     of ``FINITE_N_COLUMNS``.  B is built from Y = F X directly, with the
     models' factors F stacked, so the four means take one enumeration of
-    the p n variables and Var T_1 one more."""
+    the p n variables and Var T_1, about the enumerated E T_1, one more."""
     dims = {model.p for model in models}
     if len(dims) != 1:
         raise ValueError(f"the models must share one p, got p in {sorted(dims)}")
@@ -294,9 +284,6 @@ def verify_finite_n_moments(
         y = factors @ x.reshape(-1, p, n)
         return y, (y @ y.swapaxes(2, 3)) / n
 
-    def t1(x: np.ndarray) -> np.ndarray:
-        return np.trace(sample_covariance(x)[1], axis1=2, axis2=3)
-
     def traces(x: np.ndarray) -> np.ndarray:
         # (T_1, T_2, T_1^0, T_2^0) of each model per row, with B^0 = B - ybar ybar'
         y, b = sample_covariance(x)
@@ -312,7 +299,13 @@ def verify_finite_n_moments(
     e_t1, e_t2, e_t1c, e_t2c = exact_expectation(
         EnumerationTask(p * n, dist, traces, 4 * len(models))
     ).reshape(4, -1)
-    var_t1 = exact_variance(EnumerationTask(p * n, dist, t1, len(models)))
+
+    def t1_squared_deviation(x: np.ndarray) -> np.ndarray:
+        # the second pass of a two-pass Var T_1: about the exact mean, the
+        # centered second moment does not cancel
+        return (np.trace(sample_covariance(x)[1], axis1=2, axis2=3) - e_t1[:, None]) ** 2
+
+    var_t1 = exact_expectation(EnumerationTask(p * n, dist, t1_squared_deviation, len(models)))
     formula = [
         (ms.e_t1, ms.psi11, ms.e_t2, ms.e_t1_centered, ms.e_t2_centered)
         for ms in (moment_set(m.traces, n, dist.profile.nu4, centered=True) for m in models)

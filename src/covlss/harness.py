@@ -20,7 +20,7 @@ verification suite works on columns up to its rows: each (dimension, law)
 group is enumerated once, on one grid for its three identities, and fills
 rows of ``(cases, 3)`` lhs and rhs arrays; the errors, maxima and ``ok``
 are array reductions.  The finite-n rows come from one grouped check per
-(p, n, law), 18 passes over a grid in all, whose ``(models, 5)`` arrays
+(p, n, law), 12 passes over a grid in all, whose ``(models, 5)`` arrays
 become one row per model.  Each row is built once, as the dict that the
 suite's summary returns and ``verify.json`` is written from.  Each
 identity row is streamed from one fixed ``%``-format string, keys sorted

@@ -114,7 +114,7 @@ def assemble_model(eigs, u: np.ndarray | None = None) -> PopulationModel:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         lam2 = lam * lam
         # d1 and d2 are the diagonals of Sigma and Sigma^2
-        d1, d2 = (lam, lam2) if u is None else ((u * u) @ lam, (u * u) @ lam2)
+        d1, d2 = (lam, lam2) if u is None else ((uu := u * u) @ lam, uu @ lam2)
         traces = TraceSet(
             tr1=float(np.sum(lam)),
             tr2=float(np.sum(lam2)),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from covlss import enumeration
 from covlss.enumeration import (
     BLOCK_ROWS,
     FINITE_N_COLUMNS,
@@ -12,7 +13,6 @@ from covlss.enumeration import (
     SymMatrix,
     SymmetryError,
     exact_expectation,
-    exact_variance,
     verify_finite_n_moments,
     verify_identities,
 )
@@ -44,6 +44,15 @@ def random_sym(rng, dim):
 def one_case(statistic):
     """A single statistic as a stack of one: shape (1, rows) per block."""
     return lambda x: statistic(x)[None]
+
+
+def squared_deviation(task, mean):
+    """The task of (s - mean)^2 per case: the second pass of a two-pass
+    variance, about each case's known mean."""
+    mean = np.asarray(mean, dtype=float)[:, None]
+    return EnumerationTask(
+        task.num_vars, task.dist, lambda x: (task.statistic(x) - mean) ** 2, task.cases
+    )
 
 
 LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
@@ -101,6 +110,28 @@ THREE_POINT = InnovationDist(
     support=np.array([-1.0, 0.0, 2.0]),
     probabilities=np.array([1.0 / 3.0, 0.5, 1.0 / 6.0]),
 )
+
+# Standardized symmetric three-point law on (-2, 0, 2) with P = (1/8, 3/4, 1/8):
+# mu3 = 0, mu4 = 4, mu6 = 16, mu8 = 64.
+SYMMETRIC_THREE_POINT = InnovationDist(
+    selector="threepoint-symmetric",
+    profile=MomentProfile(mu3=0.0, mu4=4.0, mu6=16.0, mu8=64.0),
+    support=np.array([-2.0, 0.0, 2.0]),
+    probabilities=np.array([0.125, 0.75, 0.125]),
+)
+
+# Every law of VERIFICATION_LAWS is a two-point law, so mu4 = 1 + mu3^2 on
+# each (Pearson's bound holds with equality): nu4 = mu3^2 - 2 and mu6 is a
+# function of mu3.  The two three-point laws are off that curve, so the
+# identities' law-dependent coefficients are checked apart.
+IDENTITY_LAWS = VERIFICATION_LAWS + [THREE_POINT, SYMMETRIC_THREE_POINT]
+
+
+def identity_coefficients(dist):
+    """The four law-dependent coefficients of the identities' right-hand
+    sides: 1, nu4, mu3^2 and mu6 - 15 mu4 - 10 mu3^2 + 30."""
+    m = dist.profile
+    return [1.0, m.nu4, m.mu3**2, m.mu6 - 15.0 * m.mu4 - 10.0 * m.mu3**2 + 30.0]
 
 
 def symmetric_stack(rng, cases, dim):
@@ -184,11 +215,17 @@ class TestExactExpectation:
     def test_stack_sums_each_case(self):
         # E x^k for k = 1..4 of one law in one task: 0, 1, mu3, mu4
         d = two_point(0.2)
+        m = d.profile
         task = EnumerationTask(1, d, lambda x: x[:, 0] ** np.arange(1, 5)[:, None], cases=4)
         e = exact_expectation(task)
         assert e.shape == (4,)
-        assert e == pytest.approx([0.0, 1.0, d.profile.mu3, d.profile.mu4], abs=1e-14)
-        assert exact_variance(task)[0] == pytest.approx(1.0, abs=1e-14)
+        assert e == pytest.approx([0.0, 1.0, m.mu3, m.mu4], abs=1e-14)
+        # Var x^k = E x^2k - (E x^k)^2, each case about its own mean
+        var = exact_expectation(squared_deviation(task, e))
+        assert var.shape == (4,)
+        assert var == pytest.approx(
+            [1.0, m.mu4 - 1.0, m.mu6 - m.mu3**2, m.mu8 - m.mu4**2], rel=1e-13, abs=1e-14
+        )
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -203,8 +240,9 @@ class TestExactExpectation:
         assert lhs == pytest.approx(e1 + e2, abs=1e-12)
 
     def test_variance_two_pass(self):
+        # the second pass about the first pass's mean: E (x - E x)^2 = 1
         task = EnumerationTask(1, two_point(0.2), one_case(lambda x: x[:, 0]))
-        (v,) = exact_variance(task)
+        (v,) = exact_expectation(squared_deviation(task, exact_expectation(task)))
         assert v == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -222,8 +260,10 @@ class TestExactExpectation:
         task = EnumerationTask(1, two_point(0.2), statistic)
         with pytest.raises(ValueError, match="shape"):
             exact_expectation(task)
+        # a second pass, about the known mean E x^2 = 1, is checked alike
+        deviation = EnumerationTask(1, two_point(0.2), lambda x: (statistic(x) - 1.0) ** 2)
         with pytest.raises(ValueError, match="shape"):
-            exact_variance(task)
+            exact_expectation(deviation)
 
     def test_guard_trips(self):
         with pytest.raises(EnumerationGuardError):
@@ -240,14 +280,14 @@ class TestBlocks:
         # value and product is exact in binary, so the sums are too
         m = 18
         assert 2**m > 4 * BLOCK_ROWS
-        total = one_case(lambda x: x.sum(axis=1))
-        square = one_case(lambda x: x.sum(axis=1) ** 2)
-        assert exact_expectation(EnumerationTask(m, rademacher(), square)).tolist() == [m]
-        assert exact_variance(EnumerationTask(m, rademacher(), total)).tolist() == [m]
+        total = EnumerationTask(m, rademacher(), one_case(lambda x: x.sum(axis=1)))
+        square = EnumerationTask(m, rademacher(), one_case(lambda x: x.sum(axis=1) ** 2))
+        assert exact_expectation(total).tolist() == [0]
+        assert exact_expectation(square).tolist() == [m]
+        # about the known means E S = 0 and E S^2 = m: Var S = m, and
         # E S^4 = 3m^2 - 2m for a Rademacher sum, so Var S^2 = 2m^2 - 2m
-        assert exact_variance(EnumerationTask(m, rademacher(), square)).tolist() == [
-            2 * m * m - 2 * m
-        ]
+        assert exact_expectation(squared_deviation(total, [0])).tolist() == [m]
+        assert exact_expectation(squared_deviation(square, [m])).tolist() == [2 * m * m - 2 * m]
 
     def test_partial_last_block_matches_loop(self):
         # 3^9 = 19683 assignments end in a partial block; an odd statistic
@@ -286,7 +326,7 @@ class TestLoopOracle:
     """The batched engine against the one-assignment-at-a-time loop."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    @pytest.mark.parametrize("dist", VERIFICATION_LAWS, ids=lambda d: d.selector)
+    @pytest.mark.parametrize("dist", IDENTITY_LAWS, ids=lambda d: d.selector)
     def test_identity_statistics(self, dist, dim):
         rng = np.random.default_rng(100 + dim)
         a, b = random_sym(rng, dim), random_sym(rng, dim)
@@ -335,6 +375,19 @@ class TestLoopOracle:
         )
 
 
+class TestIdentityLaws:
+    def test_coefficients_have_full_rank(self):
+        # the two-point laws alone leave every coefficient error along
+        # (2, 1, -1, 0), that is c (2 + nu4 - mu3^2), unseen; with the two
+        # three-point laws the vectors have rank 4, smallest singular value 0.0395
+        two_point_laws = np.array([identity_coefficients(d) for d in VERIFICATION_LAWS])
+        assert two_point_laws @ [2.0, 1.0, -1.0, 0.0] == pytest.approx([0.0] * 3, abs=1e-12)
+        coefficients = np.array([identity_coefficients(d) for d in IDENTITY_LAWS])
+        assert np.linalg.matrix_rank(coefficients) == 4
+        smallest = np.linalg.svd(coefficients, compute_uv=False)[-1]
+        assert smallest == pytest.approx(0.0395, abs=5e-4)
+
+
 class TestQuadraticCovariance:
     def test_identity_rademacher_degenerate(self):
         (lhs,), (rhs,) = check("quadratic_covariance", identity(2), identity(2), rademacher())
@@ -349,10 +402,10 @@ class TestQuadraticCovariance:
         rng = np.random.default_rng(9)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (lhs,), (rhs,) = check(
-                "quadratic_covariance", random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
-            )
-            assert abs(lhs - rhs) <= 1e-12
+            a, b = random_sym(rng, dim), random_sym(rng, dim)
+            for dist in IDENTITY_LAWS:
+                (lhs,), (rhs,) = check("quadratic_covariance", a, b, dist)
+                assert abs(lhs - rhs) <= 1e-12, dist.selector
 
     def test_dim_guard(self):
         with pytest.raises(EnumerationGuardError):
@@ -381,8 +434,9 @@ class TestFourthMoment:
         for trial in range(25):
             dim = int(rng.integers(1, 4))
             a = random_sym(rng, dim)
-            (lhs,), (rhs,) = check("fourth_moment", a, a, two_point(0.35))
-            assert abs(lhs - rhs) <= 1e-12
+            for dist in IDENTITY_LAWS:
+                (lhs,), (rhs,) = check("fourth_moment", a, a, dist)
+                assert abs(lhs - rhs) <= 1e-12, dist.selector
 
 
 class TestTripleProduct:
@@ -401,10 +455,10 @@ class TestTripleProduct:
         rng = np.random.default_rng(11)
         for trial in range(25):
             dim = int(rng.integers(1, 4))
-            (lhs,), (rhs,) = check(
-                "triple_product", random_sym(rng, dim), random_sym(rng, dim), two_point(0.2)
-            )
-            assert abs(lhs - rhs) <= 1e-10
+            a, b = random_sym(rng, dim), random_sym(rng, dim)
+            for dist in IDENTITY_LAWS:
+                (lhs,), (rhs,) = check("triple_product", a, b, dist)
+                assert abs(lhs - rhs) <= 1e-10, dist.selector
 
     def test_report_dict_shape(self):
         # the check reports (lhs, rhs) as two float arrays, a row per case
@@ -489,6 +543,21 @@ class TestFiniteNMoments:
                 alone_enumerated, alone_formula = verify_finite_n_moments([model], n, dist)
                 assert enumerated[row].tobytes() == alone_enumerated[0].tobytes()
                 assert formula[row].tobytes() == alone_formula[0].tobytes()
+
+    def test_two_passes_over_the_grid(self, monkeypatch):
+        # one pass for every model's four means, one for Var T_1 about the
+        # enumerated E T_1: the mean is not enumerated a second time
+        passes = []
+        weighted_blocks = enumeration._weighted_blocks
+
+        def counted(task):
+            passes.append(task.cases)
+            return weighted_blocks(task)
+
+        monkeypatch.setattr(enumeration, "_weighted_blocks", counted)
+        models = [assemble_model([2.0, 1.0]), assemble_model([2.0, 1.0], rotation(0.3))]
+        verify_finite_n_moments(models, 2, rademacher())
+        assert passes == [4 * len(models), len(models)]
 
     def test_group_of_mixed_p_refused(self):
         models = [assemble_model([1.0]), assemble_model([2.0, 1.0])]
