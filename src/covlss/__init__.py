@@ -9,6 +9,6 @@ quadratic-form moment identities by exhaustive enumeration over
 finite-support innovations.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 VERSION_STRING = f"covlss-{__version__}"

@@ -51,9 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--master-seed", type=int, default=None, help="64-bit master seed (default 0)")
     sim.add_argument("--centered", action="store_true", default=None,
                      help="also compute mean-centered statistics")
-    sim.add_argument("--max-power", type=int, default=None,
-                     help="2..4 (default 2); accepted for config compatibility, "
-                     "computes nothing beyond T_2")
     sim.add_argument("--diagonal-only", action="store_true", default=None,
                      help="skip the random orthogonal conjugation")
     sim.add_argument("--output-dir", default=None, help="report directory (default out)")

@@ -109,7 +109,9 @@ class NonFiniteReportError(ValueError):
 class ExperimentConfig:
     """One run's inputs, checked when made: a malformed field, or a run above
     physical memory, raises :class:`ConfigError`.  ``law``, an attribute and
-    not a field, is the innovation law that ``dist`` selects, parsed once."""
+    not a field, is the innovation law that ``dist`` selects, parsed once.
+    ``max_power``, a keyword and not a field, is checked to lie in 2..4 and
+    then ignored: the kernel computes only T_1, T_2 and the centered pair."""
 
     p: int
     n: int
@@ -119,13 +121,13 @@ class ExperimentConfig:
     reps: int = 10000
     master_seed: int = 0
     centered: bool = False
-    max_power: int = 2  # validated and digested, but selects no computation
+    max_power: dataclasses.InitVar[int] = 2  # in no digest, report or flag
     diagonal_only: bool = False
     output_dir: str = "out"
     grid_size: int = 199
     workers: int = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, max_power: int) -> None:
         if self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
         if self.n < 2:
@@ -138,8 +140,8 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.reps < 1:
             raise ConfigError(f"reps must be a positive integer, got {self.reps}")
-        if not 2 <= self.max_power <= 4:  # the whitened statistic needs T_2
-            raise ConfigError(f"max_power must be in 2..4, got {self.max_power}")
+        if not 2 <= max_power <= 4:  # the whitened statistic needs T_2
+            raise ConfigError(f"max_power must be in 2..4, got {max_power}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
         if self.workers < 1:

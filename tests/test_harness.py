@@ -54,7 +54,7 @@ def tiny_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
-_BLAS_SIZED = dict(centered=True, max_power=4, reps=16, grid_size=9)
+_BLAS_SIZED = dict(centered=True, reps=16, grid_size=9)
 
 # a ceiling that keeps each oversized run refused on any host, so no test
 # allocates it
@@ -93,7 +93,7 @@ class TestConfig:
         for alpha in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="alpha"):
                 ExperimentConfig(p=2, n=10, alpha=alpha)
-        for max_power in (1, 5):
+        for max_power in (1, 5):  # a keyword, not a field
             with pytest.raises(ConfigError, match="max_power"):
                 ExperimentConfig(p=2, n=10, max_power=max_power)
         with pytest.raises(ConfigError, match="workers"):
@@ -179,13 +179,13 @@ class TestConfig:
     def test_digest_pinned(self):
         # a digest names a run's statistical inputs across versions, so it must not drift
         assert ExperimentConfig(p=3, n=10).digest() == (
-            "5566809f6ec1526836667cbd6a82490dfeff305da3c6a0322373b45376ac39e9"
+            "a55e892eb900a50365ca38fe79f813a7badc44f4136d7f697508b41f58829506"
         )
         full_panel = ExperimentConfig(
             p=500, n=1000, alpha=0.2, beta=0.5, dist="gamma:4:0.5", reps=10000, master_seed=1
         )
         assert full_panel.digest() == (
-            "a8cde1988723c05c875c16d6c8bfa8a9d8b9f1adb96227abe99d63999a545308"
+            "9287840668bfaec4ee223265af9ae7a7aaf2985c100fd6235ae1ed35a390a32d"
         )
 
     def test_master_seed_within_64_bits(self):
@@ -199,11 +199,8 @@ class TestConfig:
 # a value unlike tiny_cfg's for each digested ExperimentConfig field
 _CHANGED_VALUE = dict(
     p=7, n=11, alpha=0.3, beta=0.2, dist="normal", reps=41, master_seed=12,
-    centered=True, max_power=4, diagonal_only=True, grid_size=9,
+    centered=True, diagonal_only=True, grid_size=9,
 )
-# digested fields that change no report, each waiting on a tracked removal:
-# max_power on ROADMAP item 2
-NO_REPORT_CHANGE = {"max_power"}
 
 
 def _reports(cfg):
@@ -223,7 +220,7 @@ def test_every_digested_field_changes_a_report(tmp_path, field):
     # that changes nothing
     base = _reports(tiny_cfg(tmp_path / "base"))
     changed = _reports(tiny_cfg(tmp_path / "changed", **{field: _CHANGED_VALUE[field]}))
-    assert (changed == base) == (field in NO_REPORT_CHANGE)
+    assert changed != base
 
 
 def test_simulate_flags_are_the_config_fields():
@@ -302,26 +299,6 @@ class TestRunExperiment:
         value = lines[1].split(",")[0]
         assert float(value) == 0.5 / 4
         assert len(value) >= 5
-
-    @pytest.mark.parametrize("p,n", [(6, 10), (12, 8)])
-    def test_max_power_selects_nothing(self, tmp_path, p, n):
-        # the field is validated and digested, but every report is the same
-        arrays, reports = {}, {}
-        out = tmp_path / "out"  # each run replaces the last one's reports
-        for max_power in (2, 3, 4):
-            cfg = tiny_cfg(tmp_path, p=p, n=n, centered=True, max_power=max_power)
-            arrays[max_power] = run_replications(build_experiment_model(cfg), cfg, 1)
-            run_experiment(cfg)
-            summary = json.loads((out / "summary.json").read_text())
-            assert summary["config"].pop("max_power") == max_power
-            assert summary.pop("config_digest") == cfg.digest()
-            reports[max_power] = (
-                (out / "qq.csv").read_bytes(), (out / "qq_centered.csv").read_bytes(), summary
-            )
-        for max_power in (3, 4):
-            assert all(a.shape == (40, 2) for a in arrays[max_power])
-            assert all(map(np.array_equal, arrays[max_power], arrays[2]))
-            assert reports[max_power] == reports[2]
 
     def test_law_parsed_once_per_entry_point(self, tmp_path, monkeypatch):
         # the config parses cfg.dist when it is made; run_experiment and the
@@ -422,17 +399,13 @@ def _with_workers(*cases, more=3):
     ]
 
 
-# max_power 2..4, centered or not, at each (pinned, workers) case; the
-# plain ids are max_power 4, centered
+# centered or not at each (pinned, workers) case; the centered ids are plain
+# and the others end "-m2", the ids they kept from when max_power (default 2)
+# was an axis here
 _BLOCK_CASES = [
-    pytest.param(
-        *case.values, max_power, centered,
-        id=case.id + ("" if (max_power, centered) == (4, True)
-                      else f"-m{max_power}" + ("-centered" if centered else "")),
-    )
+    pytest.param(*case.values, centered, id=case.id + ("" if centered else "-m2"))
     for case in _with_workers((True,), (False,), more=2)
-    for max_power in (2, 3, 4)
-    for centered in (False, True)
+    for centered in (True, False)
 ]
 
 
@@ -544,15 +517,15 @@ class TestPipeline:
         _assert_no_replication_thread_alive()
         assert _blas_counts() == before
 
-    @pytest.mark.parametrize("pinned,workers,max_power,centered", _BLOCK_CASES)
+    @pytest.mark.parametrize("pinned,workers,centered", _BLOCK_CASES)
     def test_block_matches_replication_loop(
-        self, tmp_path, monkeypatch, pinned, workers, max_power, centered
+        self, tmp_path, monkeypatch, pinned, workers, centered
     ):
         if not pinned:  # as on a BLAS without a thread-count symbol: draw inline
             monkeypatch.setattr(harness, "_openblas_threads", lambda: [])
         elif not harness._openblas_threads():
             pytest.skip("no OpenBLAS control symbol")
-        cfg = tiny_cfg(tmp_path, p=30, n=40, centered=centered, max_power=max_power, reps=60)
+        cfg = tiny_cfg(tmp_path, p=30, n=40, centered=centered, reps=60)
         model = build_experiment_model(cfg)
         dist = parse_dist(cfg.dist)
         names = []
@@ -1022,12 +995,6 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: workers must be a positive integer")
         assert not (out / "summary.json").exists()
 
-    def test_max_power_one_exit_one(self, tmp_path, capsys):
-        rc = main(["simulate", "--p", "6", "--n", "1000", "--max-power", "1",
-                   "--reps", "5", "--output-dir", str(tmp_path / "m")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("alpha", ["20", "40", "1e308"])
     def test_overflowing_spectrum_exit_one(self, tmp_path, capsys, alpha):
         # spikes of 1000^alpha: Psi (alpha 20), tr Sigma^4 (alpha 40) or
@@ -1135,25 +1102,23 @@ def _all_finite(value):
     reps=st.integers(1, 6),
     seed=st.integers(0, 2**63 - 1),
     centered=st.booleans(),
-    max_power=st.integers(2, 4),
     diagonal_only=st.booleans(),
     grid_size=st.integers(2, 5),
 )
 def test_valid_configs_end_in_reports_or_a_diagnostic(
-    p, n, alpha, beta, dist, reps, seed, centered, max_power, diagonal_only, grid_size
+    p, n, alpha, beta, dist, reps, seed, centered, diagonal_only, grid_size
 ):
     # a config that can be made writes finite reports or exits 1 with
     # "error:", never a traceback and never a partial summary.json
     try:
         ExperimentConfig(p=p, n=n, alpha=alpha, beta=beta, dist=dist, reps=reps,
-                         master_seed=seed, centered=centered, max_power=max_power,
-                         diagonal_only=diagonal_only, grid_size=grid_size)
+                         master_seed=seed, centered=centered, diagonal_only=diagonal_only,
+                         grid_size=grid_size)
     except ConfigError:
         return
     argv = ["simulate", "--p", str(p), "--n", str(n), "--alpha", repr(alpha),
             "--beta", repr(beta), "--dist", dist, "--reps", str(reps),
-            "--master-seed", str(seed), "--max-power", str(max_power),
-            "--grid-size", str(grid_size), "--workers", "1"]
+            "--master-seed", str(seed), "--grid-size", str(grid_size), "--workers", "1"]
     argv += ["--centered"] * centered + ["--diagonal-only"] * diagonal_only
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
