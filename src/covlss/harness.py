@@ -41,6 +41,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -97,6 +98,18 @@ _BYTES_PER_REP = 80
 _UNDIGESTED = ("output_dir", "workers")
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):  # 1 is not a flag
+        raise TypeError
+    return bool(value)
+
+
+# how an ExperimentConfig field of each annotated type is stored, so that 1
+# and 1.0, or np.int64(3) and 3, make one config and one digest;
+# operator.index refuses 1.5 and 10.0
+_CANONICAL = {"int": operator.index, "float": float, "bool": _flag}
+
+
 class ConfigError(ValueError):
     """An experiment configuration field is missing or malformed."""
 
@@ -128,6 +141,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self, max_power: int) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, _CANONICAL.get(f.type, lambda v: v)(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}") from None
         if self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
         if self.n < 2:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -188,6 +189,34 @@ class TestConfig:
             "9287840668bfaec4ee223265af9ae7a7aaf2985c100fd6235ae1ed35a390a32d"
         )
 
+    @pytest.mark.parametrize("fields,refused", [
+        (dict(p=np.int64(3)), None),  # once a run that failed writing summary.json
+        (dict(workers=1.5), "workers"),
+        (dict(master_seed=1.5), "master_seed"),
+        (dict(n=10.0), "n"),
+        (dict(centered=np.True_), None),
+    ], ids=["p-int64", "workers-float", "master_seed-float", "n-float", "centered-numpy"])
+    def test_wrong_type_refused_or_canonical(self, tmp_path, fields, refused):
+        # each once passed the config gate and raised a raw TypeError later
+        kwargs = dict(p=3, n=10, reps=5, grid_size=3, output_dir=str(tmp_path))
+        if refused:
+            with pytest.raises(ConfigError, match=f"^{refused} must be of type int, got "):
+                ExperimentConfig(**{**kwargs, **fields})
+            return
+        canonical = {key: value.item() for key, value in fields.items()}
+        run_experiment(ExperimentConfig(**{**kwargs, **fields}))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config_digest"] == ExperimentConfig(**{**kwargs, **canonical}).digest()
+
+    def test_digest_of_canonical_values(self):
+        # one run, one digest, whatever numeric type sets a field
+        assert ExperimentConfig(p=3, n=10, alpha=1).digest() == (
+            ExperimentConfig(p=3, n=10, alpha=1.0).digest()
+        )
+        assert ExperimentConfig(p=np.int64(3), n=10).digest() == (
+            ExperimentConfig(p=3, n=10).digest()
+        )
+
     def test_master_seed_within_64_bits(self):
         # seeding keeps the low 64 bits, so -1 would replay 2**64 - 1 under another digest
         for seed in (-1, 2**64):
@@ -221,6 +250,30 @@ def test_every_digested_field_changes_a_report(tmp_path, field):
     base = _reports(tiny_cfg(tmp_path / "base"))
     changed = _reports(tiny_cfg(tmp_path / "changed", **{field: _CHANGED_VALUE[field]}))
     assert changed != base
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, which is plain data, loaded without the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses looks up the module's names
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOADS.WORKLOADS))
+def test_benchmark_workload_config_is_accepted(tmp_path, name):
+    # a keyword that a workload passes must keep being accepted until the
+    # benchmark stops passing it
+    w = _WORKLOADS.WORKLOADS[name]
+    if w.kind == "simulate":
+        ExperimentConfig(output_dir=str(tmp_path), **_WORKLOADS.experiment_kwargs(w, 1, w.reps))
+    else:
+        assert run_verification_suite(w.config["max_dim"], 1, 1).ok
 
 
 def test_simulate_flags_are_the_config_fields():
