@@ -199,6 +199,9 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(self.digested(), sort_keys=True).encode()).hexdigest()
 
 
+del ExperimentConfig.max_power  # the keyword's default, left as a class attribute, would read 2
+
+
 def _physical_memory() -> float:
     """Bytes of physical memory, or infinity where the OS does not say."""
     try:

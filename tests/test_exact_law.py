@@ -28,10 +28,14 @@ ATOM_RTOL = 1e-9  # a replication matches an atom within this, in T_1 and in T_2
 MIN_EXPECTED = 5.0  # smallest expected cell count of the chi-square approximation
 
 
+def _config(p: int, n: int, diagonal_only: bool, reps: int) -> ExperimentConfig:
+    return ExperimentConfig(p=p, n=n, dist="rademacher", reps=reps, master_seed=MASTER_SEED,
+                            diagonal_only=diagonal_only)
+
+
 @functools.cache
 def _replicated(p: int, n: int, diagonal_only: bool, reps: int) -> np.ndarray:
-    cfg = ExperimentConfig(p=p, n=n, dist="rademacher", reps=reps, master_seed=MASTER_SEED,
-                           diagonal_only=diagonal_only)
+    cfg = _config(p, n, diagonal_only, reps)
     t, _ = run_replications(build_experiment_model(cfg), cfg, 1)
     return t
 
@@ -43,8 +47,7 @@ def _exact_law(p: int, n: int, diagonal_only: bool) -> tuple[np.ndarray, np.ndar
     Atoms are grouped by a relative key: two sign patterns share an atom
     when both statistics agree within ``ATOM_RTOL`` of the first's value,
     since an absolute rounding splits a small atom's rounding noise."""
-    cfg = ExperimentConfig(p=p, n=n, master_seed=MASTER_SEED, diagonal_only=diagonal_only)
-    model = build_experiment_model(cfg)
+    model = build_experiment_model(_config(p, n, diagonal_only, 1))
     f = np.diag(np.sqrt(model.eigenvalues)) if model.factor is None else model.factor
     x = np.array(list(itertools.product((-1.0, 1.0), repeat=p * n))).reshape(-1, p, n)
     y = f @ x

@@ -97,6 +97,7 @@ class TestConfig:
         for max_power in (1, 5):  # a keyword, not a field
             with pytest.raises(ConfigError, match="max_power"):
                 ExperimentConfig(p=2, n=10, max_power=max_power)
+        assert not hasattr(ExperimentConfig(p=2, n=10, max_power=4), "max_power")
         with pytest.raises(ConfigError, match="workers"):
             ExperimentConfig(p=2, n=10, workers=0)
         with pytest.raises(ConfigError, match="reps must"):
