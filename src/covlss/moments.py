@@ -34,54 +34,13 @@ from dataclasses import dataclass
 
 from .population import TraceSet
 
-# A formula is (k, terms), the sum of its terms over n^k.  A term is
-# (c, j, factors): c(n) nu4^j times the TraceSet entries named in factors,
-# with c a polynomial in n with integer coefficients, highest power first.
-# "tr1*tr1" and "tr2*tr2" are pairs multiplied before the term's product.
-# The terms are summed in the listed order, which fixes every rounding.
-_E_T2 = (1, (
-    ((1,), 1, ("trH11",)),
-    ((1,), 0, ("tr1*tr1",)),
-    ((1, 1), 0, ("tr2",)),
-))
-_PSI11 = (1, (
-    ((1,), 1, ("trH11",)),
-    ((2,), 0, ("tr2",)),
-))
-_PSI12 = (2, (
-    ((4,), 0, ("tr2", "tr1")),
-    ((2,), 1, ("trH11", "tr1")),
-    ((2, 0), 1, ("trH12",)),
-    ((4, 0), 0, ("tr3",)),
-))
-_PSI22 = (3, (
-    ((8,), 0, ("tr2", "tr1*tr1")),
-    ((4,), 1, ("tr1*tr1", "trH11")),
-    ((16, 0), 0, ("tr1", "tr3")),
-    ((4, 0), 0, ("tr2*tr2",)),
-    ((8, 0), 1, ("trH12", "tr1")),
-    ((4, 0, 0), 1, ("trH22",)),
-    ((8, 0, 0), 0, ("tr4",)),
-))
-# E T_2 - E T_2^0
-_CENTERED_SHIFT = (2, (
-    ((1,), 0, ("tr1*tr1",)),
-    ((2, 0), 0, ("tr2",)),
-))
 
-
-def _evaluate(formula, values: dict, n: int, nu4_powers: tuple) -> tuple[float, float]:
-    """(value, cancellation scale) of one formula: the sum of its terms and
-    the sum of their absolute values, each over n^k."""
-    k, terms = formula
+def _over(k: int, n: int, *terms: float) -> tuple[float, float]:
+    """(value, cancellation scale) of a formula: the sum of its terms, added
+    in the listed order, and the sum of their absolute values, each over n^k.
+    An explicit loop, since a compensated sum() would move the last bits."""
     value, scale = -0.0, 0.0  # -0.0 + x is x for every x, zeros included
-    for poly, j, factors in terms:
-        c = 0
-        for a in poly:
-            c = c * n + a
-        term = c * nu4_powers[j]
-        for name in factors:
-            term *= values[name]
+    for term in terms:
         value += term
         scale += abs(term)
     divisor = n**k
@@ -136,19 +95,21 @@ def moment_set(traces: TraceSet, n: int, nu4: float, centered: bool = False) -> 
         raise ValueError("n must be a positive integer")
     if centered and n < 2:
         raise ValueError("centered statistics need n >= 2")
-    # the entries of traces and the pre-multiplied pairs the tables name
-    values = dict(vars(traces))
-    values["tr1*tr1"] = traces.tr1 * traces.tr1
-    values["tr2*tr2"] = traces.tr2 * traces.tr2
-    nu4_powers = (1.0, nu4)
-    e_t2 = _evaluate(_E_T2, values, n, nu4_powers)[0]
-    psi11, psi11_scale = _evaluate(_PSI11, values, n, nu4_powers)
-    psi12 = _evaluate(_PSI12, values, n, nu4_powers)[0]
-    psi22, psi22_scale = _evaluate(_PSI22, values, n, nu4_powers)
+    t, t11, t22 = traces, traces.tr1 * traces.tr1, traces.tr2 * traces.tr2
+    # each term is written as coefficient in n, power of nu4, then the traces,
+    # multiplied left to right: that order fixes every rounding
+    e_t2 = _over(1, n, nu4 * t.trH11, t11, (n + 1) * t.tr2)[0]
+    psi11, psi11_scale = _over(1, n, nu4 * t.trH11, 2 * t.tr2)
+    psi12 = _over(2, n, 4 * t.tr2 * t.tr1, 2 * nu4 * t.trH11 * t.tr1,
+                  2 * n * nu4 * t.trH12, 4 * n * t.tr3)[0]
+    psi22, psi22_scale = _over(
+        3, n, 8 * t.tr2 * t11, 4 * nu4 * t11 * t.trH11, 16 * n * t.tr1 * t.tr3, 4 * n * t22,
+        8 * n * nu4 * t.trH12 * t.tr1, 4 * n * n * nu4 * t.trH22, 8 * n * n * t.tr4,
+    )
     e_t1c = e_t2c = None
     if centered:
-        e_t1c = traces.tr1 * (1.0 - 1.0 / n)
-        e_t2c = e_t2 - _evaluate(_CENTERED_SHIFT, values, n, nu4_powers)[0]
+        e_t1c = t.tr1 * (1.0 - 1.0 / n)
+        e_t2c = e_t2 - _over(2, n, t11, 2 * n * t.tr2)[0]  # E T_2 - E T_2^0
     return MomentSet(
         e_t1=traces.tr1,
         e_t2=e_t2,

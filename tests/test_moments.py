@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -200,78 +202,79 @@ class TestMonteCarloAgreement:
         assert cov[1, 1] == pytest.approx(ms.psi22, rel=0.15)
 
 
-_FACTOR_TEXT = {
-    "tr1": "tr S", "tr2": "tr S^2", "tr3": "tr S^3", "tr4": "tr S^4",
-    "trH11": "tr(S∘S)", "trH12": "tr(S∘S^2)", "trH22": "tr(S^2∘S^2)",
-    "tr1*tr1": "tr^2 S", "tr2*tr2": "tr^2(S^2)",
-}
-
-
-def _power(symbol, k):
-    return "" if k == 0 else symbol if k == 1 else f"{symbol}^{k}"
-
-
-def render(formula):
-    """A term table as the module docstring writes it: [nu4 tr(S∘S) + 2 tr S^2] / n."""
-    k, terms = formula
-    texts = []
-    for poly, j, factors in terms:
-        monomials = [(a, len(poly) - 1 - i) for i, a in enumerate(poly) if a]
-        if len(monomials) == 1:
-            ((a, m),) = monomials
-            words = ["" if a == 1 else str(a), _power("nu4", j), _power("n", m)]
-        else:
-            inner = "+".join(("" if a == 1 and m else str(a)) + _power("n", m) for a, m in monomials)
-            words = [f"({inner})", _power("nu4", j)]
-        texts.append(" ".join([w for w in words if w] + [_FACTOR_TEXT[f] for f in factors]))
-    return f"[{' + '.join(texts)}] / {_power('n', k)}"
-
-
-@pytest.mark.parametrize("label, formula", [
-    ("E T_2 =", moments._E_T2),
-    ("psi11 =", moments._PSI11),
-    ("psi12 =", moments._PSI12),
-    ("psi22 =", moments._PSI22),
-    ("E T_2^0 = E T_2 -", moments._CENTERED_SHIFT),
-])
-def test_docstring_writes_each_table(label, formula):
-    assert f"{label} {render(formula)}" in " ".join(moments.__doc__.split())
-
-
 # (tr1, tr2, tr3, tr4, trH11, trH12, trH22), n, nu4 and the pinned
-# (e_t2, psi11, psi12, psi22, e_t2_centered): evaluating the terms in any
-# other order moves a last bit of some value here
+# (e_t2, psi11, psi12, psi22, e_t2_centered, psi11_scale, psi22_scale):
+# evaluating the terms in any other order moves a last bit of some value here
 _PINNED = [
     # criterion 5: diag(5, 1, ..., 1), p = n = 500, gaussian
     ((504.0, 524.0, 624.0, 1124.0, 524.0, 624.0, 1124.0), 500, 0.0,
-     (1033.08, 2.096, 9.217536, 51.023640576, 1029.967936)),
+     (1033.08, 2.096, 9.217536, 51.023640576, 1029.967936, 2.096, 51.023640576)),
     # diag(4, 1), n = 2, gaussian
     ((5.0, 17.0, 65.0, 257.0, 17.0, 65.0, 257.0), 2, 0.0,
-     (38.0, 17.0, 215.0, 3042.0, 14.75)),
+     (38.0, 17.0, 215.0, 3042.0, 14.75, 17.0, 3042.0)),
     # rotated, p = 3, n = 10^6, sign law
     ((4.499016425253078, 7.489285121524253, 13.674707939277104, 26.767292899031943,
       7.059769760372787, 12.197306242151532, 21.680244996453332), 10**6, -2.0,
      (7.489298732418649, 8.59030722302931e-07, 5.909614518088944e-06,
-      4.069671392793703e-05, 7.489283753828165)),
+      4.069671392793703e-05, 7.489283753828165, 2.9098109763794077e-05, 0.0003875823899016728)),
     # rotated, p = 4, n = 3, nu4 = 10
     ((101.0096546796493, 4146.595195654173, 187841.84494354733, 8707165.665512644,
       2605.8177483815907, 106504.02180733977, 4364290.957303147), 3, 10.0,
      (17615.836201644866, 11450.455958374752, 1731553.673493639, 270332647.46173453,
-      13717.77825581964)),
+      13717.77825581964, 11450.455958374752, 270332647.46173453)),
     # diagonal, p = 6, n = 7, gamma shape 4
     ((8.052606160512843, 12.358912475595202, 21.01818290968409, 38.22943677861481,
       12.358912475595202, 21.01818290968409, 38.22943677861481), 7, 1.5,
      (26.0363049277834, 6.179456237797601, 35.235533586572224, 218.35310226030398,
-      21.181830629116824)),
+      21.181830629116824, 6.179456237797601, 218.35310226030398)),
     # rotated, p = 5 > n = 2, two-point law with P(b) = 0.2
     ((5622.1557944212245, 8510700.475021169, 13772225310.486515, 23422710743910.85,
       6680474.640235366, 10185968562.06424, 15612831379523.162), 2, 0.25,
      (29405427.93093325, 9345759.80505059, 82634260402.72324, 807687935387916.6,
-      12992568.511726042)),
+      12992568.511726042, 9345759.80505059, 807687935387916.6)),
 ]
 
 
 @pytest.mark.parametrize("traces, n, nu4, pinned", _PINNED)
 def test_formula_values_bit_exact(traces, n, nu4, pinned):
     ms = moment_set(TraceSet(*traces), n, nu4, centered=True)
-    assert (ms.e_t2, ms.psi11, ms.psi12, ms.psi22, ms.e_t2_centered) == pinned
+    got = (ms.e_t2, ms.psi11, ms.psi12, ms.psi22, ms.e_t2_centered, ms.psi11_scale, ms.psi22_scale)
+    assert got == pinned
+
+
+# the docstring's words for the TraceSet entries, the longest first so that
+# "tr S" is not read out of "tr S^2"
+_TRACE_WORDS = {
+    "tr(S^2∘S^2)": "trH22", "tr(S∘S^2)": "trH12", "tr(S∘S)": "trH11",
+    "tr^2(S^2)": "tr2**2", "tr^2 S": "tr1**2",
+    "tr S^2": "tr2", "tr S^3": "tr3", "tr S^4": "tr4", "tr S": "tr1",
+}
+
+
+def docstring_formula(label):
+    """The module docstring's "[a + b ...] / n^k" after ``label`` as a Python
+    expression in n, nu4 and the TraceSet entries: the words of a term
+    multiply."""
+    text = " ".join(moments.__doc__.split())
+    terms, power = re.search(re.escape(label) + r" \[([^]]*)\] / n(\^\d)?", text).groups()
+    words = re.compile("|".join(map(re.escape, _TRACE_WORDS)))
+    products = ["*".join(words.sub(lambda m: _TRACE_WORDS[m.group()], term).split())
+                for term in terms.split(" + ")]
+    return f"({' + '.join(products)}) / n{power or ''}".replace("^", "**")
+
+
+@pytest.mark.parametrize("label, field", [
+    ("E T_2 =", "e_t2"),
+    ("psi11 =", "psi11"),
+    ("psi12 =", "psi12"),
+    ("psi22 =", "psi22"),
+    ("E T_2^0 = E T_2 -", "e_t2_centered"),
+])
+@pytest.mark.parametrize("traces, n, nu4", [point[:3] for point in _PINNED])
+def test_docstring_states_each_formula(label, field, traces, n, nu4):
+    ts = TraceSet(*traces)
+    ms = moment_set(ts, n, nu4, centered=True)
+    value = eval(docstring_formula(label), {"n": n, "nu4": nu4, **vars(ts)})
+    if field == "e_t2_centered":  # the docstring writes E T_2 - E T_2^0
+        value = ms.e_t2 - value
+    assert value == pytest.approx(getattr(ms, field), rel=1e-12)
