@@ -104,10 +104,17 @@ def _flag(value) -> bool:
     return bool(value)
 
 
+def _text(value) -> str:
+    text = os.fspath(value)  # a Path is stored as its str
+    if not isinstance(text, str):  # os.fspath passes bytes through
+        raise TypeError
+    return text
+
+
 # how an ExperimentConfig field of each annotated type is stored, so that 1
 # and 1.0, or np.int64(3) and 3, make one config and one digest;
 # operator.index refuses 1.5 and 10.0
-_CANONICAL = {"int": operator.index, "float": float, "bool": _flag}
+_CANONICAL = {"int": operator.index, "float": float, "bool": _flag, "str": _text}
 
 
 class ConfigError(ValueError):
@@ -144,7 +151,7 @@ class ExperimentConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             try:
-                object.__setattr__(self, f.name, _CANONICAL.get(f.type, lambda v: v)(value))
+                object.__setattr__(self, f.name, _CANONICAL[f.type](value))
             except (TypeError, ValueError):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}") from None
         if self.p < 1:
@@ -187,6 +194,7 @@ class ExperimentConfig:
             object.__setattr__(self, "law", parse_dist(self.dist))
         except ValueError as exc:  # a bad selector or non-finite moments
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "dist", self.law.selector)  # one spelling per law
 
     def digested(self) -> dict:
         """The fields that affect the statistical output, by name: what
@@ -549,6 +557,13 @@ def _identity_rows(rows: list[dict], errors: set[float]):
         )
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)  # refuses 2.5 and 10.0
+    except TypeError:
+        raise ConfigError(f"{name} must be of type int, got {value!r}") from None
+
+
 def run_verification_suite(
     max_dim: int, cases: int, seed: int, output_dir: str | None = None
 ) -> VerificationSummary:
@@ -562,6 +577,8 @@ def run_verification_suite(
     the group's grid.  With ``output_dir`` a NaN or infinite value raises
     :class:`NonFiniteReportError` and no verify.json is written.
     """
+    max_dim, cases = _integer("max_dim", max_dim), _integer("cases", cases)
+    seed = _integer("seed", seed)
     if max_dim > MAX_IDENTITY_DIM:
         raise EnumerationGuardError(f"max_dim is capped at {MAX_IDENTITY_DIM}, got {max_dim}")
     if max_dim < 1:

@@ -74,6 +74,11 @@ class InnovationDist:
     sample: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
 
+def _param_text(x: float) -> str:
+    """The shortest text that reads back as x, without a trailing ".0"."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def standard_normal() -> InnovationDist:
     profile = MomentProfile(mu3=0.0, mu4=3.0, mu6=15.0, mu8=105.0)
     return InnovationDist("normal", profile, sample=np.random.Generator.standard_normal)
@@ -87,7 +92,7 @@ def standardized_gamma(shape: float, scale: float) -> InnovationDist:
                          "standardized draw is quantized more coarsely than its skewness")
     root = math.sqrt(shape)
     return InnovationDist(
-        f"gamma:{shape:g}:{scale:g}", _gamma_profile(shape),
+        f"gamma:{_param_text(shape)}:{_param_text(scale)}", _gamma_profile(shape),
         sample=lambda rng, count: (rng.standard_gamma(shape, count) - shape) / root,
     )
 
@@ -108,7 +113,7 @@ def two_point(prob: float) -> InnovationDist:
     b = math.sqrt((1.0 - prob) / prob)
     support, probs = np.array([a, b]), np.array([1.0 - prob, prob])
     return InnovationDist(
-        f"twopoint:{prob:g}", _support_profile(support, probs), support, probs,
+        f"twopoint:{_param_text(prob)}", _support_profile(support, probs), support, probs,
         sample=lambda rng, count: np.where(rng.random(count) < prob, b, a),
     )
 

@@ -30,6 +30,7 @@ law), leading-order values against Monte Carlo.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 from .population import TraceSet
@@ -91,6 +92,7 @@ def moment_set(traces: TraceSet, n: int, nu4: float, centered: bool = False) -> 
     """The moments of (T_1, T_2) at sample size n; with ``centered`` also
     the means of the pair from the centered sample covariance, which need
     n >= 2."""
+    n = operator.index(n)  # n**3 of a numpy integer wraps silently
     if n < 1:
         raise ValueError("n must be a positive integer")
     if centered and n < 2:

@@ -192,16 +192,21 @@ class TestConfig:
 
     @pytest.mark.parametrize("fields,refused", [
         (dict(p=np.int64(3)), None),  # once a run that failed writing summary.json
-        (dict(workers=1.5), "workers"),
-        (dict(master_seed=1.5), "master_seed"),
-        (dict(n=10.0), "n"),
+        (dict(workers=1.5), "workers must be of type int"),
+        (dict(master_seed=1.5), "master_seed must be of type int"),
+        (dict(n=10.0), "n must be of type int"),
         (dict(centered=np.True_), None),
-    ], ids=["p-int64", "workers-float", "master_seed-float", "n-float", "centered-numpy"])
+        (dict(dist=None), "dist must be of type str"),  # once a raw AttributeError
+        (dict(dist=3), "dist must be of type str"),
+        (dict(output_dir=None), "output_dir must be of type str"),
+        (dict(output_dir=3), "output_dir must be of type str"),
+    ], ids=["p-int64", "workers-float", "master_seed-float", "n-float", "centered-numpy",
+            "dist-none", "dist-int", "output_dir-none", "output_dir-int"])
     def test_wrong_type_refused_or_canonical(self, tmp_path, fields, refused):
         # each once passed the config gate and raised a raw TypeError later
         kwargs = dict(p=3, n=10, reps=5, grid_size=3, output_dir=str(tmp_path))
         if refused:
-            with pytest.raises(ConfigError, match=f"^{refused} must be of type int, got "):
+            with pytest.raises(ConfigError, match=f"^{refused}, got "):
                 ExperimentConfig(**{**kwargs, **fields})
             return
         canonical = {key: value.item() for key, value in fields.items()}
@@ -217,6 +222,13 @@ class TestConfig:
         assert ExperimentConfig(p=np.int64(3), n=10).digest() == (
             ExperimentConfig(p=3, n=10).digest()
         )
+        # and whatever spelling selects the law
+        spellings = {ExperimentConfig(p=3, n=10, dist=dist).digest()
+                     for dist in ("gamma:4:0.5", "gamma:4.0:0.5", " gamma:4:0.5")}
+        assert len(spellings) == 1
+
+    def test_path_output_dir_stored_as_str(self, tmp_path):
+        assert ExperimentConfig(p=3, n=10, output_dir=tmp_path).output_dir == str(tmp_path)
 
     def test_master_seed_within_64_bits(self):
         # seeding keeps the low 64 bits, so -1 would replay 2**64 - 1 under another digest
@@ -739,6 +751,19 @@ class TestVerificationSuite:
         run_verification_suite(4, 300, 1, str(first))
         run_verification_suite(4, 300, 1, str(second))
         assert (first / "verify.json").read_bytes() == (second / "verify.json").read_bytes()
+
+    @pytest.mark.parametrize("args,refused", [
+        ((2.5, 3, 1), "max_dim"),  # once ran and returned 46 rows
+        ((2, 10.0, 1), "cases"),
+        ((2, 3, 1.5), "seed"),
+        ((np.int64(2), np.int64(3), np.int64(1)), None),
+    ], ids=["max_dim-float", "cases-float", "seed-float", "int64"])
+    def test_integer_arguments_refused_or_canonical(self, args, refused):
+        if refused:
+            with pytest.raises(ConfigError, match=f"^{refused} must be of type int, got "):
+                run_verification_suite(*args)
+            return
+        assert run_verification_suite(*args).cases == run_verification_suite(2, 3, 1).cases
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):

@@ -206,6 +206,9 @@ class TestRecord:
     def test_selector_is_canonical(self):
         assert parse_dist(" gamma:4.0:0.50 ").selector == "gamma:4:0.5"
         assert parse_dist("twopoint:.25").selector == "twopoint:0.25"
+        # every digit kept: two laws never share a selector
+        assert parse_dist("gamma:4.1234567:0.5").selector == "gamma:4.1234567:0.5"
+        assert parse_dist("twopoint:0.1234567").selector == "twopoint:0.1234567"
 
     def test_law_without_sampler_refused(self):
         law = InnovationDist(

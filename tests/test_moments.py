@@ -173,6 +173,12 @@ class TestMomentSet:
         with pytest.raises(ValueError):
             ms.centered_view()
 
+    def test_numpy_integer_n_is_the_int(self):
+        # an int64 n**3 wrapped silently: psi22 read 0.00946 for 0.00300
+        ts = TraceSet(*_PINNED[0][0])  # criterion 5's spectrum
+        wide = moment_set(ts, np.int64(3_000_000), 0.0, centered=True)
+        assert vars(wide) == vars(moment_set(ts, 3_000_000, 0.0, centered=True))
+
     def test_det_psi(self):
         ms = MomentSet(e_t1=0, e_t2=0, psi11=2.0, psi12=1.0, psi22=2.0, n=3, nu4=0.0)
         assert ms.det_psi == 3.0
