@@ -39,7 +39,7 @@ from .population import TraceSet
 def _over(k: int, n: int, *terms: float) -> tuple[float, float]:
     """(value, cancellation scale) of a formula: the sum of its terms, added
     in the listed order, and the sum of their absolute values, each over n^k.
-    An explicit loop, since a compensated sum() would move the last bits."""
+    A loop, as sum() of floats is compensated from Python 3.12 on."""
     value, scale = -0.0, 0.0  # -0.0 + x is x for every x, zeros included
     for term in terms:
         value += term
@@ -110,7 +110,7 @@ def moment_set(traces: TraceSet, n: int, nu4: float, centered: bool = False) -> 
     )
     e_t1c = e_t2c = None
     if centered:
-        e_t1c = t.tr1 * (1.0 - 1.0 / n)
+        e_t1c = traces.tr1 * (1.0 - 1.0 / n)
         e_t2c = e_t2 - _over(2, n, t11, 2 * n * t.tr2)[0]  # E T_2 - E T_2^0
     return MomentSet(
         e_t1=traces.tr1,

@@ -753,7 +753,7 @@ class TestVerificationSuite:
         assert (first / "verify.json").read_bytes() == (second / "verify.json").read_bytes()
 
     @pytest.mark.parametrize("args,refused", [
-        ((2.5, 3, 1), "max_dim"),  # once ran and returned 46 rows
+        ((2.5, 3, 1), "max_dim"),  # once ran and returned its rows
         ((2, 10.0, 1), "cases"),
         ((2, 3, 1.5), "seed"),
         ((np.int64(2), np.int64(3), np.int64(1)), None),
