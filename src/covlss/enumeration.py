@@ -3,15 +3,14 @@
 For a statistic s(x_1, ..., x_m) of i.i.d. finite-support variables the
 expectation is the weighted sum over all |support|^m assignments.  A task
 holds a stack of such statistics over the same variables, one per case.
-The assignments are built in ``itertools.product`` order as blocks of at
-most ``BLOCK_ROWS`` rows, and the statistic maps a whole block to one
-value per case and row in one numpy pass.  Each case's weighted terms feed
-its own ``math.fsum``, so every case's sum is exactly rounded over all of
-its terms however the blocks fall; between blocks a case keeps only a few
-floats with the same exact sum, so memory is bounded by the block and not
-by the assignment count.  Scale is still small: the point is bit-level
-verification of the quadratic-form moment identities and of the exact
-finite-n moment formulas.
+The whole grid of assignments is built at once, in ``itertools.product``
+order, and the statistic maps it to one value per case and row in one
+numpy pass.  Each case's weighted terms feed one ``math.fsum``, so every
+case's sum is exactly rounded over all of its terms.  Memory grows with
+the grid, so ``STATE_GUARD`` refuses a task of more than 2^18 assignments
+before anything is allocated; ``verify``'s grids have at most 64 rows.
+The point is bit-level verification of the quadratic-form moment
+identities and of the exact finite-n moment formulas.
 
 The identity checks take their operands as :class:`SymMatrix`, a frozen
 stack of real symmetric matrices whose symmetry is checked once per stack,
@@ -27,10 +26,9 @@ from the first, so a (p, n, law) group takes two passes over its grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -38,9 +36,8 @@ from .innovations import InnovationDist, NotEnumerableError
 from .moments import moment_set
 from .population import PopulationModel
 
-STATE_GUARD = 10**8
+STATE_GUARD = 2**18
 MAX_IDENTITY_DIM = 4
-BLOCK_ROWS = 4096
 SYMMETRY_RTOL = 1e-12
 
 
@@ -94,9 +91,9 @@ class EnumerationTask:
     """A stack of ``cases`` pure statistics of ``num_vars`` i.i.d.
     finite-support variables.
 
-    ``statistic`` is evaluated on blocks: it maps a ``(rows, num_vars)``
-    array, one assignment per row, to a ``(cases, rows)`` array holding
-    every case's statistic of each row.
+    ``statistic`` is evaluated once, on the whole grid: it maps a
+    ``(rows, num_vars)`` array, one assignment per row, to a
+    ``(cases, rows)`` array holding every case's statistic of each row.
     """
 
     num_vars: int
@@ -114,54 +111,26 @@ class EnumerationTask:
             )
 
 
-def _weighted_blocks(task: EnumerationTask) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(weights, statistic values) per block of assignments, in product order."""
+def exact_expectation(task: EnumerationTask) -> np.ndarray:
+    """E s(x) of every case, each an exactly rounded weighted sum over all
+    assignments: shape ``(cases,)``."""
     support = np.asarray(task.dist.support, dtype=float)
     probs = np.asarray(task.dist.probabilities, dtype=float)
     k, m = len(support), task.num_vars
     place = k ** np.arange(m - 1, -1, -1)  # the first variable varies slowest
-    total = k**m
-    for start in range(0, total, BLOCK_ROWS):
-        idx = np.arange(start, min(start + BLOCK_ROWS, total))[:, None] // place % k
-        x = support[idx]
-        values = np.asarray(task.statistic(x), dtype=float)
-        if values.shape != (task.cases, len(x)):
-            raise ValueError(
-                f"statistic must map a {x.shape} block to shape ({task.cases}, {len(x)}), "
-                f"got shape {values.shape}"
-            )
-        yield probs[idx].prod(axis=1), values
-
-
-def _exact_parts(terms: list[float]) -> list[float]:
-    """A few floats whose exact sum is the exact sum of ``terms``.
-
-    Each part is the exactly rounded remainder of the terms less the parts
-    before it; the remainder shrinks by at least 2^53 a step and is a
-    multiple of the smallest subnormal, so it reaches zero.
-    """
-    parts: list[float] = []
-    while s := math.fsum(itertools.chain(terms, [-p for p in parts])):
-        parts.append(s)
-    return parts
-
-
-def exact_expectation(task: EnumerationTask) -> np.ndarray:
-    """E s(x) of every case, each an exactly rounded weighted sum over all
-    assignments: shape ``(cases,)``.  The first block's terms are kept as
-    they are, so one block copies nothing."""
-    blocks = (w * s for w, s in _weighted_blocks(task))
-    terms: list[list[float]] = next(blocks).tolist()
-    for block in blocks:
-        for kept, row in zip(terms, block.tolist()):
-            kept.extend(row)
-            if len(kept) > BLOCK_ROWS:
-                kept[:] = _exact_parts(kept)
-    return np.array([math.fsum(kept) for kept in terms])
+    idx = np.arange(k**m)[:, None] // place % k
+    x = support[idx]
+    values = np.asarray(task.statistic(x), dtype=float)
+    if values.shape != (task.cases, len(x)):
+        raise ValueError(
+            f"statistic must map a {x.shape} grid to shape ({task.cases}, {len(x)}), "
+            f"got shape {values.shape}"
+        )
+    return np.array([math.fsum(terms) for terms in (probs[idx].prod(axis=1) * values).tolist()])
 
 
 def _quadratic_forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x_r' A_c x_r for every row x_r of a block and matrix A_c of a stack:
+    """x_r' A_c x_r for every row x_r of a grid and matrix A_c of a stack:
     shape ``(cases, rows)``."""
     return ((x @ a) * x).sum(axis=2)
 
@@ -181,7 +150,7 @@ def verify_identities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The enumerated LHS and the closed-form RHS of three identities for
     every case of the stacks: two ``(cases, 3)`` arrays whose columns are,
-    in order,
+    in the order of ``IDENTITY_COLUMNS``,
 
     * the quadratic covariance, E[(x'Ax - trA)(x'Bx - trB)] ==
       nu4 tr(A∘B) + tr(AB') + tr(AB); the fourth-moment coefficient
@@ -197,7 +166,7 @@ def verify_identities(
       1'(T∘T∘W)1, tr(T D_W T), tr(W D_T T) and tr(T∘T∘W).
 
     The three statistics share one enumeration of the 2^d (or k^d) grid:
-    x'Ax and x'Bx are formed once per block.
+    x'Ax and x'Bx are formed once.
     """
     if a.array.shape != b.array.shape:
         raise ValueError(f"dimension mismatch: {sorted({a.array.shape, b.array.shape})}")
@@ -254,6 +223,8 @@ def verify_identities(
     return lhs, np.stack([quadratic, fourth, triple], axis=1)
 
 
+# the columns of verify_identities' arrays, in order
+IDENTITY_COLUMNS = ("quadratic_covariance", "fourth_moment", "triple_product")
 # the columns of verify_finite_n_moments' arrays.  The first four are exact
 # identities; e_t2_centered sets the enumerated truth beside the divisor-n
 # formula, so the residual of its leading-order shift is visible, not hidden

@@ -25,7 +25,7 @@ become one row per model.  Each row is built once, as the dict that the
 suite's summary returns and ``verify.json`` is written from.  Each
 identity row is streamed from one fixed ``%``-format string, keys sorted
 and indented, each float rendered once by ``repr`` (the ``float.__repr__``
-that ``json`` writes); the header and the finite-n rows come from
+that ``json`` writes); the header and the finite-n rows come from one
 ``json.dumps``.  Every value is checked finite before the file is opened.
 Every report (``qq.csv``, ``qq_centered.csv``, ``summary.json`` and
 ``verify.json``) is written to a temporary file that replaces it once
@@ -54,6 +54,7 @@ import numpy as np
 from . import VERSION_STRING
 from .enumeration import (
     FINITE_N_COLUMNS,
+    IDENTITY_COLUMNS,
     MAX_IDENTITY_DIM,
     EnumerationGuardError,
     SymMatrix,
@@ -68,6 +69,9 @@ from .population import PopulationModel, assemble_model, build_model
 from .seeding import ROTATION_STREAM, SPECTRUM_STREAM, derive_seed
 
 VERIFY_THRESHOLD = 1e-9
+# the laws of verify's cases, case i under the law i % 3; the two-point
+# members carry mu3 != 0, which the triple-product identity needs
+VERIFICATION_LAWS = (rademacher(), two_point(0.2), two_point(0.35))
 # the note of a centered run, in summary.json and on the command line
 CENTERED_MEAN_NOTE = (
     "centered mean convention: E T1^0 = (1 - 1/n) tr(Sigma) for the "
@@ -443,12 +447,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 class VerificationSummary:
     cases: list[dict]
     max_abs_err: dict[str, float]
-    threshold: float
     ok: bool
     files: list[str]
 
 
-_LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
 # one verify.json identity row as json.dumps(indent=2, sort_keys=True) writes
 # it inside "cases", and the separator that a finite-n row always follows
 _IDENTITY_ROW = (
@@ -487,19 +489,19 @@ def _finite_rows(n: int, models: list[PopulationModel], dist: InnovationDist) ->
 
 
 def _identity_columns(
-    rng: np.random.Generator, max_dim: int, cases: int, dists: list[InnovationDist]
+    rng: np.random.Generator, max_dim: int, cases: int
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Draw the random cases one at a time, case ``i`` under
-    ``dists[i % len(dists)]``, and check each (dimension, law) group as one
-    stack.  Returns the enumerated and closed-form sides as ``(cases, 3)``
-    arrays in case order, a column per lemma of ``_LEMMAS``, and each
-    case's dimension."""
+    ``VERIFICATION_LAWS[i % 3]``, and check each (dimension, law) group as
+    one stack.  Returns the enumerated and closed-form sides as
+    ``(cases, 3)`` arrays in case order, a column per lemma of
+    ``IDENTITY_COLUMNS``, and each case's dimension."""
     dims: list[int] = []
     groups: dict[tuple[int, int], tuple[list[int], list]] = {}
     for i in range(cases):
         dim = int(rng.integers(1, max_dim + 1))
         dims.append(dim)
-        members, draws = groups.setdefault((dim, i % len(dists)), ([], []))
+        members, draws = groups.setdefault((dim, i % 3), ([], []))
         members.append(i)
         draws.append(rng.random((2, dim, dim)))  # the case's A and B, on [0, 1)
     lhs, rhs = np.empty((cases, 3)), np.empty((cases, 3))
@@ -507,7 +509,7 @@ def _identity_columns(
         # uniform(-1, 1) is -1 + 2 u of the same doubles u
         a, b = (SymMatrix(0.5 * (m + m.transpose(0, 2, 1)))
                 for m in -1.0 + 2.0 * np.stack(draws, axis=1))
-        lhs[members], rhs[members] = verify_identities(a, b, dists[law])
+        lhs[members], rhs[members] = verify_identities(a, b, VERIFICATION_LAWS[law])
     return lhs, rhs, dims
 
 
@@ -516,38 +518,36 @@ def _write_verify_json(
 ) -> None:
     """Write verify.json: the bytes of ``_dump`` of ``header`` with the
     identity and finite-n rows as its "cases", and a newline.  Every value
-    is checked finite before the file is opened."""
-    errors = {row["abs_err"] for row in identity_rows}
-    if not all(map(math.isfinite, errors)):  # abs_err is not finite where lhs or rhs is not
+    is checked finite before the file is opened, through the header's
+    maxima: a row's abs_err is not finite where one of its values is not."""
+    if not all(map(math.isfinite, header["max_abs_err"].values())):
         k, row = next(
-            (k, row) for k, row in enumerate(identity_rows) if not math.isfinite(row["abs_err"])
+            (k, row) for k, row in enumerate(identity_rows + finite_rows)
+            if not math.isfinite(row["abs_err"])
         )
+        if k >= len(identity_rows):
+            raise NonFiniteReportError(
+                f"finite_n_moments of case {row['dims']}, {row['dist']} is not finite"
+            )
         raise NonFiniteReportError(
             f"{row['lemma']} of case {k // 3} is not finite: "
             f"lhs {row['lhs']!r}, rhs {row['rhs']!r}"
         )
-    finite_texts = []
-    for row in finite_rows:
-        try:
-            finite_texts.append("    " + _dump(row).replace("\n", "\n    "))
-        except ValueError as exc:
-            raise NonFiniteReportError(
-                f"finite_n_moments of case {row['dims']}, {row['dist']} is not finite: {exc}"
-            ) from None
-    tail = ",\n".join(finite_texts) + "\n  ]," + _dump(header)[1:] + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    # "cases" sorts first: the identity rows go right after its opening line
     head = '{\n  "cases": [\n'
-    _write_text(path, itertools.chain([head], _identity_rows(identity_rows, errors), [tail]))
+    tail = _dump({**header, "cases": finite_rows})[len(head):] + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_text(path, itertools.chain([head], _identity_rows(identity_rows), [tail]))
 
 
-def _identity_rows(rows: list[dict], errors: set[float]):
+def _identity_rows(rows: list[dict]):
     """verify.json's identity rows, one string at a time, each float rendered
     by ``repr`` once: abs_err (never -0.0) through a cache of its few
-    distinct values ``errors``, and rhs by lhs's text where the two are equal
-    and not zero, so that they have the same bits (0.0 == -0.0 is written
-    apart)."""
-    error_texts = {err: repr(err) for err in errors}
-    quoted = {name: json.dumps(name) for name in {*_LEMMAS, *(row["dist"] for row in rows)}}
+    distinct values, and rhs by lhs's text where the two are equal and not
+    zero, so that they have the same bits (0.0 == -0.0 is written apart)."""
+    error_texts = {err: repr(err) for err in {row["abs_err"] for row in rows}}
+    names = {*IDENTITY_COLUMNS, *(row["dist"] for row in rows)}
+    quoted = {name: json.dumps(name) for name in names}
     for row in rows:
         left, right = row["lhs"], row["rhs"]
         text = repr(left)
@@ -588,23 +588,21 @@ def run_verification_suite(
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    # two-point members carry mu3 != 0, which the triple-product identity needs
-    dists = [rademacher(), two_point(0.2), two_point(0.35)]
-    lhs, rhs, dims = _identity_columns(np.random.default_rng(seed), max_dim, cases, dists)
+    lhs, rhs, dims = _identity_columns(np.random.default_rng(seed), max_dim, cases)
     abs_err = np.abs(lhs - rhs)
-    max_err = dict(zip(_LEMMAS, abs_err.max(axis=0).tolist()))  # NaN propagates
-    # row k checks _LEMMAS[k % 3] on case k // 3, whose law is dists[k // 3 % 3]
-    laws = [dist.selector for dist in dists for _ in _LEMMAS]
+    max_err = dict(zip(IDENTITY_COLUMNS, abs_err.max(axis=0).tolist()))  # NaN propagates
+    # row k checks IDENTITY_COLUMNS[k % 3] of case k // 3, under VERIFICATION_LAWS[k // 3 % 3]
+    laws = [dist.selector for dist in VERIFICATION_LAWS for _ in IDENTITY_COLUMNS]
     rows = [
         {"lemma": lemma, "dims": dim, "dist": law, "lhs": left, "rhs": right, "abs_err": err}
         for lemma, dim, law, left, right, err in zip(
-            itertools.cycle(_LEMMAS), np.repeat(dims, len(_LEMMAS)).tolist(), itertools.cycle(laws),
+            itertools.cycle(IDENTITY_COLUMNS), np.repeat(dims, 3).tolist(), itertools.cycle(laws),
             lhs.ravel().tolist(), rhs.ravel().tolist(), abs_err.ravel().tolist(),
         )
     ]
     finite_rows = []
     for n, models in _finite_moment_grid():  # under the first two laws of the cases
-        by_law = [_finite_rows(n, models, dist) for dist in dists[:2]]
+        by_law = [_finite_rows(n, models, dist) for dist in VERIFICATION_LAWS[:2]]
         finite_rows += itertools.chain.from_iterable(zip(*by_law))  # model first, then law
     max_err["finite_n_moments"] = float(np.max([row["abs_err"] for row in finite_rows]))
     ok = all(v <= VERIFY_THRESHOLD for v in max_err.values())
@@ -624,7 +622,6 @@ def run_verification_suite(
     return VerificationSummary(
         cases=rows + finite_rows,
         max_abs_err=max_err,
-        threshold=VERIFY_THRESHOLD,
         ok=ok,
         files=files,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,8 +7,8 @@ import pytest
 
 from covlss import enumeration
 from covlss.enumeration import (
-    BLOCK_ROWS,
     FINITE_N_COLUMNS,
+    IDENTITY_COLUMNS,
     EnumerationGuardError,
     EnumerationTask,
     SymMatrix,
@@ -24,7 +25,7 @@ from covlss.innovations import (
     standard_normal,
     two_point,
 )
-from covlss.harness import _finite_moment_grid
+from covlss.harness import VERIFICATION_LAWS, _finite_moment_grid
 from covlss.population import assemble_model, haar_orthogonal
 
 
@@ -42,7 +43,7 @@ def random_sym(rng, dim):
 
 
 def one_case(statistic):
-    """A single statistic as a stack of one: shape (1, rows) per block."""
+    """A single statistic as a stack of one: shape (1, rows)."""
     return lambda x: statistic(x)[None]
 
 
@@ -55,13 +56,10 @@ def squared_deviation(task, mean):
     )
 
 
-LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
-
-
 def check(lemma, a, b, dist):
     """One lemma's (lhs, rhs) columns of verify_identities, each ``(cases,)``."""
     lhs, rhs = verify_identities(a, b, dist)
-    k = LEMMAS.index(lemma)
+    k = IDENTITY_COLUMNS.index(lemma)
     return lhs[:, k], rhs[:, k]
 
 
@@ -100,8 +98,6 @@ def finite_n(model, n, dist):
     return rep, max(abs(e - f) for e, f in list(rep.values())[:4])
 
 
-VERIFICATION_LAWS = [rademacher(), two_point(0.2), two_point(0.35)]
-
 # Standardized three-point law on (-1, 0, 2) with P = (1/3, 1/2, 1/6):
 # mu3 = 1, mu4 = 3, mu6 = 11, mu8 = 43.
 THREE_POINT = InnovationDist(
@@ -124,7 +120,7 @@ SYMMETRIC_THREE_POINT = InnovationDist(
 # each (Pearson's bound holds with equality): nu4 = mu3^2 - 2 and mu6 is a
 # function of mu3.  The two three-point laws are off that curve, so the
 # identities' law-dependent coefficients are checked apart.
-IDENTITY_LAWS = VERIFICATION_LAWS + [THREE_POINT, SYMMETRIC_THREE_POINT]
+IDENTITY_LAWS = [*VERIFICATION_LAWS, THREE_POINT, SYMMETRIC_THREE_POINT]
 
 
 def identity_coefficients(dist):
@@ -250,7 +246,7 @@ class TestExactExpectation:
         [
             lambda x: x[0] ** 2,  # the first row only: shape (num_vars,)
             lambda x: x**2,  # a column, not a vector: shape (rows, 1)
-            lambda x: float(np.sum(x**2)),  # one scalar for the whole block
+            lambda x: float(np.sum(x**2)),  # one scalar for the whole grid
             lambda x: x[:, 0] ** 2,  # one value per row but no case axis: (rows,)
         ],
         ids=["first-row", "column", "scalar", "no-case-axis"],
@@ -269,6 +265,13 @@ class TestExactExpectation:
         with pytest.raises(EnumerationGuardError):
             EnumerationTask(100, rademacher(), lambda x: 0.0)
 
+    def test_guard_refuses_past_two_to_the_eighteen(self):
+        # the whole grid is built at once, so 2^19 assignments are refused
+        # by name before anything is allocated; 2^18 is admitted
+        with pytest.raises(EnumerationGuardError, match="524288 assignments exceed"):
+            EnumerationTask(19, rademacher(), lambda x: 0.0)
+        EnumerationTask(18, rademacher(), lambda x: 0.0)
+
     def test_continuous_rejected(self):
         with pytest.raises(NotEnumerableError):
             EnumerationTask(1, standard_normal(), lambda x: 0.0)
@@ -276,10 +279,9 @@ class TestExactExpectation:
 
 class TestBlocks:
     def test_exact_across_many_blocks(self):
-        # 2^18 Rademacher assignments span several blocks; every weight,
-        # value and product is exact in binary, so the sums are too
+        # 2^18 Rademacher assignments, the largest grid the guard admits;
+        # every weight, value and product is exact in binary, so the sums are too
         m = 18
-        assert 2**m > 4 * BLOCK_ROWS
         total = EnumerationTask(m, rademacher(), one_case(lambda x: x.sum(axis=1)))
         square = EnumerationTask(m, rademacher(), one_case(lambda x: x.sum(axis=1) ** 2))
         assert exact_expectation(total).tolist() == [0]
@@ -290,10 +292,9 @@ class TestBlocks:
         assert exact_expectation(squared_deviation(square, [m])).tolist() == [2 * m * m - 2 * m]
 
     def test_partial_last_block_matches_loop(self):
-        # 3^9 = 19683 assignments end in a partial block; an odd statistic
-        # with unequal weights catches any mispairing of rows and weights
+        # 3^9 = 19683 assignments; an odd statistic with unequal weights
+        # catches any mispairing of rows and weights
         m = 9
-        assert 3**m % BLOCK_ROWS != 0 and 3**m > BLOCK_ROWS
         c = np.arange(1.0, m + 1.0)
         task = EnumerationTask(m, THREE_POINT, one_case(lambda x: (x @ c) ** 3))
         (e,) = exact_expectation(task)
@@ -304,10 +305,8 @@ class TestBlocks:
         )
 
     def test_stacked_sums_exact_across_blocks(self):
-        # four cases over four blocks: each case's sum stays exactly rounded
-        # while the blocks before the last are folded into a few floats
+        # four cases over 2^14 assignments: each case's sum is exactly rounded
         m = 14
-        assert 2**m == 4 * BLOCK_ROWS
         c = np.linspace(0.1, 1.3, m)
         stack = lambda x: np.stack(
             [x.sum(axis=1) ** 2, np.exp(0.1 * x @ c), -np.exp(0.1 * x @ c) / 3.0, x[:, 0]]
@@ -546,18 +545,26 @@ class TestFiniteNMoments:
 
     def test_two_passes_over_the_grid(self, monkeypatch):
         # one pass for every model's four means, one for Var T_1 about the
-        # enumerated E T_1: the mean is not enumerated a second time
+        # enumerated E T_1: the mean is not enumerated a second time, and each
+        # pass calls its statistic once, on the whole grid of 2^(p n) rows
         passes = []
-        weighted_blocks = enumeration._weighted_blocks
+        expectation = enumeration.exact_expectation
 
         def counted(task):
-            passes.append(task.cases)
-            return weighted_blocks(task)
+            rows = []
 
-        monkeypatch.setattr(enumeration, "_weighted_blocks", counted)
+            def statistic(x):
+                rows.append(len(x))
+                return task.statistic(x)
+
+            result = expectation(dataclasses.replace(task, statistic=statistic))
+            passes.append((task.cases, rows))
+            return result
+
+        monkeypatch.setattr(enumeration, "exact_expectation", counted)
         models = [assemble_model([2.0, 1.0]), assemble_model([2.0, 1.0], rotation(0.3))]
         verify_finite_n_moments(models, 2, rademacher())
-        assert passes == [4 * len(models), len(models)]
+        assert passes == [(4 * len(models), [2**4]), (len(models), [2**4])]
 
     def test_group_of_mixed_p_refused(self):
         models = [assemble_model([1.0]), assemble_model([2.0, 1.0])]

@@ -24,9 +24,11 @@ from hypothesis import strategies as st
 import covlss.harness as harness
 import covlss.lss as lss
 from covlss.cli import _build_parser, _resolve_simulate_config, main
-from covlss.enumeration import FINITE_N_COLUMNS, SymMatrix, verify_identities
+from covlss.enumeration import FINITE_N_COLUMNS, IDENTITY_COLUMNS, SymMatrix, verify_identities
 from covlss import VERSION_STRING
 from covlss.harness import (
+    VERIFICATION_LAWS,
+    VERIFY_THRESHOLD,
     ConfigError,
     ExperimentConfig,
     NonFiniteReportError,
@@ -36,14 +38,11 @@ from covlss.harness import (
     run_verification_suite,
 )
 from covlss.inference import DegenerateCovarianceError, whiten
-from covlss.innovations import parse_dist, rademacher, sample_block, two_point
+from covlss.innovations import parse_dist, sample_block
 from covlss.lss import ReplicationInvariantError, _draw_x, run_replication
 from covlss.moments import moment_set
 from covlss.population import assemble_model, build_model, haar_orthogonal
 from covlss.seeding import REPLICATION_STREAM, derive_seed
-
-
-LEMMAS = ("quadratic_covariance", "fourth_moment", "triple_product")
 
 
 def tiny_cfg(tmp_path, **kw):
@@ -409,17 +408,23 @@ class TestRunExperiment:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
     def test_malloc_policy_lowers_peak_rss(self, child_env):
-        # what the policy buys is peak RSS: a fresh process replicating at
-        # p=500, n=1000 peaks about 4 MB lower with it than without it.  The
-        # peak is VmHWM, which exec resets: a child's ru_maxrss would carry
-        # over this process's larger peak
-        peak_kib = _with_and_without_malloc_policy(child_env, (
+        # what the policy buys is peak RSS: replicating at p=500, n=1000 in a
+        # fresh process raises the peak about 8 MB with it and 12-14 MB without
+        # it.  The peak is VmHWM, which exec resets (a child's ru_maxrss would
+        # carry over this process's larger peak), less the VmRSS just before
+        # the replications, so the heap of importing and compiling the package
+        # and of building the model is not counted
+        rise_kib = _with_and_without_malloc_policy(child_env, (
+            "def status(key):\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "                if line.startswith(key))\n"
             "cfg = harness.ExperimentConfig(p=500, n=1000, reps=20)\n"
-            "harness.run_replications(harness.build_experiment_model(cfg), cfg, 1)\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "           if line.startswith('VmHWM:')))\n"
+            "model = harness.build_experiment_model(cfg)\n"
+            "before = status('VmRSS:')\n"
+            "harness.run_replications(model, cfg, 1)\n"
+            "print(status('VmHWM:') - before)\n"
         ))
-        assert peak_kib["off"] - peak_kib["on"] > 2048, peak_kib
+        assert rise_kib["off"] - rise_kib["on"] > 2048, rise_kib
 
 
 def _with_and_without_malloc_policy(child_env, body: str) -> dict[str, int]:
@@ -728,17 +733,16 @@ class TestVerificationSuite:
         cases, seed = 60, 5
         summary = run_verification_suite(4, cases, seed=seed)
         rng = np.random.default_rng(seed)
-        laws = [rademacher(), two_point(0.2), two_point(0.35)]
         groups = set()
         for i in range(cases):
             dim = int(rng.integers(1, 5))
             a, b = (rng.uniform(-1.0, 1.0, size=(dim, dim)) for _ in range(2))
             a, b = (SymMatrix((0.5 * (m + m.T))[None]) for m in (a, b))
-            dist = laws[i % 3]
+            dist = VERIFICATION_LAWS[i % 3]
             groups.add((dim, dist.selector))
             (alone_lhs,), (alone_rhs,) = verify_identities(a, b, dist)
             rows = summary.cases[3 * i : 3 * i + 3]
-            for got, lemma, lhs, rhs in zip(rows, LEMMAS, alone_lhs, alone_rhs):
+            for got, lemma, lhs, rhs in zip(rows, IDENTITY_COLUMNS, alone_lhs, alone_rhs):
                 assert (got["lemma"], got["dims"], got["dist"]) == (lemma, dim, dist.selector)
                 assert got["lhs"] == lhs
                 assert got["rhs"] == pytest.approx(rhs, rel=1e-14, abs=0.0)
@@ -801,7 +805,7 @@ def _verify_payload(summary) -> dict:
     """The value whose dump verify.json must be, rebuilt from the summary."""
     return {
         "version": VERSION_STRING,
-        "threshold": summary.threshold,
+        "threshold": VERIFY_THRESHOLD,
         "max_abs_err": summary.max_abs_err,
         "ok": summary.ok,
         "cases": summary.cases,
@@ -812,7 +816,7 @@ def _with_value(out, lemma, side, case, v):
     """The identity checks' (lhs, rhs) with ``v`` at ``case`` of one side of
     the column of ``lemma``."""
     sides = [np.array(column) for column in out]
-    sides[side][case, LEMMAS.index(lemma)] = v
+    sides[side][case, IDENTITY_COLUMNS.index(lemma)] = v
     return tuple(sides)
 
 
@@ -845,9 +849,9 @@ def _patch_check(monkeypatch, name, corrupt):
 # each lambda maps the value to the check it goes through and how.  Every
 # place fails the suite, e_t2_centered too, which is reported but not compared
 _NON_FINITE_PLACES = [
-    lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[0], 0, 0, v)),
-    lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[1], 1, -1, v)),
-    lambda v: ("verify_identities", lambda out: _with_value(out, LEMMAS[2], 0, -1, v)),
+    lambda v: ("verify_identities", lambda out: _with_value(out, IDENTITY_COLUMNS[0], 0, 0, v)),
+    lambda v: ("verify_identities", lambda out: _with_value(out, IDENTITY_COLUMNS[1], 1, -1, v)),
+    lambda v: ("verify_identities", lambda out: _with_value(out, IDENTITY_COLUMNS[2], 0, -1, v)),
     lambda v: ("verify_finite_n_moments", lambda out: _with_finite(out, "var_t1", v)),
     lambda v: ("verify_finite_n_moments", lambda out: _with_finite(out, "e_t2_centered", v)),
 ]
@@ -867,6 +871,14 @@ class TestReportWriter:
         with pytest.raises(NonFiniteReportError, match="is not finite"):
             run_verification_suite(2, 30, 1, str(out))
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_non_finite_finite_n_row_named(self, tmp_path, monkeypatch):
+        # the first finite-n row, p=1, n=2 under the first law, is named by
+        # its dims and law
+        _patch_check(monkeypatch, *_NON_FINITE_PLACES[3](float("nan")))
+        with pytest.raises(NonFiniteReportError) as refused:
+            run_verification_suite(2, 30, 1, str(tmp_path))
+        assert str(refused.value) == "finite_n_moments of case [1, 2], rademacher is not finite"
 
     def test_refused_report_leaves_no_file(self, tmp_path, monkeypatch):
         run_verification_suite(2, 30, 1, str(tmp_path))
