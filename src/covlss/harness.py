@@ -7,8 +7,9 @@ kernels in flight at once, all in this process: OpenBLAS runs on one thread,
 as it does while the model is built, and ``workers + 1`` threads each draw
 their own replication's innovations and then wait for a kernel slot.  Where
 OpenBLAS cannot be pinned, the caller runs the same loop alone and
-``workers`` has no effect.  Each replication writes its row of two arrays,
-(T_1, T_2) and the centered pair, and each array is whitened in one call.
+``workers`` has no effect.  Each replication writes its row of one array,
+(T_1, T_2) extended by the centered pair (T_1^0, T_2^0) when centered, and
+each pair of columns is whitened, about its means, in one call.
 
 A run writes its Q-Q table to ``qq.csv``, and the centered one to
 ``qq_centered.csv``; ``summary.json`` holds the digested config fields
@@ -301,12 +302,10 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def run_replications(
-    model: PopulationModel, cfg: ExperimentConfig, workers: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every replication's (T_1, T_2) as row ``rep`` of a (reps, 2) array,
-    plus its centered pair as row ``rep`` of a (reps, 2) array when
-    ``cfg.centered`` (else None).
+def run_replications(model: PopulationModel, cfg: ExperimentConfig, workers: int) -> np.ndarray:
+    """Every replication's statistics as row ``rep`` of one array: (T_1, T_2)
+    in a (reps, 2) array, or (T_1, T_2, T_1^0, T_2^0) in a (reps, 4) array
+    when ``cfg.centered``.
 
     This thread and ``min(workers, reps)`` helpers each take the next index,
     draw that replication's innovations (numpy's generator releases the
@@ -318,8 +317,7 @@ def run_replications(
     the other draws, so this thread replicates alone and ``workers`` has no
     effect."""
     _retain_freed_arrays()
-    t = np.empty((cfg.reps, 2))
-    tc = np.empty((cfg.reps, 2)) if cfg.centered else None
+    t = np.empty((cfg.reps, 4 if cfg.centered else 2))
     with _one_blas_thread() as pinned:
         slots = min(workers, cfg.reps) if pinned else 1
         indices = iter(range(cfg.reps))
@@ -335,9 +333,7 @@ def run_replications(
                         return
                     x = _draw_x(cfg.law, model.p, cfg.n, cfg.master_seed, i)
                     with kernels:
-                        t[i], centered_pair = run_replication(model, x, i, cfg.centered)
-                    if tc is not None:
-                        tc[i] = centered_pair
+                        t[i] = run_replication(model, x, i, cfg.centered)
                     del x  # not held through the next draw
             except BaseException:
                 failed.set()  # the other threads stop at their next replication
@@ -350,7 +346,7 @@ def run_replications(
             replicate()
             for other in others:
                 other.result()
-    return t, tc
+    return t
 
 
 @dataclass(frozen=True)
@@ -401,13 +397,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         f"beta={cfg.beta} diagonal_only={cfg.diagonal_only}",
     )
 
-    t, tc = run_replications(model, cfg, cfg.workers)
-    qq = qq_report(whiten(t[:, 0], t[:, 1], ms), cfg.grid_size)
+    t = run_replications(model, cfg, cfg.workers)
+    qq = qq_report(whiten(t[:, 0] - ms.e_t1, t[:, 1] - ms.e_t2, ms), cfg.grid_size)
 
     qq_centered = None
     notes: list[str] = []
-    if cfg.centered:
-        ts0 = whiten(tc[:, 0], tc[:, 1], ms.centered_view())
+    if cfg.centered:  # the same covariance about the centered means
+        ts0 = whiten(t[:, 2] - ms.e_t1_centered, t[:, 3] - ms.e_t2_centered, ms)
         qq_centered = qq_report(ts0, cfg.grid_size)
         notes.append(CENTERED_MEAN_NOTE)
 

@@ -1,9 +1,10 @@
 """Whitening of (T_1, T_2), chi-square(2) reference, Q-Q and KS reporting.
 
-The whitened statistic ts = d' Psi^{-1} d with d the centered pair is
-asymptotically chi-square with 2 degrees of freedom, whose CDF and
-quantile have the closed forms 1 - exp(-x/2) and -2 ln(1 - q).  The
-Kolmogorov-Smirnov distance is the scalar summary of each Q-Q comparison.
+The whitened statistic ts = d' Psi^{-1} d, with d the deviations of
+(T_1, T_2) from their means, is asymptotically chi-square with 2 degrees
+of freedom, whose CDF and quantile have the closed forms 1 - exp(-x/2)
+and -2 ln(1 - q).  The Kolmogorov-Smirnov distance is the scalar summary
+of each Q-Q comparison.
 """
 
 from __future__ import annotations
@@ -73,18 +74,16 @@ def chi2_df2_quantile(q: float) -> float:
     return -2.0 * math.log1p(-q)
 
 
-def whiten(t1, t2, ms: MomentSet):
-    """ts = d' Psi^{-1} d with d = (t1 - E T1, t2 - E T2), elementwise over
-    arrays of replications.
+def whiten(d1, d2, ms: MomentSet):
+    """ts = d' Psi^{-1} d for the deviations d = (d1, d2) of a pair from its
+    means, (T_1 - E T_1, T_2 - E T_2) or the centered pair's, elementwise
+    over arrays of replications.
 
-    Uses the closed-form 2x2 inverse; refuses a non-positive-definite
-    covariance rather than pseudo-inverting it.
+    Uses the closed-form 2x2 inverse of ``ms``'s covariance; refuses a
+    non-positive-definite covariance rather than pseudo-inverting it.
     """
     check_covariance(ms)
-    det = ms.det_psi
-    d1 = np.subtract(t1, ms.e_t1)
-    d2 = np.subtract(t2, ms.e_t2)
-    ts = (ms.psi22 * d1 * d1 - 2.0 * ms.psi12 * d1 * d2 + ms.psi11 * d2 * d2) / det
+    ts = (ms.psi22 * d1 * d1 - 2.0 * ms.psi12 * d1 * d2 + ms.psi11 * d2 * d2) / ms.det_psi
     return np.maximum(ts, 0.0)
 
 

@@ -21,7 +21,8 @@ them from X before it is overwritten, and neither forms Y for them:
   T_1^0 = T_1 - ybar'ybar,  T_2^0 = T_2 - 2 ||Y'ybar||^2 / n + (ybar'ybar)^2.
 
 Replication rep draws X from its own seeded stream (``_draw_x``), and
-``run_replication`` turns that X into its statistics and checks them.
+``run_replication`` turns that X into its row of statistics, [T_1, T_2]
+or, centered, [T_1, T_2, T_1^0, T_2^0], and checks it.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ def _half_times(model: PopulationModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _trace_stats(
-    model: PopulationModel, x: np.ndarray, centered: bool
-) -> tuple[list[float], tuple[float, float] | None]:
-    """T_1 and T_2 of B = (F x)(F x)' / n for the innovations ``x`` (p x n,
-    overwritten), plus the centered pair when asked."""
+def _trace_stats(model: PopulationModel, x: np.ndarray, centered: bool) -> list[float]:
+    """[T_1, T_2] of B = (F x)(F x)' / n for the innovations ``x`` (p x n,
+    overwritten), extended by the centered pair [T_1^0, T_2^0] when asked."""
     p, n = x.shape
     if centered:  # from x, before either side writes over it
         xbar = x.mean(axis=1)
@@ -81,36 +80,33 @@ def _trace_stats(
         y = _half_times(model, x)
         m = mt = y.T @ y  # symmetric
     t = [float(np.trace(m)) / n, float(np.vdot(m, mt)) / n**2]
-    tc = None
     if centered:
-        tc = (t[0] - ybar_sq, t[1] - 2.0 * float(z @ z) / n + ybar_sq * ybar_sq)
-    return t, tc
+        t += [t[0] - ybar_sq, t[1] - 2.0 * float(z @ z) / n + ybar_sq * ybar_sq]
+    return t
 
 
 def run_replication(
     model: PopulationModel, x: np.ndarray, rep: int, centered: bool
-) -> tuple[list[float], tuple[float, float] | None]:
-    """(T_1, T_2) plus the centered pair when asked (else None) of replication
-    ``rep``, from its innovations ``x`` (overwritten), checked."""
-    t, tc = _trace_stats(model, x, centered)
-    _check_invariants(t, tc, model.p, rep)
-    return t, tc
+) -> list[float]:
+    """Replication ``rep``'s row [T_1, T_2], extended by [T_1^0, T_2^0] when
+    centered, from its innovations ``x`` (overwritten), checked."""
+    t = _trace_stats(model, x, centered)
+    _check_invariants(t, model.p, rep)
+    return t
 
 
-def _check_invariants(
-    t: list[float], tc: tuple[float, float] | None, p: int, rep: int
-) -> None:
+def _check_invariants(t: list[float], p: int, rep: int) -> None:
     t1, t2 = t[0], t[1]
     # NaN fails every comparison below, so finiteness is checked first
-    bad = not np.all(np.isfinite(t + list(tc or ())))
+    bad = not np.all(np.isfinite(t))
     bad = bad or t1 < -_PSD_SLACK or t2 < -_PSD_SLACK
     # eigenvalues of B are nonnegative: (sum l)^2 / p <= sum l^2 <= (sum l)^2
     bad = bad or t2 > t1 * t1 * (1.0 + _PSD_SLACK) + _PSD_SLACK
     bad = bad or t2 < t1 * t1 / p * (1.0 - _PSD_SLACK) - _PSD_SLACK
-    if tc is not None:
-        bad = bad or tc[0] > t1 * (1.0 + _PSD_SLACK) + _PSD_SLACK
+    if len(t) > 2:  # centering removes a PSD rank-one term: T_1^0 <= T_1
+        bad = bad or t[2] > t1 * (1.0 + _PSD_SLACK) + _PSD_SLACK
     if bad:
         raise ReplicationInvariantError(
             f"replication {rep}: trace statistics are not finite or violate PSD "
-            f"ordering: t={tuple(t)}, centered={tc}"
+            f"ordering: t={tuple(t)}"
         )

@@ -29,7 +29,6 @@ law), leading-order values against Monte Carlo.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from dataclasses import dataclass
 
@@ -71,15 +70,6 @@ class MomentSet:
     @property
     def det_psi(self) -> float:
         return self.psi11 * self.psi22 - self.psi12 * self.psi12
-
-    def centered_view(self) -> "MomentSet":
-        """The same covariance around the centered means (for whitening T^0)."""
-        if self.e_t1_centered is None or self.e_t2_centered is None:
-            raise ValueError("centered expectations were not computed for this MomentSet")
-        return dataclasses.replace(
-            self, e_t1=self.e_t1_centered, e_t2=self.e_t2_centered,
-            e_t1_centered=None, e_t2_centered=None,
-        )
 
     def as_dict(self) -> dict:
         """The fields but the two cancellation scales."""

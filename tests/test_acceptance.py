@@ -38,10 +38,7 @@ def monte_carlo_t_pairs(model, n, dist_selector, reps, seed, centered=False):
         p=model.p, n=n, dist=dist_selector, reps=reps, master_seed=seed,
         centered=centered,
     )
-    t, tc = run_replications(model, cfg, workers=1)
-    if centered:
-        return t[:, 0], t[:, 1], tc[:, 0]
-    return t[:, 0], t[:, 1]
+    return run_replications(model, cfg, workers=1).T  # T_1, T_2 and, centered, T_1^0, T_2^0
 
 
 def test_criterion_1_exact_moment_oracle_suite():
@@ -215,7 +212,7 @@ def test_criterion_7_centered_mean_shift():
         master_seed=71, diagonal_only=True, centered=True,
     )
     mc_model = build_experiment_model(cfg)
-    _, _, t1c = monte_carlo_t_pairs(mc_model, 500, "normal", 3000, 71, centered=True)
+    _, _, t1c, _ = monte_carlo_t_pairs(mc_model, 500, "normal", 3000, 71, centered=True)
     se = float(t1c.std(ddof=1)) / np.sqrt(t1c.size)
     tr1 = mc_model.traces.tr1
     divisor_n_value = tr1 * (1 - 1 / 500)

@@ -36,8 +36,7 @@ def _config(p: int, n: int, diagonal_only: bool, reps: int) -> ExperimentConfig:
 @functools.cache
 def _replicated(p: int, n: int, diagonal_only: bool, reps: int) -> np.ndarray:
     cfg = _config(p, n, diagonal_only, reps)
-    t, _ = run_replications(build_experiment_model(cfg), cfg, 1)
-    return t
+    return run_replications(build_experiment_model(cfg), cfg, 1)
 
 
 @functools.cache

@@ -154,17 +154,18 @@ class TestConfig:
     @pytest.mark.parametrize("centered", [False, True])
     def test_bytes_per_rep_bound_the_measured_statistics(self, centered):
         # run_experiment's arrays after the replications: the rows, then each
-        # pair whitened into its Q-Q report
+        # pair's deviations whitened into its Q-Q report
         reps = 200_000
         cfg = ExperimentConfig(p=5, n=20, centered=centered)
         ms = moment_set(build_experiment_model(cfg).traces, cfg.n, 0.0, centered=centered)
         rows = np.random.default_rng(0).random((reps, 2)) + [5.0, 6.0]
 
         def statistics():
-            t, tc = rows.copy(), rows.copy() if centered else None
-            qq = harness.qq_report(whiten(t[:, 0], t[:, 1], ms), cfg.grid_size)
+            t = np.hstack([rows] * (1 + centered))  # one (reps, 2) or (reps, 4) array
+            qq = harness.qq_report(whiten(t[:, 0] - ms.e_t1, t[:, 1] - ms.e_t2, ms), cfg.grid_size)
             if centered:
-                harness.qq_report(whiten(tc[:, 0], tc[:, 1], ms.centered_view()), cfg.grid_size)
+                ts0 = whiten(t[:, 2] - ms.e_t1_centered, t[:, 3] - ms.e_t2_centered, ms)
+                harness.qq_report(ts0, cfg.grid_size)
             return qq
 
         per_rep = harness._BYTES_PER_REP + 16 * centered
@@ -509,7 +510,7 @@ class TestPipeline:
             finally:
                 for (set_threads, _), count in zip(harness._openblas_threads(), ambient):
                     set_threads(count)
-            assert all(map(np.array_equal, runs[1], runs[2]))
+            assert np.array_equal(runs[1], runs[2])
         assert len(seen) == 16 and all(counts == [1] * len(ambient) for counts in seen)
 
     @pytest.mark.parametrize("flags", [
@@ -611,7 +612,7 @@ class TestPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the GIL between the threads often
         try:
-            t, tc = run_replications(model, cfg, workers)
+            t = run_replications(model, cfg, workers)
         finally:
             sys.setswitchinterval(interval)
         assert len(names) == cfg.reps
@@ -629,12 +630,8 @@ class TestPipeline:
                             centered)
             for rep in range(cfg.reps)
         ]
-        assert t.shape == (cfg.reps, 2)
-        assert t.tolist() == [stats for stats, _ in want]
-        if centered:
-            assert tc.tolist() == [list(pair) for _, pair in want]
-        else:
-            assert tc is None
+        assert t.shape == (cfg.reps, 4 if centered else 2)
+        assert t.tolist() == want
 
     @pytest.mark.skipif(not harness._openblas_threads(), reason="no OpenBLAS control symbol")
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -659,7 +656,7 @@ class TestPipeline:
                     active[0] -= 1
 
         monkeypatch.setattr(harness, "run_replication", counting)
-        t, _ = run_replications(model, cfg, workers)
+        t = run_replications(model, cfg, workers)
         assert t.shape == (cfg.reps, 2) and np.all(np.isfinite(t))
         assert peak[0] == workers
         assert len(callers) <= workers + 1

@@ -56,7 +56,7 @@ class TestChi2:
 class TestWhiten:
     def test_centered_point_is_zero(self):
         ms = moment_set(assemble_model([1.0, 2.0]).traces, 7, 0.5)
-        assert whiten(ms.e_t1, ms.e_t2, ms) == 0.0
+        assert whiten(ms.e_t1 - ms.e_t1, ms.e_t2 - ms.e_t2, ms) == 0.0
 
     def test_identity_covariance(self):
         ms = ms_with(1.0, 0.0, 1.0)
@@ -83,15 +83,14 @@ class TestWhiten:
         # one call over arrays of replications equals one call per replication, bit for bit
         ms = moment_set(assemble_model([2.0, 0.7, 1.1]).traces, 9, 1.5)
         rng = np.random.default_rng(4)
-        t1 = ms.e_t1 + rng.normal(size=1000) * ms.psi11**0.5
-        t2 = ms.e_t2 + rng.normal(size=1000) * ms.psi22**0.5
-        got = whiten(t1, t2, ms)
+        d1 = rng.normal(size=1000) * ms.psi11**0.5
+        d2 = rng.normal(size=1000) * ms.psi22**0.5
+        got = whiten(d1, d2, ms)
         assert got.shape == (1000,)
-        assert got.tolist() == [whiten(float(a), float(b), ms) for a, b in zip(t1, t2)]
+        assert got.tolist() == [whiten(float(a), float(b), ms) for a, b in zip(d1, d2)]
         # and the closed form in Python floats, the order of operations kept
-        for a, b, ts in zip(t1.tolist(), t2.tolist(), got.tolist()):
-            d1, d2 = a - ms.e_t1, b - ms.e_t2
-            q = ms.psi22 * d1 * d1 - 2.0 * ms.psi12 * d1 * d2 + ms.psi11 * d2 * d2
+        for a, b, ts in zip(d1.tolist(), d2.tolist(), got.tolist()):
+            q = ms.psi22 * a * a - 2.0 * ms.psi12 * a * b + ms.psi11 * b * b
             assert ts == max(q / ms.det_psi, 0.0)
 
     def test_scale_equivariance(self):
@@ -101,10 +100,10 @@ class TestWhiten:
         n, nu4 = 9, 1.5
         ms = moment_set(ts, n, nu4)
         t1, t2 = ms.e_t1 + 0.8, ms.e_t2 - 1.7
-        base = whiten(t1, t2, ms)
+        base = whiten(t1 - ms.e_t1, t2 - ms.e_t2, ms)
         for c in (0.5, 2.0, 10.0):
             scaled_ms = moment_set(assemble_model([2.0 * c, 0.7 * c, 1.1 * c]).traces, n, nu4)
-            got = whiten(c * t1, c**2 * t2, scaled_ms)
+            got = whiten(c * t1 - scaled_ms.e_t1, c**2 * t2 - scaled_ms.e_t2, scaled_ms)
             assert got == pytest.approx(base, rel=1e-9)
 
     def test_nonnegative(self):

@@ -16,7 +16,7 @@ SEED = 1234
 
 
 def replicate(eigs, dist, n, rep=0, u=None, centered=False):
-    """Replication ``rep``'s (t, tc), drawn and computed as the harness does."""
+    """Replication ``rep``'s row of statistics, drawn and computed as the harness does."""
     model = assemble_model(eigs, u)
     return run_replication(model, _draw_x(dist, model.p, n, SEED, rep), rep, centered)
 
@@ -57,13 +57,13 @@ class TestGenerateGram:
     def test_rademacher_single_column_identity(self):
         # x'x = p for any +-1 column, so the 1x1 Gram (p > n side) is always (2)
         for rep in range(5):
-            t, _ = replicate([1.0, 1.0], rademacher(), n=1, rep=rep)
+            t = replicate([1.0, 1.0], rademacher(), n=1, rep=rep)
             assert t == pytest.approx((2.0, 4.0), abs=1e-12)
 
     def test_scalar_population_rank_one(self):
         # p = 1: B = 4 |x|^2 / n is a scalar, so T_2 = T_1^2
         x = replication_x(standard_normal(), 1, 3, rep=1)
-        t, _ = replicate([4.0], standard_normal(), n=3, rep=1)
+        t = replicate([4.0], standard_normal(), n=3, rep=1)
         assert t[0] == pytest.approx(4.0 * float(x[0] @ x[0]) / 3, rel=1e-12)
         assert t[1] == pytest.approx(t[0] ** 2, rel=1e-12)
 
@@ -78,14 +78,14 @@ class TestGenerateGram:
                     x[a, i] * sig[a, b] * x[b, j] for a in range(3) for b in range(3)
                 )
         want = [np.trace(np.linalg.matrix_power(naive, k)) / 2**k for k in range(1, 3)]
-        t, _ = replicate([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=u)
+        t = replicate([2.0, 1.0, 0.5], standard_normal(), n=2, rep=3, u=u)
         assert t == pytest.approx(want, rel=1e-12)
 
     def test_gram_is_psd(self):
         # power sums of nonnegative eigenvalues: T_k >= 0 and T_2 <= T_1^2
         for n in (1, 2, 4):
             for rep in range(5):
-                t1, t2 = replicate([3.0, 1.0], standard_normal(), n=n, rep=rep)[0]
+                t1, t2 = replicate([3.0, 1.0], standard_normal(), n=n, rep=rep)
                 assert min(t1, t2) >= 0.0
                 assert t2 <= t1 * t1 * (1 + 1e-12)
 
@@ -93,13 +93,12 @@ class TestGenerateGram:
 class TestLssTraces:
     def test_scaled_identity(self):
         # Sigma = 2 I_2, X = I_2 and n = 2: M = 2 I_2, so T_k = tr(M^k) / 2^k = 2
-        t, tc = _trace_stats(assemble_model([2.0, 2.0]), np.eye(2), False)
+        t = _trace_stats(assemble_model([2.0, 2.0]), np.eye(2), False)
         assert t == pytest.approx([2.0, 2.0])
-        assert tc is None
 
     def test_rank_one(self):
         x = np.array([[np.sqrt(2.0), 0.0], [0.0, 0.0]])
-        assert _trace_stats(assemble_model([1.0, 1.0]), x, False)[0] == pytest.approx([1.0, 1.0])
+        assert _trace_stats(assemble_model([1.0, 1.0]), x, False) == pytest.approx([1.0, 1.0])
 
     def test_sides_agree(self):
         rng = np.random.default_rng(31)
@@ -109,7 +108,7 @@ class TestLssTraces:
             u = haar_orthogonal(p, trial) if p > 1 else None
             want, _ = direct_pxp(replication_x(standard_normal(), p, n, trial),
                                  symmetric_half(eigs, u))
-            t, _ = replicate(eigs, standard_normal(), n=n, rep=trial, u=u)
+            t = replicate(eigs, standard_normal(), n=n, rep=trial, u=u)
             assert t == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -119,14 +118,14 @@ class TestCenteredLss:
         for p, n in ((2, 3), (3, 2)):
             x = np.tile(np.linspace(-0.4, 1.3, p)[:, None], (1, n))
             model = assemble_model(np.linspace(0.5, 2.0, p), haar_orthogonal(p, 3))
-            _, (t1c, t2c) = _trace_stats(model, x, True)
+            _, _, t1c, t2c = _trace_stats(model, x, True)
             assert t1c == pytest.approx(0.0, abs=1e-12)
             assert t2c == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetric_pair_already_centered(self):
         model = assemble_model([1.0, 2.0])
         col = np.array([[0.7], [1.1]])
-        (t1, t2), (t1c, t2c) = _trace_stats(model, np.hstack([col, -col]), True)
+        t1, t2, t1c, t2c = _trace_stats(model, np.hstack([col, -col]), True)
         assert t1c == pytest.approx(t1, rel=1e-12)
         assert t2c == pytest.approx(t2, rel=1e-12)
 
@@ -142,7 +141,7 @@ class TestCenteredLss:
             b = (y @ y.T) / n
             ybar = y.mean(axis=1)
             b0 = b - np.outer(ybar, ybar)
-            _, (t1c, t2c) = _trace_stats(model, x, True)
+            _, _, t1c, t2c = _trace_stats(model, x, True)
             assert t1c == pytest.approx(float(np.trace(b0)), rel=1e-10)
             assert t2c == pytest.approx(float(np.sum(b0 * b0)), rel=1e-10)
 
@@ -152,7 +151,8 @@ class TestRunReplication:
         # the n x n route X' Sigma X, built here, on both sides of p = n
         for p, n in ((3, 5), (5, 3)):
             eigs = list(np.linspace(0.5, 2.0, p))
-            t, tc = replicate(eigs, standard_normal(), n=n, rep=4, centered=True)
+            row = replicate(eigs, standard_normal(), n=n, rep=4, centered=True)
+            t, tc = row[:2], row[2:]
             x = replication_x(standard_normal(), p, n, rep=4)
             a = x.T @ dense_sigma(eigs) @ x
             want = [np.trace(np.linalg.matrix_power(a, k)) / n**k for k in range(1, 3)]
@@ -174,7 +174,8 @@ class TestRunReplication:
         u = haar_orthogonal(p, 17) if rotated else None
         half = symmetric_half(eigs, u)
         for rep in range(3):
-            t, tc = replicate(eigs, standard_normal(), n=n, rep=rep, u=u, centered=True)
+            row = replicate(eigs, standard_normal(), n=n, rep=rep, u=u, centered=True)
+            t, tc = row[:2], row[2:]
             want, want_c = direct_pxp(replication_x(standard_normal(), p, n, rep), half)
             assert t == pytest.approx(want, rel=1e-12)
             assert tc == pytest.approx(want_c, rel=1e-12)
@@ -188,21 +189,22 @@ class TestRunReplication:
     def test_rademacher_identity_t1_is_exactly_p(self):
         # sharpest end-to-end check: every x_ij^2 = 1, so T1 = p exactly
         for rep in range(20):
-            t, _ = replicate([1.0] * 4, rademacher(), n=5, rep=rep)
+            t = replicate([1.0] * 4, rademacher(), n=5, rep=rep)
             assert t[0] == 4.0
 
     def test_psd_ordering_invariants(self):
         for rep in range(30):
-            (t1, t2), tc = replicate([3.0, 1.0, 0.4], standard_normal(), n=6, rep=rep,
-                                     centered=True)
+            t1, t2, t1c, _ = replicate([3.0, 1.0, 0.4], standard_normal(), n=6, rep=rep,
+                                       centered=True)
             assert t1 >= 0 and t2 >= 0
             assert t2 <= t1 * t1 * (1 + 1e-9)
             assert t2 >= t1 * t1 / 3 * (1 - 1e-9)
-            assert tc[0] <= t1 + 1e-12
+            assert t1c <= t1 + 1e-12
 
     @pytest.mark.parametrize(
         "t,tc", [([np.nan, 1.0], None), ([1.0, np.inf], None), ([2.0, 3.0], (1.0, np.nan))]
     )
     def test_non_finite_statistics_rejected(self, t, tc):
+        # the row is (T_1, T_2), extended by the centered pair tc when given
         with pytest.raises(ReplicationInvariantError, match="not finite"):
-            _check_invariants(t, tc, 2, 0)
+            _check_invariants([*t, *(tc or ())], 2, 0)

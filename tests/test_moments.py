@@ -161,18 +161,6 @@ class TestMomentSet:
         }
         assert d["n"] == 5 and d["nu4"] == 0.5
 
-    def test_centered_view_swaps_means_only(self):
-        ms = moment_set(traces_of_diag([1.0, 2.0]), 5, 0.0, centered=True)
-        cv = ms.centered_view()
-        assert cv.e_t1 == ms.e_t1_centered
-        assert cv.e_t2 == ms.e_t2_centered
-        assert (cv.psi11, cv.psi12, cv.psi22) == (ms.psi11, ms.psi12, ms.psi22)
-
-    def test_centered_view_requires_centered_build(self):
-        ms = moment_set(traces_of_diag([1.0]), 5, 0.0)
-        with pytest.raises(ValueError):
-            ms.centered_view()
-
     def test_numpy_integer_n_is_the_int(self):
         # an int64 n**3 wrapped silently: psi22 read 0.00946 for 0.00300
         ts = TraceSet(*_PINNED[0][0])  # criterion 5's spectrum
