@@ -3,14 +3,15 @@
 For a statistic s(x_1, ..., x_m) of i.i.d. finite-support variables the
 expectation is the weighted sum over all |support|^m assignments.  A task
 holds a stack of such statistics over the same variables, one per case.
-The whole grid of assignments is built at once, in ``itertools.product``
-order, and the statistic maps it to one value per case and row in one
-numpy pass.  Each case's weighted terms feed one ``math.fsum``, so every
-case's sum is exactly rounded over all of its terms.  Memory grows with
-the grid, so ``STATE_GUARD`` refuses a task of more than 2^18 assignments
-before anything is allocated; ``verify``'s grids have at most 64 rows.
-The point is bit-level verification of the quadratic-form moment
-identities and of the exact finite-n moment formulas.
+The whole grid of assignments is built at once, one column at a time in
+``itertools.product`` order, beside one weight per row, and the statistic
+maps it to one value per case and row in one numpy pass.  Each case's
+weighted terms feed one ``math.fsum``, so every case's sum is exactly
+rounded over all of its terms.  Memory grows with the grid, so
+``STATE_GUARD`` refuses a task of more than 2^18 assignments before
+anything is allocated; ``verify``'s grids have at most 64 rows.  The
+point is bit-level verification of the quadratic-form moment identities
+and of the exact finite-n moment formulas.
 
 The identity checks take their operands as :class:`SymMatrix`, a frozen
 stack of real symmetric matrices whose symmetry is checked once per stack,
@@ -117,16 +118,21 @@ def exact_expectation(task: EnumerationTask) -> np.ndarray:
     support = np.asarray(task.dist.support, dtype=float)
     probs = np.asarray(task.dist.probabilities, dtype=float)
     k, m = len(support), task.num_vars
-    place = k ** np.arange(m - 1, -1, -1)  # the first variable varies slowest
-    idx = np.arange(k**m)[:, None] // place % k
-    x = support[idx]
+    # one column at a time, the first variable varying slowest (column j
+    # holds each support point in runs of k^(m-1-j) rows), and each row's
+    # weight as the product of its probabilities taken left to right: the
+    # grid is x and one rows-long weight vector
+    x, weights = np.empty((k**m, m)), np.ones(1)
+    for j in range(m):
+        x.reshape(k**j, k, -1, m)[:, :, :, j] = support[:, None]
+        weights = (weights[:, None] * probs).ravel()
     values = np.asarray(task.statistic(x), dtype=float)
     if values.shape != (task.cases, len(x)):
         raise ValueError(
             f"statistic must map a {x.shape} grid to shape ({task.cases}, {len(x)}), "
             f"got shape {values.shape}"
         )
-    return np.array([math.fsum(terms) for terms in (probs[idx].prod(axis=1) * values).tolist()])
+    return np.array([math.fsum(terms) for terms in (weights * values).tolist()])
 
 
 def _quadratic_forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -98,6 +98,9 @@ _DRAW_BYTES_PER_VALUE = 17
 # peak bytes per replication of its statistics, whitening and Q-Q sorts: 72
 # measured at 10^6 replications, 88 centered (16 more)
 _BYTES_PER_REP = 80
+# peak bytes per random case of verify, most of it its three row dicts: 1,234
+# traced and 1,480 by VmHWM at 10^5 cases, at every max_dim
+_BYTES_PER_CASE = 1500
 
 # ExperimentConfig fields that change where or how reports are written, not their numbers
 _UNDIGESTED = ("output_dir", "workers")
@@ -124,6 +127,15 @@ _CANONICAL = {"int": operator.index, "float": float, "bool": _flag, "str": _text
 
 class ConfigError(ValueError):
     """An experiment configuration field is missing or malformed."""
+
+
+def _canonical(name: str, kind: str, value):
+    """``value`` as a field or argument ``name`` of annotated type ``kind``
+    stores it, or :class:`ConfigError` naming it."""
+    try:
+        return _CANONICAL[kind](value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be of type {kind}, got {value!r}") from None
 
 
 class NonFiniteReportError(ValueError):
@@ -154,11 +166,7 @@ class ExperimentConfig:
 
     def __post_init__(self, max_power: int) -> None:
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            try:
-                object.__setattr__(self, f.name, _CANONICAL[f.type](value))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}") from None
+            object.__setattr__(self, f.name, _canonical(f.name, f.type, getattr(self, f.name)))
         if self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
         if self.n < 2:
@@ -187,14 +195,7 @@ class ExperimentConfig:
             + slots * 8 * min(p, n) ** 2,
             f"reps {self.reps}": self.reps * (_BYTES_PER_REP + 16 * self.centered),
         }
-        total, memory = sum(parts.values()), _physical_memory()
-        if total > memory:
-            field = max(parts, key=parts.get)
-            raise ConfigError(
-                f"{field} needs about {parts[field] / 2**30:.3g} GiB, and the run "
-                f"{total / 2**30:.3g} GiB in all, more than the {memory / 2**30:.3g} GiB "
-                "of physical memory"
-            )
+        _refuse_beyond_memory(parts)
         try:
             object.__setattr__(self, "law", parse_dist(self.dist))
         except ValueError as exc:  # a bad selector or non-finite moments
@@ -221,6 +222,20 @@ def _physical_memory() -> float:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return math.inf
+
+
+def _refuse_beyond_memory(parts: dict[str, float]) -> None:
+    """Raise :class:`ConfigError` when the peak bytes ``parts``, keyed by the
+    input that sets each, sum to more than physical memory, naming the input
+    of the largest part."""
+    total, memory = sum(parts.values()), _physical_memory()
+    if total > memory:
+        field = max(parts, key=parts.get)
+        raise ConfigError(
+            f"{field} needs about {parts[field] / 2**30:.3g} GiB, and the run "
+            f"{total / 2**30:.3g} GiB in all, more than the {memory / 2**30:.3g} GiB "
+            "of physical memory"
+        )
 
 
 def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
@@ -553,13 +568,6 @@ def _identity_rows(rows: list[dict]):
         )
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)  # refuses 2.5 and 10.0
-    except TypeError:
-        raise ConfigError(f"{name} must be of type int, got {value!r}") from None
-
-
 def run_verification_suite(
     max_dim: int, cases: int, seed: int, output_dir: str | None = None
 ) -> VerificationSummary:
@@ -571,10 +579,12 @@ def run_verification_suite(
     stays within ``VERIFY_THRESHOLD`` (a NaN never does).  The cases of one
     (dimension, law) group are checked together, on one enumeration of
     the group's grid.  With ``output_dir`` a NaN or infinite value raises
-    :class:`NonFiniteReportError` and no verify.json is written.
+    :class:`NonFiniteReportError` and no verify.json is written.  A suite
+    whose ``cases`` need more than physical memory, at ``_BYTES_PER_CASE``
+    each, raises :class:`ConfigError` before anything is drawn.
     """
-    max_dim, cases = _integer("max_dim", max_dim), _integer("cases", cases)
-    seed = _integer("seed", seed)
+    max_dim, cases = _canonical("max_dim", "int", max_dim), _canonical("cases", "int", cases)
+    seed = _canonical("seed", "int", seed)
     if max_dim > MAX_IDENTITY_DIM:
         raise EnumerationGuardError(f"max_dim is capped at {MAX_IDENTITY_DIM}, got {max_dim}")
     if max_dim < 1:
@@ -583,6 +593,7 @@ def run_verification_suite(
         raise ConfigError(f"cases must be at least 1, got {cases}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    _refuse_beyond_memory({f"cases {cases}": cases * _BYTES_PER_CASE})
 
     lhs, rhs, dims = _identity_columns(np.random.default_rng(seed), max_dim, cases)
     abs_err = np.abs(lhs - rhs)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,23 @@ class TestBlocks:
         # E S^4 = 3m^2 - 2m for a Rademacher sum, so Var S^2 = 2m^2 - 2m
         assert exact_expectation(squared_deviation(total, [0])).tolist() == [m]
         assert exact_expectation(squared_deviation(square, [m])).tolist() == [2 * m * m - 2 * m]
+
+    def test_grid_holds_x_and_one_weight_vector(self):
+        # at m = 18 the grid x is 2^18 x 18 doubles (37.7 MB); built from an
+        # index array, with the per-row probabilities beside it, it took 3x that
+        m = 18
+        peaks = []
+
+        def statistic(x):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return x[:, :1].T
+
+        tracemalloc.start()
+        try:
+            exact_expectation(EnumerationTask(m, rademacher(), statistic))
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= (m + 4) * 2**m * 8  # x and four rows-long vectors
 
     def test_partial_last_block_matches_loop(self):
         # 3^9 = 19683 assignments; an odd statistic with unequal weights

@@ -314,6 +314,35 @@ class TestRunExperiment:
         for name in ("qq.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("size", [
+        pytest.param(dict(p=30, n=50), id="rotated-p30-n50"),
+        pytest.param(dict(p=50, n=30), id="rotated-p50-n30"),
+        pytest.param(dict(p=60, n=20, diagonal_only=True), id="diagonal-p60-n20"),
+    ])
+    def test_centered_leaves_the_plain_pair_alone(self, tmp_path, size):
+        # the centered pair reads xbar from X before either kernel side writes
+        # over X: asking for it changes no bit of qq.csv, and its own Q-Q
+        # table is that of B - ybar ybar' built here from an untouched X
+        for centered in (False, True):
+            cfg = tiny_cfg(tmp_path, output_dir=str(tmp_path / str(centered)),
+                           centered=centered, **size)
+            result = run_experiment(cfg)
+        plain, both = (tmp_path / "False" / "qq.csv"), (tmp_path / "True" / "qq.csv")
+        assert plain.read_bytes() == both.read_bytes()
+        model = build_experiment_model(cfg)
+        f = np.diag(np.sqrt(model.eigenvalues)) if model.factor is None else model.factor
+        t0 = []
+        for rep in range(cfg.reps):
+            y = f @ _draw_x(cfg.law, cfg.p, cfg.n, cfg.master_seed, rep)
+            ybar = y.mean(axis=1)
+            b0 = y @ y.T / cfg.n - np.outer(ybar, ybar)
+            t0.append((np.trace(b0), np.sum(b0 * b0)))
+        t0 = np.array(t0)
+        ms = moment_set(model.traces, cfg.n, cfg.law.profile.nu4, centered=True)
+        ts0 = whiten(t0[:, 0] - ms.e_t1_centered, t0[:, 1] - ms.e_t2_centered, ms)
+        want = harness.qq_report(ts0, cfg.grid_size).q_empirical
+        assert result.qq_centered.q_empirical == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize(
         "workers,size",
         [
@@ -766,6 +795,19 @@ class TestVerificationSuite:
             return
         assert run_verification_suite(*args).cases == run_verification_suite(2, 3, 1).cases
 
+    def test_bytes_per_case_bound_the_measured_suite(self):
+        run_verification_suite(1, 1, 0)  # numpy.random's lazy import, once
+        cases = 5000
+        peak = _traced_peak(lambda: run_verification_suite(4, cases, 1))
+        assert 0.8 * harness._BYTES_PER_CASE < peak / cases <= harness._BYTES_PER_CASE
+
+    def test_refuses_cases_beyond_physical_memory(self, monkeypatch):
+        # a ceiling of 1 MiB, so that the 1000 cases would run, not exhaust
+        # memory, were they not refused
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2.0**20)
+        with pytest.raises(ConfigError, match="^cases 1000 needs about .* of physical memory$"):
+            run_verification_suite(4, 1000, 1)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             run_verification_suite(2, 3, seed=-1)
@@ -1103,6 +1145,14 @@ class TestCli:
         rc = main(["simulate", *flags, "--output-dir", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_verify_beyond_physical_memory_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2.0**20)
+        out = tmp_path / "v"
+        rc = main(["verify", "--cases", "1000", "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cases 1000 needs about")
         assert not out.exists()
 
     def test_grid_beyond_physical_memory_exit_one(self, tmp_path, capsys):

@@ -41,3 +41,15 @@ def test_cli_import_loads_no_process_pool(child_env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    # the contract behind pyproject's dependencies = ["numpy>=1.23"]
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # absolute
+                imported.add(node.module.partition(".")[0])
+    assert imported - sys.stdlib_module_names <= {"numpy", "covlss"}
