@@ -119,9 +119,9 @@ def exact_expectation(task: EnumerationTask) -> np.ndarray:
     probs = np.asarray(task.dist.probabilities, dtype=float)
     k, m = len(support), task.num_vars
     # one column at a time, the first variable varying slowest (column j
-    # holds each support point in runs of k^(m-1-j) rows), and each row's
-    # weight as the product of its probabilities taken left to right: the
-    # grid is x and one rows-long weight vector
+    # holds each support point in runs of k^(m-1-j) rows), so the grid is x
+    # and one rows-long weight vector; each weight is the product of its
+    # row's probabilities taken left to right, an order that fixes its bits
     x, weights = np.empty((k**m, m)), np.ones(1)
     for j in range(m):
         x.reshape(k**j, k, -1, m)[:, :, :, j] = support[:, None]

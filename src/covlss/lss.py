@@ -85,9 +85,7 @@ def _trace_stats(model: PopulationModel, x: np.ndarray, centered: bool) -> list[
     return t
 
 
-def run_replication(
-    model: PopulationModel, x: np.ndarray, rep: int, centered: bool
-) -> list[float]:
+def run_replication(model: PopulationModel, x: np.ndarray, rep: int, centered: bool) -> list[float]:
     """Replication ``rep``'s row [T_1, T_2], extended by [T_1^0, T_2^0] when
     centered, from its innovations ``x`` (overwritten), checked."""
     t = _trace_stats(model, x, centered)

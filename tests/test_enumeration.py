@@ -293,8 +293,8 @@ class TestBlocks:
         assert exact_expectation(squared_deviation(square, [m])).tolist() == [2 * m * m - 2 * m]
 
     def test_grid_holds_x_and_one_weight_vector(self):
-        # at m = 18 the grid x is 2^18 x 18 doubles (37.7 MB); built from an
-        # index array, with the per-row probabilities beside it, it took 3x that
+        # at m = 18 the grid x is 2^18 x 18 doubles (37.7 MB): its build may
+        # add rows-long vectors, but no second array of the grid's size
         m = 18
         peaks = []
 
