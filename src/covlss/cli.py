@@ -1,7 +1,8 @@
 """Command-line entry point: ``covlss simulate`` and ``covlss verify``.
 
-Each ``simulate`` flag sets the one :class:`ExperimentConfig` field of the
-same name; a flag left out keeps that field's default.
+Each ``simulate`` flag is built from the :class:`ExperimentConfig` field of
+the same name: it takes the field's type, default and required-ness, a
+``bool`` field's flag is a switch, and a flag left out keeps the default.
 """
 
 from __future__ import annotations
@@ -24,6 +25,25 @@ from .inference import DegenerateCovarianceError
 from .population import ConsistencyError
 
 
+# the help sentence of each ExperimentConfig field's simulate flag
+_SIMULATE_HELP = {
+    "p": "dimension",
+    "n": "sample size",
+    "alpha": "spike growth exponent",
+    "beta": "spike fraction in [0,1]",
+    "dist": "innovation selector: normal | gamma:k:theta | rademacher | twopoint:prob",
+    "reps": "replications",
+    "master_seed": "64-bit master seed",
+    "centered": "also compute mean-centered statistics",
+    "diagonal_only": "skip the random orthogonal conjugation",
+    "output_dir": "report directory",
+    "grid_size": "Q-Q probability grid points",
+    "workers": "replication kernels in flight at once, at most one per CPU, each on one "
+    "OpenBLAS thread; one more thread draws, all in this process",
+}
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covlss",
@@ -38,27 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo replication of the whitened (T1, T2) "
         "statistic against its chi-square(2) reference.",
     )
-    sim.add_argument("--p", type=int, required=True, help="dimension")
-    sim.add_argument("--n", type=int, required=True, help="sample size")
-    sim.add_argument("--alpha", type=float, default=None, help="spike growth exponent (default 0)")
-    sim.add_argument("--beta", type=float, default=None, help="spike fraction in [0,1] (default 0)")
-    sim.add_argument(
-        "--dist",
-        default=None,
-        help="innovation selector: normal | gamma:k:theta | rademacher | twopoint:prob "
-        "(default normal)",
-    )
-    sim.add_argument("--reps", type=int, default=None, help="replications (default 10000)")
-    sim.add_argument("--master-seed", type=int, default=None, help="64-bit master seed (default 0)")
-    sim.add_argument("--centered", action="store_true", default=None,
-                     help="also compute mean-centered statistics")
-    sim.add_argument("--diagonal-only", action="store_true", default=None,
-                     help="skip the random orthogonal conjugation")
-    sim.add_argument("--output-dir", default=None, help="report directory (default out)")
-    sim.add_argument("--grid-size", type=int, default=None, help="Q-Q probability grid points (default 199)")
-    sim.add_argument("--workers", type=int, default=None,
-                     help="replication kernels in flight at once (default 1), each on "
-                     "one OpenBLAS thread; one more thread draws, all in this process")
+    for f in dataclasses.fields(ExperimentConfig):
+        switch, required = f.type == "bool", f.default is dataclasses.MISSING
+        kind = {"action": "store_true"} if switch else {"type": _FLAG_TYPES[f.type]}
+        text = _SIMULATE_HELP[f.name] + ("" if switch or required else " (default %(default)s)")
+        sim.add_argument("--" + f.name.replace("_", "-"), required=required,
+                         default=None if required else f.default, help=text, **kind)
 
     ver = sub.add_parser(
         "verify",
@@ -73,30 +78,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_simulate_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config of the flags given; every other field keeps its default."""
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
-    return ExperimentConfig(**{key: v for key, v in values.items() if v is not None})
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")  # the rest are the command's keyword arguments
     try:
-        if args.command == "simulate":
-            cfg = _resolve_simulate_config(args)
-            result = run_experiment(cfg)
+        if command == "simulate":
+            result = run_experiment(ExperimentConfig(**args))
             print(f"wrote: {', '.join(result.files)}")
             print(f"ks = {result.qq.ks:.6f} over {result.qq.reps} replications")
             if result.qq_centered is not None:
                 print(f"ks (centered) = {result.qq_centered.ks:.6f}")
                 print(f"note: {CENTERED_MEAN_NOTE}")
             return 0
-        summary = run_verification_suite(args.max_dim, args.cases, args.seed, args.output_dir)
+        summary = run_verification_suite(**args)
         for name, err in sorted(summary.max_abs_err.items()):
             print(f"{name}: max abs err {err:.3e}")
-        if summary.files:
-            print(f"wrote: {', '.join(summary.files)}")
+        print(f"wrote: {', '.join(summary.files)}")
         if not summary.ok:
             print(f"FAIL: some identity exceeded {VERIFY_THRESHOLD:g}", file=sys.stderr)
             return 1

@@ -3,13 +3,14 @@
 An :class:`ExperimentConfig` is checked once, when it is made.  Replication
 index, not thread, owns the RNG stream, so every report is byte-identical
 for any worker count.  ``workers`` (default 1) is the number of replication
-kernels in flight at once, all in this process: OpenBLAS runs on one thread,
-as it does while the model is built, and ``workers + 1`` threads each draw
-their own replication's innovations and then wait for a kernel slot.  Where
-OpenBLAS cannot be pinned, the caller runs the same loop alone and
-``workers`` has no effect.  Each replication writes its row of one array,
-(T_1, T_2) extended by the centered pair (T_1^0, T_2^0) when centered, and
-each pair of columns is whitened, about its means, in one call.
+kernels in flight at once, at most one per replication and per CPU, all in
+this process: OpenBLAS runs on one thread, as it does while the model is
+built, and one thread more than there are slots draws: each thread draws its
+own replication's innovations, then waits for a slot.  Where OpenBLAS cannot
+be pinned, the caller runs the same loop alone and ``workers`` has no effect.
+Each replication writes its row of one array, (T_1, T_2) extended by the
+centered pair (T_1^0, T_2^0) when centered, and each pair of columns is
+whitened, about its means, in one call.
 
 A run writes its Q-Q table to ``qq.csv``, and the centered one to
 ``qq_centered.csv``; ``summary.json`` holds the digested config fields
@@ -46,7 +47,7 @@ import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,7 +186,7 @@ class ExperimentConfig:
             raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
         if self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers}")
-        p, n, slots = self.p, self.n, min(self.workers, self.reps)
+        p, n, slots = self.p, self.n, _kernel_slots(self.workers, self.reps)
         parts = {  # peak bytes by the field that sets them, summed as if all coexist
             f"grid_size {self.grid_size}":
                 self.grid_size * _QQ_BYTES_PER_POINT * (1 + self.centered),
@@ -214,6 +215,17 @@ class ExperimentConfig:
 
 
 del ExperimentConfig.max_power  # the keyword's default, left as a class attribute, would read 2
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or all of them where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _kernel_slots(workers: int, reps: int) -> int:
+    """Replication kernels in flight at once: ``workers``, but no more than
+    there are replications or CPUs, so that no thread is started only to wait."""
+    return min(workers, reps, _cpus())
 
 
 def _physical_memory() -> float:
@@ -251,24 +263,15 @@ def build_experiment_model(cfg: ExperimentConfig) -> PopulationModel:
 
 
 def _retain_freed_arrays() -> None:
-    """Keep every thread on one glibc malloc arena and fix the mmap and trim
-    thresholds, for the whole process and for good.
+    """Keep every thread on one glibc malloc arena, for the whole process and
+    for good.
 
     The one arena lowers peak RSS, since each thread reuses the p x n arrays
     the other frees: at p = 500, n = 1000 (40 gamma replications, glibc 2.36,
-    x86-64) a fresh process peaks at 52.9 MB with the policy, 56.7 MB
-    without and 52.6 MB with the arena alone.  The thresholds keep freed
-    arrays in the heap: 100 replications at p = 1000, n = 300 (centered,
-    diagonal, alpha 0.5, beta 0.1) fault 1,680 pages with the policy and
-    3,210 without.  Setting either threshold turns off glibc's adjustment
-    of both, so either alone makes it 43k-77k."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # not glibc
-        return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at its 64-bit maximum
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
+    x86-64) a fresh process peaks at 52.8 MB with the arena and 56.7-57.0 MB
+    without."""
+    with suppress(AttributeError, OSError, TypeError):  # not glibc
+        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
 
 
 @functools.cache
@@ -322,19 +325,20 @@ def run_replications(model: PopulationModel, cfg: ExperimentConfig, workers: int
     in a (reps, 2) array, or (T_1, T_2, T_1^0, T_2^0) in a (reps, 4) array
     when ``cfg.centered``.
 
-    This thread and ``min(workers, reps)`` helpers each take the next index,
-    draw that replication's innovations (numpy's generator releases the
-    GIL), then run its kernel once one of ``workers`` kernel slots is free,
-    so every thread draws while at most ``workers`` Gram matrices are in
-    flight.  Each replication owns its seeded stream and every kernel runs
-    on one BLAS thread, so no result depends on the thread or on ``workers``.
+    This thread and one helper per kernel slot (``workers``, but at most one
+    per replication and per CPU) each take the next index, draw that
+    replication's innovations (numpy's generator releases the GIL), then run
+    its kernel once a slot is free, so every thread draws while at most one
+    Gram matrix per slot is in flight.  Each replication owns its seeded
+    stream and every kernel runs on one BLAS thread, so no result depends on
+    the thread or on ``workers``.
     Where OpenBLAS cannot be pinned, a many-thread kernel would contend with
     the other draws, so this thread replicates alone and ``workers`` has no
     effect."""
     _retain_freed_arrays()
     t = np.empty((cfg.reps, 4 if cfg.centered else 2))
     with _one_blas_thread() as pinned:
-        slots = min(workers, cfg.reps) if pinned else 1
+        slots = _kernel_slots(workers, cfg.reps) if pinned else 1
         indices = iter(range(cfg.reps))
         claim, failed = threading.Lock(), threading.Event()
         kernels = threading.Semaphore(slots)
@@ -354,9 +358,7 @@ def run_replications(model: PopulationModel, cfg: ExperimentConfig, workers: int
                 failed.set()  # the other threads stop at their next replication
                 raise
 
-        with ThreadPoolExecutor(
-            max_workers=slots, thread_name_prefix="covlss-replicate"
-        ) as helpers:
+        with ThreadPoolExecutor(max_workers=slots, thread_name_prefix="covlss-replicate") as helpers:
             others = [helpers.submit(replicate) for _ in range(slots if pinned else 0)]
             replicate()
             for other in others:
@@ -416,11 +418,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     qq = qq_report(whiten(t[:, 0] - ms.e_t1, t[:, 1] - ms.e_t2, ms), cfg.grid_size)
 
     qq_centered = None
-    notes: list[str] = []
     if cfg.centered:  # the same covariance about the centered means
         ts0 = whiten(t[:, 2] - ms.e_t1_centered, t[:, 3] - ms.e_t2_centered, ms)
         qq_centered = qq_report(ts0, cfg.grid_size)
-        notes.append(CENTERED_MEAN_NOTE)
 
     files: list[str] = []
     for name, report in (("qq.csv", qq), ("qq_centered.csv", qq_centered)):
@@ -442,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "traces": model.traces.as_dict(),
         },
         "centered": None if qq_centered is None else {"ks": qq_centered.ks},
-        "notes": notes,
+        "notes": [CENTERED_MEAN_NOTE] if cfg.centered else [],
     }
     summary_path = out_dir / "summary.json"
     _write_text(summary_path, (_dump(summary), "\n"))

@@ -105,7 +105,9 @@ def assemble_model(eigs, u: np.ndarray | None = None) -> PopulationModel:
         u = np.asarray(u, dtype=float)
         if u.shape != (lam.size, lam.size):
             raise ValueError(f"u must be {lam.size} x {lam.size}, got {u.shape}")
-        gram_defect = float(np.linalg.norm(u @ u.T - np.eye(lam.size)))
+        defect = u @ u.T
+        defect.flat[:: lam.size + 1] -= 1.0  # UU' - I, without an identity matrix
+        gram_defect = float(np.linalg.norm(defect))
         if gram_defect > 1e-8 * max(1.0, float(lam.size)):
             raise ValueError(f"u is not orthogonal: ||UU' - I||_F = {gram_defect:.3e}")
         factor = (u * np.sqrt(lam)).T.copy()  # C order, like the x it multiplies

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import platform
+import re
 import resource
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import covlss.harness as harness
 import covlss.lss as lss
-from covlss.cli import _build_parser, _resolve_simulate_config, main
+from covlss.cli import _build_parser, main
 from covlss.enumeration import FINITE_N_COLUMNS, IDENTITY_COLUMNS, SymMatrix, verify_identities
 from covlss import VERSION_STRING
 from covlss.harness import (
@@ -289,15 +290,42 @@ def test_benchmark_workload_config_is_accepted(tmp_path, name):
         assert run_verification_suite(w.config["max_dim"], 1, 1).ok
 
 
-def test_simulate_flags_are_the_config_fields():
-    # one flag per ExperimentConfig field and nothing else, so that no
-    # second way to set an input (a file, a preset) comes back
+def _simulate_parser() -> argparse.ArgumentParser:
     sub = next(
         action for action in _build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    dests = {action.dest for action in sub.choices["simulate"]._actions} - {"help"}
+    return sub.choices["simulate"]
+
+
+def test_simulate_flags_are_the_config_fields():
+    # one flag per ExperimentConfig field and nothing else, so that no
+    # second way to set an input (a file, a preset) comes back
+    dests = {action.dest for action in _simulate_parser()._actions} - {"help"}
     assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_simulate_help_shows_each_field_default():
+    # each flag's help, unwrapped, ends in its field's default, but for the
+    # required fields and the switches, which show none
+    options = " ".join(_simulate_parser().format_help().split("options:")[1].split())
+    helps = {chunk.split()[0]: chunk for chunk in re.split(r" (?=--[a-z-]+ )", options)}
+    without_default = set()
+    for f in dataclasses.fields(ExperimentConfig):
+        text = helps["--" + f.name.replace("_", "-")]
+        if "(default" in text:
+            assert text.endswith(f"(default {f.default})"), text
+        else:
+            without_default.add(f.name)
+    assert without_default == {"p", "n", "centered", "diagonal_only"}
+
+
+def test_simulate_switch_and_left_out_flags():
+    parse = _build_parser().parse_args
+    given = vars(parse(["simulate", "--p", "3", "--n", "4", "--centered"]))
+    left_out = vars(parse(["simulate", "--p", "3", "--n", "4"]))
+    assert given["centered"] is True and left_out.pop("command") == "simulate"
+    assert ExperimentConfig(**left_out) == ExperimentConfig(p=3, n=4)
 
 
 class TestRunExperiment:
@@ -421,22 +449,6 @@ class TestRunExperiment:
         assert np.array_equal(m1.factor, m2.factor)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
-    def test_replications_reuse_freed_arrays(self, child_env):
-        # each replication frees its p x n arrays, and the next one must reuse
-        # that memory, not fault it in again: in a fresh process 100
-        # replications of the centered diagonal model at p=1000, n=300 fault
-        # about 1,680 pages with the policy and 3,210 with a no-op in its place
-        faults = _with_and_without_malloc_policy(child_env, (
-            "cfg = harness.ExperimentConfig(p=1000, n=300, alpha=0.5, beta=0.1, "
-            "diagonal_only=True, centered=True, reps=100)\n"
-            "model = harness.build_experiment_model(cfg)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "harness.run_replications(model, cfg, 1)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-        ))
-        assert faults["off"] - faults["on"] > 1000, faults
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
     def test_malloc_policy_lowers_peak_rss(self, child_env):
         # what the policy buys is peak RSS: replicating at p=500, n=1000 in a
         # fresh process raises the peak about 8 MB with it and 12-14 MB without
@@ -473,6 +485,32 @@ def _with_and_without_malloc_policy(child_env, body: str) -> dict[str, int]:
         assert proc.returncode == 0, proc.stderr
         printed[policy] = int(proc.stdout)
     return printed
+
+
+def _assert_helpers_capped(tmp_path, monkeypatch, cap, **kw):
+    """Run ``kw``'s replications at one worker and at ``kw``'s workers, and
+    check that the second starts at most ``cap`` helper threads and writes
+    the first's qq.csv.  An executor sized past ``cap`` fails before it
+    starts any thread, so no run starts more."""
+    names = set()
+    original = lss.sample_block
+
+    class CappedExecutor(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            assert max_workers <= cap
+            super().__init__(max_workers, *args, **kwargs)
+
+    def recording(*a):
+        names.add(threading.current_thread().name)
+        return original(*a)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CappedExecutor)
+    monkeypatch.setattr(lss, "sample_block", recording)
+    run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "w1"), **{**kw, "workers": 1}))
+    names.clear()
+    run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "wN"), **kw))
+    assert len(names - {threading.current_thread().name}) <= cap
+    assert (tmp_path / "w1" / "qq.csv").read_bytes() == (tmp_path / "wN" / "qq.csv").read_bytes()
 
 
 def _blas_counts():
@@ -685,36 +723,21 @@ class TestPipeline:
                     active[0] -= 1
 
         monkeypatch.setattr(harness, "run_replication", counting)
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)  # a slot for each worker
         t = run_replications(model, cfg, workers)
         assert t.shape == (cfg.reps, 2) and np.all(np.isfinite(t))
         assert peak[0] == workers
         assert len(callers) <= workers + 1
 
     def test_threads_capped_by_reps(self, tmp_path, monkeypatch):
-        # 64 workers and 3 replications start at most 3 helper threads; an
-        # executor sized past that fails before it starts any, so no run of
-        # this test starts 64
-        names = set()
-        original = lss.sample_block
+        # 64 workers and 3 replications on 64 CPUs start at most 3 helper threads
+        monkeypatch.setattr(harness, "_cpus", lambda: 64)
+        _assert_helpers_capped(tmp_path, monkeypatch, 3, reps=3, workers=64)
 
-        class CappedExecutor(harness.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                assert max_workers <= 3
-                super().__init__(max_workers, *args, **kwargs)
-
-        def recording(*a):
-            names.add(threading.current_thread().name)
-            return original(*a)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", CappedExecutor)
-        monkeypatch.setattr(lss, "sample_block", recording)
-        run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "w1"), reps=3, workers=1))
-        names.clear()
-        run_experiment(tiny_cfg(tmp_path, output_dir=str(tmp_path / "w64"), reps=3, workers=64))
-        assert len(names - {threading.current_thread().name}) <= 3
-        assert (tmp_path / "w1" / "qq.csv").read_bytes() == (
-            tmp_path / "w64" / "qq.csv"
-        ).read_bytes()
+    def test_threads_capped_by_cpus(self, tmp_path, monkeypatch):
+        # 64 workers and 64 replications on 2 CPUs start at most 2 helper threads
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        _assert_helpers_capped(tmp_path, monkeypatch, 2, reps=64, workers=64)
 
     @pytest.mark.parametrize("n", [1, 255, 600])
     def test_half_times_matches_dense_product(self, n):
@@ -1036,6 +1059,12 @@ class TestCli:
             main(["simulate"])
         assert e.value.code == 2
 
+    def test_non_integer_flag_usage_error(self):
+        # the flag takes its field's int type, so 1.5 never reaches the config
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--p", "1.5", "--n", "4"])
+        assert e.value.code == 2
+
     def test_verify_subcommand(self, tmp_path, capsys):
         rc = main(["verify", "--max-dim", "2", "--cases", "5", "--seed", "1",
                    "--output-dir", str(tmp_path)])
@@ -1208,7 +1237,7 @@ class TestCli:
             "simulate --p 100 --n 1000 --alpha 0.2 --beta 0.1 "
             "--dist gamma:4:0.5 --reps 10000".split()
         )
-        cfg = _resolve_simulate_config(args)
+        cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "command"})
         assert (cfg.p, cfg.n, cfg.alpha, cfg.beta) == (100, 1000, 0.2, 0.1)
         assert cfg.dist == "gamma:4:0.5"
         assert cfg.reps == 10000

@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,10 @@ def test_src_imports_only_the_standard_library_and_numpy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:  # absolute
                 imported.add(node.module.partition(".")[0])
     assert imported - sys.stdlib_module_names <= {"numpy", "covlss"}
+
+
+def test_pyproject_version_is_the_package_version():
+    # VERSION_STRING, written into every summary.json and verify.json, comes
+    # from __version__; read by regex, as tomllib needs Python 3.11
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]+)"$', text, re.M) == [covlss.__version__]
