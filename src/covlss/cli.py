@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from .enumeration import EnumerationGuardError
+from .enumeration import MAX_IDENTITY_DIM, EnumerationGuardError
 from .harness import (
     CENTERED_MEAN_NOTE,
     ConfigError,
@@ -37,7 +37,6 @@ _SIMULATE_HELP = {
     "centered": "also compute mean-centered statistics",
     "diagonal_only": "skip the random orthogonal conjugation",
     "output_dir": "report directory",
-    "grid_size": "Q-Q probability grid points",
     "workers": "replication kernels in flight at once, at most one per CPU, each on one "
     "OpenBLAS thread; one more thread draws, all in this process",
 }
@@ -71,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Checks the quadratic-form moment identities and the "
         "exact finite-n moment formulas by exhaustive enumeration.",
     )
-    ver.add_argument("--max-dim", type=int, default=3, help="matrix dimension cap, at most 4")
+    ver.add_argument("--max-dim", type=int, default=3,
+                     help=f"matrix dimension cap, at most {MAX_IDENTITY_DIM}")
     ver.add_argument("--cases", type=int, default=200, help="randomized cases per identity")
     ver.add_argument("--seed", type=int, default=0, help="seed of the randomized grid")
     ver.add_argument("--output-dir", default="out", help="directory for verify.json")

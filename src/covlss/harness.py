@@ -12,8 +12,8 @@ Each replication writes its row of one array, (T_1, T_2) extended by the
 centered pair (T_1^0, T_2^0) when centered, and each pair of columns is
 whitened, about its means, in one call.
 
-A run writes its Q-Q table to ``qq.csv``, and the centered one to
-``qq_centered.csv``; ``summary.json`` holds the digested config fields
+A run writes its Q-Q table, 199 points, to ``qq.csv``, and the centered one
+to ``qq_centered.csv``; ``summary.json`` holds the digested config fields
 (not ``output_dir`` or ``workers``), the moments, the model's traces and
 the KS distances, but no Q-Q arrays.
 ``summary.json`` and ``verify.json`` are the bytes of ``json.dumps(value,
@@ -50,6 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -87,9 +88,6 @@ _OPENBLAS_SYMBOLS = [
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 ]
 
-# peak bytes per grid point of one qq_report table: 89 measured at 10^6 points
-# (tracemalloc and VmHWM agree), most of it the theoretical quantiles' list
-_QQ_BYTES_PER_POINT = 96
 # peak bytes per p^2 of a rotated model: 33 measured for its build at p = 1000,
 # of which F and the dense Sigma that the p <= n kernel caches keep 16
 _MODEL_BYTES_PER_P2 = 40
@@ -162,8 +160,8 @@ class ExperimentConfig:
     max_power: dataclasses.InitVar[int] = 2  # in no digest, report or flag
     diagonal_only: bool = False
     output_dir: str = "out"
-    grid_size: int = 199
     workers: int = 1
+    grid_size: ClassVar[int] = 199  # points of each Q-Q table; a constant, not a field
 
     def __post_init__(self, max_power: int) -> None:
         for f in dataclasses.fields(self):
@@ -182,14 +180,10 @@ class ExperimentConfig:
             raise ConfigError(f"reps must be a positive integer, got {self.reps}")
         if not 2 <= max_power <= 4:  # the whitened statistic needs T_2
             raise ConfigError(f"max_power must be in 2..4, got {max_power}")
-        if self.grid_size < 2:
-            raise ConfigError(f"grid_size must be at least 2, got {self.grid_size}")
         if self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers}")
         p, n, slots = self.p, self.n, _kernel_slots(self.workers, self.reps)
         parts = {  # peak bytes by the field that sets them, summed as if all coexist
-            f"grid_size {self.grid_size}":
-                self.grid_size * _QQ_BYTES_PER_POINT * (1 + self.centered),
             f"p {p}": 0 if self.diagonal_only else p * p * _MODEL_BYTES_PER_P2,
             # each drawing thread's p x n innovations, and a Gram per kernel slot
             f"p * n = {p} * {n}": (slots + 1) * p * n * _DRAW_BYTES_PER_VALUE

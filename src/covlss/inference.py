@@ -120,7 +120,7 @@ def _hazen_quantiles(s: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return q
 
 
-def qq_report(samples, grid_size: int = 199) -> QQReport:
+def qq_report(samples, grid_size: int) -> QQReport:
     """Q-Q table on the probability grid (i - 0.5)/grid_size plus the KS
     distance of the full sample against chi-square(2)."""
     s = np.sort(np.asarray(samples, dtype=float))

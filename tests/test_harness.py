@@ -55,7 +55,7 @@ def tiny_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
-_BLAS_SIZED = dict(centered=True, reps=16, grid_size=9)
+_BLAS_SIZED = dict(centered=True, reps=16)
 
 # a ceiling that keeps each oversized run refused on any host, so no test
 # allocates it
@@ -102,8 +102,6 @@ class TestConfig:
             ExperimentConfig(p=2, n=10, workers=0)
         with pytest.raises(ConfigError, match="reps must"):
             ExperimentConfig(p=2, n=10, reps=0)
-        with pytest.raises(ConfigError, match="grid_size must"):
-            ExperimentConfig(p=2, n=10, grid_size=1)
         with pytest.raises(ValueError):
             ExperimentConfig(p=2, n=10, dist="cauchy")
 
@@ -117,19 +115,6 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.p = 0
         assert cfg.p == 2
-
-    @pytest.mark.parametrize("centered", [False, True])
-    def test_refuses_a_qq_grid_beyond_physical_memory(self, centered):
-        # refused on any host before a table is allocated: 10^15 points
-        # would take about 96 PB
-        with pytest.raises(ConfigError, match="^grid_size 1000000000000000 needs about"):
-            ExperimentConfig(p=2, n=10, centered=centered, grid_size=10**15)
-
-    def test_qq_bytes_per_point_bounds_a_measured_table(self):
-        # the guard's per-point figure against qq_report's traced peak
-        grid_size = 100_000
-        peak = _traced_peak(lambda: harness.qq_report(np.linspace(0.0, 10.0, 1000), grid_size))
-        assert 0.8 * harness._QQ_BYTES_PER_POINT < peak / grid_size <= harness._QQ_BYTES_PER_POINT
 
     @pytest.mark.parametrize("fields,flags,message", _OVERSIZED_RUNS, ids=["p", "p*n", "reps"])
     def test_refuses_a_run_beyond_physical_memory(self, monkeypatch, fields, flags, message):
@@ -182,13 +167,13 @@ class TestConfig:
     def test_digest_pinned(self):
         # a digest names a run's statistical inputs across versions, so it must not drift
         assert ExperimentConfig(p=3, n=10).digest() == (
-            "a55e892eb900a50365ca38fe79f813a7badc44f4136d7f697508b41f58829506"
+            "979e6e9f5a2cd62e6417fd88f8cb8730fd93beb8799546206e25cd9d0db3cc01"
         )
         full_panel = ExperimentConfig(
             p=500, n=1000, alpha=0.2, beta=0.5, dist="gamma:4:0.5", reps=10000, master_seed=1
         )
         assert full_panel.digest() == (
-            "9287840668bfaec4ee223265af9ae7a7aaf2985c100fd6235ae1ed35a390a32d"
+            "1dd67900a883a2982a43aaf1c5d075c0c8591459c3be423df3a2b6539743abe6"
         )
 
     @pytest.mark.parametrize("fields,refused", [
@@ -205,7 +190,7 @@ class TestConfig:
             "dist-none", "dist-int", "output_dir-none", "output_dir-int"])
     def test_wrong_type_refused_or_canonical(self, tmp_path, fields, refused):
         # each once passed the config gate and raised a raw TypeError later
-        kwargs = dict(p=3, n=10, reps=5, grid_size=3, output_dir=str(tmp_path))
+        kwargs = dict(p=3, n=10, reps=5, output_dir=str(tmp_path))
         if refused:
             with pytest.raises(ConfigError, match=f"^{refused}, got "):
                 ExperimentConfig(**{**kwargs, **fields})
@@ -242,7 +227,7 @@ class TestConfig:
 # a value unlike tiny_cfg's for each digested ExperimentConfig field
 _CHANGED_VALUE = dict(
     p=7, n=11, alpha=0.3, beta=0.2, dist="normal", reps=41, master_seed=12,
-    centered=True, diagonal_only=True, grid_size=9,
+    centered=True, diagonal_only=True,
 )
 
 
@@ -328,9 +313,19 @@ def test_simulate_switch_and_left_out_flags():
     assert ExperimentConfig(**left_out) == ExperimentConfig(p=3, n=4)
 
 
+def test_qq_grid_is_a_constant_not_an_input():
+    # a display resolution, in no flag, summary config or digest
+    assert ExperimentConfig.grid_size == 199 and len(dataclasses.fields(ExperimentConfig)) == 11
+    with pytest.raises(TypeError):
+        ExperimentConfig(p=3, n=10, grid_size=9)
+    with pytest.raises(SystemExit) as usage:
+        main(["simulate", "--p", "3", "--n", "10", "--grid-size", "9"])
+    assert usage.value.code == 2
+
+
 class TestRunExperiment:
     def test_single_replication(self, tmp_path):
-        res = run_experiment(tiny_cfg(tmp_path, reps=1, grid_size=3))
+        res = run_experiment(tiny_cfg(tmp_path, reps=1))
         assert res.qq.reps == 1
         assert (tmp_path / "out" / "qq.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
@@ -416,11 +411,11 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_seventeen_digit_csv(self, tmp_path):
-        run_experiment(tiny_cfg(tmp_path, reps=5, grid_size=4))
+        run_experiment(tiny_cfg(tmp_path, reps=5))
         lines = (tmp_path / "out" / "qq.csv").read_text().splitlines()
         assert lines[0] == "prob,q_theoretical,q_empirical"
         value = lines[1].split(",")[0]
-        assert float(value) == 0.5 / 4
+        assert float(value) == 0.5 / 199
         assert len(value) >= 5
 
     def test_law_parsed_once_per_entry_point(self, tmp_path, monkeypatch):
@@ -594,7 +589,7 @@ class TestPipeline:
             run_dir.mkdir()
             proc = subprocess.run(
                 [sys.executable, "-m", "covlss.cli", "simulate", *flags.split(),
-                 "--alpha", "0.3", "--beta", "0.3", "--reps", "8", "--grid-size", "9",
+                 "--alpha", "0.3", "--beta", "0.3", "--reps", "8",
                  "--master-seed", "5", "--output-dir", "out"],
                 cwd=run_dir, capture_output=True, text=True,
                 env=dict(child_env, OPENBLAS_NUM_THREADS=str(threads)),
@@ -1184,14 +1179,6 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: cases 1000 needs about")
         assert not out.exists()
 
-    def test_grid_beyond_physical_memory_exit_one(self, tmp_path, capsys):
-        out = tmp_path / "g"
-        rc = main(["simulate", "--p", "4", "--n", "3", "--reps", "3",
-                   "--grid-size", str(10**15), "--output-dir", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: grid_size 1000000000000000 needs")
-        assert not out.exists()
-
     @pytest.mark.parametrize("dist", ["gamma:1e-300:1", "twopoint:1e-300", "bogus"])
     def test_bad_distribution_exit_one(self, tmp_path, capsys, dist):
         # gamma and two-point laws whose standardized moments overflow, and an
@@ -1270,22 +1257,20 @@ def _all_finite(value):
     seed=st.integers(0, 2**63 - 1),
     centered=st.booleans(),
     diagonal_only=st.booleans(),
-    grid_size=st.integers(2, 5),
 )
 def test_valid_configs_end_in_reports_or_a_diagnostic(
-    p, n, alpha, beta, dist, reps, seed, centered, diagonal_only, grid_size
+    p, n, alpha, beta, dist, reps, seed, centered, diagonal_only
 ):
     # a config that can be made writes finite reports or exits 1 with
     # "error:", never a traceback and never a partial summary.json
     try:
         ExperimentConfig(p=p, n=n, alpha=alpha, beta=beta, dist=dist, reps=reps,
-                         master_seed=seed, centered=centered, diagonal_only=diagonal_only,
-                         grid_size=grid_size)
+                         master_seed=seed, centered=centered, diagonal_only=diagonal_only)
     except ConfigError:
         return
     argv = ["simulate", "--p", str(p), "--n", str(n), "--alpha", repr(alpha),
             "--beta", repr(beta), "--dist", dist, "--reps", str(reps),
-            "--master-seed", str(seed), "--grid-size", str(grid_size), "--workers", "1"]
+            "--master-seed", str(seed), "--workers", "1"]
     argv += ["--centered"] * centered + ["--diagonal-only"] * diagonal_only
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -1302,5 +1287,5 @@ def test_valid_configs_end_in_reports_or_a_diagnostic(
         assert _all_finite(summary)
         for name in ["qq.csv"] + ["qq_centered.csv"] * centered:
             rows = (out / name).read_text().splitlines()[1:]
-            assert len(rows) == grid_size
+            assert len(rows) == ExperimentConfig.grid_size
             assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

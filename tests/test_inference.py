@@ -147,7 +147,7 @@ class TestQQReport:
 
     def test_chi2_draws_ks_small(self):
         rng = np.random.default_rng(99)
-        rep = qq_report(rng.chisquare(2, size=10**4))
+        rep = qq_report(rng.chisquare(2, size=10**4), 199)
         assert rep.ks <= 0.022  # 1% Kolmogorov critical value 1.63/sqrt(10^4)
 
     def test_constant_sample(self):
@@ -164,7 +164,7 @@ class TestQQReport:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            qq_report(np.array([]))
+            qq_report(np.array([]), 199)
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -193,7 +193,7 @@ def test_qq_report_loads_no_numpy_ma(child_env):
     # np.quantile imports numpy.ma on its first call, 9-15 ms in every run
     code = (
         "import sys, numpy as np; from covlss.inference import qq_report; "
-        "qq_report(np.arange(1.0, 40.0)); print('numpy.ma' in sys.modules)"
+        "qq_report(np.arange(1.0, 40.0), 199); print('numpy.ma' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
